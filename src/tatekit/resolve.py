@@ -187,54 +187,84 @@ def complete_resolution(group, lo, hi):
 
 
 class ResolutionStep:
-    """One stage of a free resolution of a presented module."""
+    """One stage of a free resolution of a presented module.
 
-    __slots__ = ("rank", "cover", "kernel", "kernel_basis")
+    ``generators`` holds the indices of the module generators the cover
+    sends its free generators to, in order; together they generate the
+    module over ZG.  ``rank`` is their number.  ``cover`` is the integer
+    matrix of ZG^rank -> Z^gens, whose column ``j * |G| + h`` is group
+    element ``h`` applied to generator ``generators[j]``.  ``kernel`` is
+    the kernel of the cover as a presented module (Z-free, so with an
+    empty relation matrix) and ``kernel_basis`` its lattice basis inside
+    Z^(rank * |G|).
+    """
 
-    def __init__(self, rank, cover, kernel, kernel_basis):
+    __slots__ = ("rank", "generators", "cover", "kernel", "kernel_basis")
+
+    def __init__(self, rank, generators, cover, kernel, kernel_basis):
         self.rank = rank
+        self.generators = generators
         self.cover = cover
         self.kernel = kernel
         self.kernel_basis = kernel_basis
 
 
 def resolution_step(module):
-    """Cover a module by a free module on its generators.
+    """Cover a module by a free module on a ZG-generating subset.
 
-    Returns the cover rank, the integer matrix of the cover
-    Z^(gens*|G|) -> Z^gens, and the kernel as a presented module
-    (Z-free, so with an empty relation matrix) together with the
-    lattice basis of the kernel inside the free cover.
+    Walks the generators in order and skips generator ``c`` when e_c
+    already lies in the Z-span of the relations and of the G-orbits of
+    the generators chosen before it.  The cover ZG^rank -> M sends the
+    free generators to the chosen ones, so its kernel is the syzygy of
+    M up to free summands (Schanuel's lemma), which Tate cohomology
+    cannot see.
     """
     require_valid(module)
     group = module.group
     k = module.gens
     n = group.order
-    cover = IntMatrix.zeros(k, k * n)
+    chosen = []
+    columns = []
+    span = module.relation_basis()
     for c in range(k):
-        for h in range(n):
-            act = module.act_element(h)
-            for i in range(k):
-                cover.data[i][c * n + h] = act.data[i][c]
+        if span.cols:
+            unit = IntMatrix.zeros(k, 1)
+            unit.data[c][0] = 1
+            try:
+                solve_in_lattice(span, unit)
+                continue
+            except NoSolution:
+                pass
+        orbit = [module.act_element(h).column(c) for h in range(n)]
+        chosen.append(c)
+        columns.extend(orbit)
+        span = lattice_basis(span.hstack(IntMatrix.from_columns(orbit, k)))
+    s = len(chosen)
+    cover = IntMatrix.from_columns(columns, k)
     if module.relations.cols == 0:
         raw = kernel_basis(cover)
     else:
         stacked = cover.hstack(module.relations)
         full = kernel_basis(stacked)
-        raw = full.submatrix(range(k * n), range(full.cols))
+        raw = full.submatrix(range(s * n), range(full.cols))
     basis = lattice_basis(raw)
     actions = []
     for i in range(1, group.r + 1):
-        perm = GroupRingMatrix.scalar(group, k, group.generator(i)).expand()
+        perm = GroupRingMatrix.scalar(group, s, group.generator(i)).expand()
         actions.append(solve_in_lattice(basis, perm.mul(basis)))
     kernel = ModulePresentation(
         group, basis.cols, IntMatrix.zeros(basis.cols, 0), actions
     )
-    return ResolutionStep(k, cover, kernel, basis)
+    return ResolutionStep(s, chosen, cover, kernel, basis)
 
 
 def syzygy(module, n):
-    """The n-th syzygy along the fixed generator resolution; Omega^0 M = M."""
+    """The n-th syzygy Omega^n M, up to free ZG summands; Omega^0 M = M.
+
+    Each step covers the previous syzygy by :func:`resolution_step`, so
+    the result can differ from the syzygy of another resolution only by
+    free summands, and its Tate cohomology is that of Omega^n M.
+    """
     if n < 0:
         raise ValueError("syzygy index must be nonnegative")
     current = module

@@ -100,23 +100,28 @@ def _resolve_through(complex_, m, n):
 
     Returns the resolution, the cycle basis presenting its degree-m
     generators inside complex_, and the kernel lattice of the last
-    step (the (n-m)-th syzygy of H_m).
+    step (the (n-m)-th syzygy of H_m, up to free summands).  Each
+    degree covers the previous kernel by the generators its
+    resolution step chose, so d_(m+s) sends them to the matching
+    columns of the previous kernel basis.
     """
     group = complex_.group
-    cycles, base = _homology_data(complex_, m)
-    ranks = {m: base.gens}
-    diffs = {}
-    current = base
-    top_basis = None
-    for s in range(1, n - m + 1):
+    cycles, current = _homology_data(complex_, m)
+    steps = []
+    for _ in range(n - m):
         step = resolution_step(current)
-        top_basis = step.kernel_basis
-        if s < n - m:
-            ranks[m + s] = step.kernel.gens
-            diffs[m + s] = decode_columns(group, step.kernel_basis, current.gens)
+        steps.append(step)
         current = step.kernel
+    cycles = cycles.submatrix(range(cycles.rows), steps[0].generators)
+    ranks = {m + s: step.rank for s, step in enumerate(steps)}
+    diffs = {}
+    for s in range(1, n - m):
+        prev, step = steps[s - 1], steps[s]
+        basis = prev.kernel_basis
+        chosen = basis.submatrix(range(basis.rows), step.generators)
+        diffs[m + s] = decode_columns(group, chosen, prev.rank)
     resolution = FreeChainComplex(group, ranks, diffs)
-    return resolution, cycles, top_basis
+    return resolution, cycles, steps[-1].kernel_basis
 
 
 def _mapping_cone(complex_, resolution, maps, m, n):

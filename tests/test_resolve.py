@@ -1,12 +1,22 @@
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tatekit.errors import LiftObstruction, WindowViolation
-from tatekit.exactlin import IntMatrix, cokernel_invariants, kernel_basis
+from tatekit.exactlin import (
+    IntMatrix,
+    cokernel_invariants,
+    kernel_basis,
+    lattice_basis,
+    solve_in_lattice,
+)
 from tatekit.groupring import ElementaryAbelianGroup, GroupRingMatrix, full_norm
 from tatekit.modpres import (
     FreeChainComplex,
     ModulePresentation,
+    free_module_presentation,
     homology,
     require_valid,
     trivial_module,
@@ -20,6 +30,7 @@ from tatekit.resolve import (
     resolution_step,
     syzygy,
 )
+from tatekit.tate import tate_cohomology_range
 
 
 def test_periodic_resolution_ranks_and_exactness():
@@ -179,3 +190,91 @@ def test_resolution_step_on_presented_torsion_module():
     assert m.in_relation_span(image) is None
     # the kernel has full rank |G| since Z/2 is finite
     assert step.kernel.gens == 2
+
+
+def _all_generators_kernel(module):
+    """Reference cover: one free generator per Z-generator of ``module``.
+
+    Returns the kernel as a presented module.  Its syzygies differ from
+    those of resolution_step only by free summands.
+    """
+    group = module.group
+    k, n = module.gens, group.order
+    columns = [module.act_element(h).column(c) for c in range(k) for h in range(n)]
+    cover = IntMatrix.from_columns(columns, k)
+    full = kernel_basis(cover.hstack(module.relations))
+    basis = lattice_basis(full.submatrix(range(k * n), range(full.cols)))
+    actions = []
+    for i in range(1, group.r + 1):
+        perm = GroupRingMatrix.scalar(group, k, group.generator(i)).expand()
+        actions.append(solve_in_lattice(basis, perm.mul(basis)))
+    return ModulePresentation(
+        group, basis.cols, IntMatrix.zeros(basis.cols, 0), actions
+    )
+
+
+def _coefficients(group, mod_p):
+    if mod_p:
+        return ModulePresentation(group, 1, IntMatrix([[group.p]]))
+    return trivial_module(group)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_syzygy_tate_table_matches_all_generators_cover(pr, n, mod_p):
+    # Schanuel: the two covers give syzygies that differ by free
+    # summands, which Tate cohomology cannot see.
+    p, r = pr
+    g = ElementaryAbelianGroup(p, r)
+    om = syzygy(_coefficients(g, mod_p), n)
+    assert validate(om) == []
+    oracle = _coefficients(g, mod_p)
+    for _ in range(n):
+        oracle = _all_generators_kernel(oracle)
+    got = tate_cohomology_range(g, om, -2, 2)
+    assert got == tate_cohomology_range(g, oracle, -2, 2), (p, r, n, mod_p)
+
+
+def test_syzygy_generator_counts_over_klein_four():
+    # the all-generators cover gives 3^n; the minimal resolution has
+    # rank n+1, and the greedy cover keeps the syzygy at 2n+1
+    g = ElementaryAbelianGroup(2, 2)
+    om = trivial_module(g)
+    for n in range(1, 7):
+        om = syzygy(om, 1)
+        assert om.gens == 2 * n + 1, n
+
+
+def test_resolution_step_of_free_module_is_free():
+    g = ElementaryAbelianGroup(3, 1)
+    step = resolution_step(free_module_presentation(g, 2))
+    assert step.rank == 2
+    assert step.generators == [0, g.order]
+    assert step.kernel.gens == 0
+    assert step.kernel_basis.cols == 0
+
+
+def test_lift_chain_map_through_a_proper_generator_subset():
+    # H_1 of this product has 17 Z-generators but one generates it over
+    # ZG; the lift and the glue must follow the chosen subset
+    from tatekit.gallery import product_complex
+    from tatekit.modpres import homology_module
+    from tatekit.surgery import _resolve_through, glue
+
+    c = product_complex(2, [2, 2, 1])
+    h1 = homology_module(c, 1)
+    assert h1.gens == 17
+    assert len(resolution_step(h1).generators) < h1.gens
+    resolution, cycles, _ = _resolve_through(c, 1, 3)
+    assert [resolution.rank(i) for i in (1, 2)] == [1, 3]
+    assert cycles.cols == 1
+    maps = lift_chain_map(resolution, c, 1, 3, cycles)
+    lhs = c.differential(2).mul(maps[1])
+    rhs = maps[0].mul(resolution.differential(2))
+    assert lhs == rhs
+    _, cert = glue(c, 1, 3)
+    assert cert.ok
