@@ -1,24 +1,9 @@
-"""Selects the elimination core.
+"""The elimination kernels, under the module name the package imports.
 
-The compiled extension is preferred when it imported cleanly; setting
-``TATEKIT_PURE=1`` forces the pure-Python core regardless.  Both cores
-expose the same three functions with identical behaviour.
+``exactlin`` and ``tate`` import the kernels from here, and
+``tatebench`` reads ``BACKEND`` and traces the names bound here.
 """
 
-import os
+from ._elim_py import hermite, smith_diagonal, smith_transform
 
-from . import _elim_py
-
-if os.environ.get("TATEKIT_PURE"):
-    _impl = _elim_py
-else:
-    try:
-        from . import _elim_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _elim_py
-
-BACKEND = "compiled" if _impl.__name__.endswith("_elim_cy") else "pure"
-
-hermite = _impl.hermite
-smith_diagonal = _impl.smith_diagonal
-smith_transform = _impl.smith_transform
+BACKEND = "pure"

@@ -1,13 +1,8 @@
-"""Exact integer elimination kernels (pure Python reference core).
+"""Exact integer elimination kernels (sparse Hermite and Smith reduction).
 
 Sparse routines work on lists of ``{column: value}`` dicts with Python
 ints throughout, so coefficient growth is handled by arbitrary
 precision rather than ever overflowing.  They consume their input rows.
-
-``tatekit._elim_cy`` is a compiled twin of this module.  The two must
-stay behaviourally identical, including pivot choices, so that results
-do not depend on which core was importable (tests/test_backends.py
-compares them entry for entry).
 """
 
 from collections import deque

@@ -2,7 +2,7 @@
 
 Everything here works with Python ints, so results are exact at any
 size.  Matrices are small dense objects; the heavy reductions go
-through the sparse elimination core selected in :mod:`tatekit._backend`.
+through the sparse elimination core in :mod:`tatekit._elim_py`.
 """
 
 import math

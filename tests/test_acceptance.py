@@ -5,10 +5,8 @@ per criterion.  Everything here is integer-exact; there are no
 tolerances to tune.
 """
 
-import json
-import os
-import subprocess
-import sys
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from tatekit.exactlin import AbelianInvariants, INFINITE
 from tatekit.gallery import lens_complex, product_complex, random_free_complex
@@ -23,7 +21,7 @@ from tatekit.tate import (
     tate_hypercohomology_range,
 )
 
-from oracles import oracle_homology
+from oracles import oracle_expand, oracle_homology
 
 GALLERY_SPECS = [
     ("lens", 2, [1]),
@@ -189,42 +187,23 @@ def test_criterion_11_syzygy_exponent_profile_peak_at_two():
             assert e in (1, 2), (i, e)
 
 
-def test_criterion_12_homology_triple_checked_against_oracles(tmp_path):
-    selected = {}
+def sympy_homology(complex_, i):
+    """Invariants of H_i from sympy ranks and invariant factors."""
+    dim = complex_.rank(i) * complex_.group.order
+    d_in, d_out = (
+        Matrix(oracle_expand(d)) if d is not None else Matrix(0, 0, [])
+        for d in (complex_.differential(i), complex_.differential(i + 1))
+    )
+    free = dim - d_in.rank() - d_out.rank()
+    torsion = [int(f) for f in invariant_factors(d_out, domain=ZZ) if f > 1]
+    return torsion, free
+
+
+def test_criterion_12_homology_triple_checked_against_oracles():
     for name, c in build_gallery():
         for i in range(c.lo, c.hi + 1):
             h = homology(c, i)
-            torsion, free = oracle_homology(c, i)
-            assert h.torsion == tuple(torsion), (name, i)
-            assert h.free_rank == free, (name, i)
-            selected[f"{name}@{i}"] = [list(h.torsion), h.free_rank]
-
-    script = tmp_path / "pure_gallery.py"
-    script.write_text(
-        "import json\n"
-        "from tatekit import (BACKEND, lens_complex, product_complex,\n"
-        "    homology)\n"
-        f"specs = {GALLERY_SPECS!r}\n"
-        "out = {}\n"
-        "for kind, p, ks in specs:\n"
-        "    if kind == 'lens':\n"
-        "        name, c = f'lens({p},{ks[0]})', lens_complex(p, ks[0])\n"
-        "    else:\n"
-        "        name, c = f'product({p},{ks})', product_complex(p, ks)\n"
-        "    for i in range(c.lo, c.hi + 1):\n"
-        "        h = homology(c, i)\n"
-        "        out[f'{name}@{i}'] = [list(h.torsion), h.free_rank]\n"
-        "print(json.dumps({'backend': BACKEND, 'values': out}))\n"
-    )
-    env = dict(os.environ)
-    env["TATEKIT_PURE"] = "1"
-    run = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    pure = json.loads(run.stdout)
-    assert pure["backend"] == "pure"
-    assert pure["values"] == selected
+            for oracle in (oracle_homology, sympy_homology):
+                torsion, free = oracle(c, i)
+                assert h.torsion == tuple(torsion), (name, i, oracle.__name__)
+                assert h.free_rank == free, (name, i, oracle.__name__)
