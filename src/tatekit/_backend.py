@@ -4,6 +4,6 @@
 ``tatebench`` reads ``BACKEND`` and traces the names bound here.
 """
 
-from ._elim_py import hermite, smith_diagonal, smith_transform
+from ._elim_py import hermite, smith_diagonal
 
 BACKEND = "pure"

@@ -1,6 +1,6 @@
 """Exact integer elimination kernels (sparse Hermite and Smith reduction).
 
-Sparse routines work on lists of ``{column: value}`` dicts with Python
+Both kernels work on lists of ``{column: value}`` dicts with Python
 ints throughout, so coefficient growth is handled by arbitrary
 precision rather than ever overflowing.  They consume their input rows.
 """
@@ -197,112 +197,3 @@ def smith_diagonal(rows, ncols):
             axpy(i, violator, 1)
 
     return [1] * ones + tail
-
-
-def smith_transform(mat, nrows, ncols):
-    """Dense Smith normal form with transforms.
-
-    Returns ``(S, U, V)`` as lists of row lists with ``U * mat * V == S``,
-    ``U`` and ``V`` unimodular, and the diagonal of ``S`` nonnegative
-    with each entry dividing the next.
-    """
-    A = [list(row) for row in mat]
-    U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def row_op(dst, src, coef):
-        a_dst, a_src = A[dst], A[src]
-        for j in range(ncols):
-            a_dst[j] += coef * a_src[j]
-        u_dst, u_src = U[dst], U[src]
-        for j in range(nrows):
-            u_dst[j] += coef * u_src[j]
-
-    def col_op(dst, src, coef):
-        for i in range(nrows):
-            A[i][dst] += coef * A[i][src]
-        for i in range(ncols):
-            V[i][dst] += coef * V[i][src]
-
-    def row_swap(a, b):
-        A[a], A[b] = A[b], A[a]
-        U[a], U[b] = U[b], U[a]
-
-    def col_swap(a, b):
-        for i in range(nrows):
-            A[i][a], A[i][b] = A[i][b], A[i][a]
-        for i in range(ncols):
-            V[i][a], V[i][b] = V[i][b], V[i][a]
-
-    t = 0
-    while True:
-        best = None
-        for i in range(t, nrows):
-            row = A[i]
-            for j in range(t, ncols):
-                v = row[j]
-                if v:
-                    key = (abs(v), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-
-        while True:
-            # Clear the pivot column by row operations; a nonzero
-            # remainder is a smaller pivot, so swap it up and restart.
-            dirty = False
-            i = t + 1
-            while i < nrows:
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        row_op(i, t, -q)
-                    if A[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-                        continue
-                i += 1
-            if dirty:
-                continue
-            j = t + 1
-            while j < ncols:
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        col_op(j, t, -q)
-                    if A[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-                        continue
-                j += 1
-            if dirty:
-                continue
-
-            violator = None
-            piv = A[t][t]
-            for i in range(t + 1, nrows):
-                row = A[i]
-                for j in range(t + 1, ncols):
-                    if row[j] % piv:
-                        violator = i
-                        break
-                if violator is not None:
-                    break
-            if violator is None:
-                break
-            row_op(t, violator, 1)
-
-        if A[t][t] < 0:
-            for j in range(ncols):
-                A[t][j] = -A[t][j]
-            for j in range(nrows):
-                U[t][j] = -U[t][j]
-        t += 1
-
-    return A, U, V

@@ -2,7 +2,16 @@
 
 Everything here works with Python ints, so results are exact at any
 size.  Matrices are small dense objects; the heavy reductions go
-through the sparse elimination core in :mod:`tatekit._elim_py`.
+through the two sparse kernels of :mod:`tatekit._elim_py`:
+
+- ``hermite`` on the columns of the matrix: :func:`rank`,
+  :func:`lattice_basis`, and, with each column tagged by its index,
+  :func:`kernel_basis` and :func:`solve_preimage`;
+- ``smith_diagonal``: :func:`smith_diagonal`,
+  :func:`cokernel_invariants` and :func:`quotient_invariants`.
+
+:func:`solve_in_lattice` needs no kernel: it back-substitutes into an
+echelon basis.
 """
 
 import math
@@ -57,17 +66,6 @@ class IntMatrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self):
-        out = IntMatrix.zeros(self.cols, self.rows)
-        for i in range(self.rows):
-            row = self.data[i]
-            for j in range(self.cols):
-                out.data[j][i] = row[j]
-        return out
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -84,12 +82,6 @@ class IntMatrix:
                         if b:
                             orow[j] += a * b
         return out
-
-    def mul_vector(self, vec):
-        return [
-            sum(self.data[i][k] * vec[k] for k in range(self.cols))
-            for i in range(self.rows)
-        ]
 
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -116,11 +108,6 @@ class IntMatrix:
             self.cols + other.cols,
         )
 
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return IntMatrix(self.data + other.data, self.rows + other.rows, self.cols)
-
     def submatrix(self, row_range, col_range):
         return IntMatrix(
             [[self.data[i][j] for j in col_range] for i in row_range],
@@ -139,6 +126,7 @@ class IntMatrix:
         ]
 
     def sparse_columns(self):
+        """Fresh {row: value} dicts, one per column, for the mutating core."""
         cols = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.data):
             for j, v in enumerate(row):
@@ -231,80 +219,50 @@ def exponent(invariants):
     return invariants.exponent()
 
 
-def smith_normal_form(a):
-    """Smith normal form with transforms.
-
-    Returns ``(u, s, v)`` with ``u * a * v == s``, both transforms
-    unimodular, and the diagonal of ``s`` a nonnegative divisibility
-    chain.
-    """
-    s, u, v = _backend.smith_transform(a.data, a.rows, a.cols)
-    return (
-        IntMatrix(u, a.rows, a.rows),
-        IntMatrix(s, a.rows, a.cols),
-        IntMatrix(v, a.cols, a.cols),
-    )
-
-
 def smith_diagonal(a):
     """Positive diagonal of the Smith form (ones included; length = rank)."""
     return _backend.smith_diagonal(a.sparse_rows(), a.cols)
 
 
 def rank(a):
-    pivots, _ = _backend.hermite(a.transpose().sparse_rows(), a.rows)
+    pivots, _ = _backend.hermite(a.sparse_columns(), a.rows)
     return len(pivots)
+
+
+def _augmented_hermite(a):
+    """Hermite of the columns of ``a``, column ``j`` tagged with 1 at
+    ``a.rows + j``, so each reduced row carries its coordinates in the
+    columns of ``a``."""
+    rows = a.sparse_columns()
+    for j, row in enumerate(rows):
+        row[a.rows + j] = 1
+    return _backend.hermite(rows, a.rows)
 
 
 def solve_preimage(a, b):
     """Some integer solution ``x`` of ``a * x == b``, or NoSolution.
 
-    ``b`` may have several columns; they are solved together.  When the
-    system is underdetermined any valid solution may be returned.
+    ``b`` may have several columns; they are solved together and
+    NoSolution names the first that fails.  When the system is
+    underdetermined any valid solution may be returned.
     """
     if a.rows != b.rows:
         raise ValueError("shape mismatch between matrix and right-hand side")
-    s, u, v = _backend.smith_transform(a.data, a.rows, a.cols)
-    t = min(a.rows, a.cols)
-    diag = [s[i][i] for i in range(t)]
-    x = IntMatrix.zeros(a.cols, b.cols)
-    for j in range(b.cols):
-        col = b.column(j)
-        c = [sum(u[i][k] * col[k] for k in range(a.rows)) for i in range(a.rows)]
-        y = [0] * a.cols
-        for i in range(a.rows):
-            if i < t and diag[i]:
-                if c[i] % diag[i]:
-                    raise NoSolution(
-                        f"column {j}: {c[i]} not divisible by invariant {diag[i]}",
-                        column=j,
-                    )
-                y[i] = c[i] // diag[i]
-            elif c[i]:
-                raise NoSolution(
-                    f"column {j}: inconsistent equation with residue {c[i]}",
-                    column=j,
-                )
-        for i in range(a.cols):
-            x.data[i][j] = sum(v[i][k] * y[k] for k in range(a.cols) if y[k])
-    return x
+    pivots, _ = _augmented_hermite(a)
+    rows = [row for _, row in pivots]
+    basis = IntMatrix.from_columns(
+        [[row.get(i, 0) for i in range(a.rows)] for row in rows], a.rows
+    )
+    transform = IntMatrix.from_columns(
+        [[row.get(a.rows + j, 0) for j in range(a.cols)] for row in rows], a.cols
+    )
+    return transform.mul(solve_in_lattice(basis, b))
 
 
 def kernel_basis(a):
     """Basis of the integer kernel lattice of ``a``, as matrix columns."""
-    rows = []
-    for i in range(a.cols):
-        row = {}
-        for j in range(a.rows):
-            v = a.data[j][i]
-            if v:
-                row[j] = v
-        row[a.rows + i] = 1
-        rows.append(row)
-    _, free = _backend.hermite(rows, a.rows)
-    columns = []
-    for row in free:
-        columns.append([row.get(a.rows + i, 0) for i in range(a.cols)])
+    _, free = _augmented_hermite(a)
+    columns = [[row.get(a.rows + j, 0) for j in range(a.cols)] for row in free]
     return IntMatrix.from_columns(columns, a.cols)
 
 
@@ -315,7 +273,7 @@ def lattice_basis(a):
     strictly below the first nonzero entry of column ``j - 1``, which is
     what :func:`solve_in_lattice` relies on.
     """
-    pivots, _ = _backend.hermite(a.transpose().sparse_rows(), a.rows)
+    pivots, _ = _backend.hermite(a.sparse_columns(), a.rows)
     columns = []
     for _, row in pivots:
         columns.append([row.get(i, 0) for i in range(a.rows)])

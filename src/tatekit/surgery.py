@@ -250,8 +250,9 @@ def glue(complex_, m, n):
     maps = lift_chain_map(resolution, complex_, m, n, cycles)
     cone = _mapping_cone(complex_, resolution, maps, m, n)
 
-    lo = min(complex_.lo, cone.lo)
-    hi = max(complex_.hi, cone.hi)
+    # m and n may lie outside both supports, where H_m = 0
+    lo = min(complex_.lo, cone.lo, m)
+    hi = max(complex_.hi, cone.hi, n)
     before = {i: homology(complex_, i) for i in range(lo, hi + 1)}
     after = {i: homology(cone, i) for i in range(lo, hi + 1)}
     claim_outside = all(

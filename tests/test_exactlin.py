@@ -1,4 +1,8 @@
+import math
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatekit import BACKEND, _backend
 from tatekit.errors import NoSolution, SublatticeViolation
@@ -13,7 +17,6 @@ from tatekit.exactlin import (
     quotient_invariants,
     rank,
     smith_diagonal,
-    smith_normal_form,
     solve_in_lattice,
     solve_preimage,
 )
@@ -64,7 +67,7 @@ def test_smith_diagonal_matches_oracle():
 def test_elimination_core_is_the_pure_module():
     # tatebench/child.py:108 reads BACKEND; tatebench/tracer.py:24,180 wraps these
     assert BACKEND == "pure"
-    for name in ("hermite", "smith_diagonal", "smith_transform"):
+    for name in ("hermite", "smith_diagonal"):
         assert getattr(_backend, name).__module__ == "tatekit._elim_py"
 
 
@@ -73,23 +76,6 @@ def test_rank_matches_oracle():
     for _ in range(100):
         m = rand_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
         assert rank(m) == oracle_rank(m.data)
-
-
-def test_smith_normal_form_transforms():
-    rng = random.Random(11)
-    for _ in range(60):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        m = rand_matrix(rng, nr, nc)
-        u, s, v = smith_normal_form(m)
-        assert u.mul(m).mul(v) == s
-        # unimodularity: integer inverse exists iff det is +-1; cheap check
-        # via smith of the transforms themselves.
-        assert smith_diagonal(u) == [1] * nr
-        assert smith_diagonal(v) == [1] * nc
-        for i in range(min(nr, nc) - 1):
-            a, b = s.data[i][i], s.data[i + 1][i + 1]
-            if b:
-                assert a and b % a == 0
 
 
 def test_kernel_basis_properties():
@@ -139,6 +125,44 @@ def test_solve_preimage_roundtrip_and_failure():
             misses += 1
         else:
             assert m.mul(sol2) == bad
+
+
+@st.composite
+def preimage_problems(draw):
+    """A small matrix ``a`` and a right-hand side ``b`` whose columns are,
+    each with even odds, of the form ``a * x`` or drawn freely."""
+    entry = st.integers(-4, 4)
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    a = IntMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)], rows, cols)
+    columns = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            x = [draw(entry) for _ in range(cols)]
+            columns.append([sum(v * w for v, w in zip(row, x)) for row in a.data])
+        else:
+            columns.append([draw(entry) for _ in range(rows)])
+    return a, IntMatrix.from_columns(columns, rows)
+
+
+def in_column_lattice(a, col):
+    # span(a) <= span(a|col) with equality iff both have the same rank
+    # and the same product of elementary divisors.
+    d = oracle_smith_diagonal(a.data)
+    e = oracle_smith_diagonal([row + [v] for row, v in zip(a.data, col)])
+    return len(d) == len(e) and math.prod(d) == math.prod(e)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(preimage_problems())
+def test_solve_preimage_agrees_with_smith_membership(problem):
+    a, b = problem
+    outside = [j for j in range(b.cols) if not in_column_lattice(a, b.column(j))]
+    try:
+        x = solve_preimage(a, b)
+    except NoSolution as exc:
+        assert outside and exc.column == outside[0]
+    else:
+        assert not outside and a.mul(x) == b
 
 
 def test_solve_in_lattice_rejects_outside_vectors():

@@ -33,6 +33,18 @@ def test_glue_collapses_the_range_and_certifies():
     assert homology(d2, 2).is_trivial()
 
 
+def test_glue_outside_the_support_changes_nothing():
+    c = lens_complex(2, 2)  # supported in degrees 0..3
+    for m, n in [(5, 9), (4, 5), (-3, -1)]:
+        d, cert = glue(c, m, n)
+        assert cert.ok
+        assert cert.sub_invariants.is_trivial()
+        assert cert.middle_invariants.is_trivial()
+        assert cert.quotient_invariants.is_trivial()
+        for i in range(-1, 5):
+            assert homology(d, i) == homology(c, i)
+
+
 def test_glue_certificate_arithmetic():
     c = product_complex(2, [1, 1])
     d, cert = glue(c, 1, 2)
