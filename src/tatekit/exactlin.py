@@ -328,10 +328,6 @@ def quotient_invariants(k, l):
     if k.rows != l.rows:
         raise ValueError("ambient rank mismatch between the two spans")
     basis = lattice_basis(k)
-    if l.cols == 0 or basis.cols == 0:
-        if l.cols and not l.is_zero():
-            raise SublatticeViolation("denominator span not inside numerator", column=0)
-        return AbelianInvariants((), basis.cols)
     try:
         coords = solve_in_lattice(basis, l)
     except NoSolution as exc:

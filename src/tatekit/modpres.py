@@ -43,14 +43,8 @@ class ModulePresentation:
 
         Returns the index of the first offending column, or None.
         """
-        basis = self.relation_basis()
-        if basis.cols == 0:
-            for j in range(cols.cols):
-                if any(cols.data[i][j] for i in range(cols.rows)):
-                    return j
-            return None
         try:
-            exactlin.solve_in_lattice(basis, cols)
+            exactlin.solve_in_lattice(self.relation_basis(), cols)
         except NoSolution as exc:
             return exc.column
         return None
@@ -82,6 +76,20 @@ class ModulePresentation:
                                 row[j] += a * mrow[j]
             self._ring_actions[element.coeffs] = cached
         return cached
+
+    def acts_exactly(self):
+        """Whether the actions of a valid presentation commute and have
+        order dividing p on Z^gens itself, not only modulo the relations."""
+        if self.relation_basis().cols == 0:
+            return True  # validity already asks this of Z^gens itself
+        ident = IntMatrix.identity(self.gens)
+        for i, a in enumerate(self.actions):
+            power = ident
+            for _ in range(self.group.p):
+                power = a.mul(power)
+            if power != ident or any(a.mul(b) != b.mul(a) for b in self.actions[:i]):
+                return False
+        return True
 
     def has_trivial_action(self):
         """True when every generator acts as the identity mod relations."""
@@ -415,62 +423,3 @@ def tensor_complex(c, d):
         diffs[n] = GroupRingMatrix(group, entries, ranks[n - 1], ranks[n])
 
     return FreeChainComplex(group, ranks, diffs)
-
-
-class PresentedCochainComplex:
-    """A cochain complex of presented abelian groups.
-
-    ``groups`` maps degree to (ambient rank, relation matrix); ``maps``
-    maps degree j to the integer codifferential into degree j+1.
-    Cohomology at a degree is the quotient of the preimage of the next
-    relation span by coboundaries and relations.
-    """
-
-    def __init__(self, groups, maps):
-        self.groups = groups
-        self.maps = maps
-
-    def ambient(self, j):
-        got = self.groups.get(j)
-        return got[0] if got else 0
-
-    def relations(self, j):
-        got = self.groups.get(j)
-        if got is None:
-            return IntMatrix.zeros(0, 0)
-        return got[1]
-
-    def map_at(self, j):
-        m = self.maps.get(j)
-        if m is None:
-            return IntMatrix.zeros(self.ambient(j + 1), self.ambient(j))
-        return m
-
-    def composite_ok(self, j):
-        """Whether the composite j -> j+2 vanishes modulo relations."""
-        comp = self.map_at(j + 1).mul(self.map_at(j))
-        rel = self.relations(j + 2)
-        if rel.cols == 0:
-            return comp.is_zero()
-        basis = exactlin.lattice_basis(rel)
-        try:
-            exactlin.solve_in_lattice(basis, comp)
-        except NoSolution:
-            return False
-        return True
-
-    def cohomology(self, i):
-        amb = self.ambient(i)
-        if amb == 0:
-            return AbelianInvariants()
-        delta = self.map_at(i)
-        rel_next = self.relations(i + 1)
-        if rel_next.cols == 0:
-            kernel = exactlin.kernel_basis(delta)
-        else:
-            stacked = delta.hstack(rel_next)
-            full = exactlin.kernel_basis(stacked)
-            kernel = full.submatrix(range(amb), range(full.cols))
-        numerator = kernel.hstack(self.relations(i))
-        denominator = self.map_at(i - 1).hstack(self.relations(i))
-        return exactlin.quotient_invariants(numerator, denominator)

@@ -372,13 +372,9 @@ class FiltrationVerdict:
 
 
 def _span_contains(basis_cols, targets):
-    if targets.cols == 0:
-        return True
-    if basis_cols.cols == 0:
-        return targets.is_zero()
     try:
         solve_in_lattice(lattice_basis(basis_cols), targets)
-    except (NoSolution, SublatticeViolation):
+    except NoSolution:
         return False
     return True
 

@@ -1,25 +1,25 @@
 """Tate cohomology and hypercohomology for elementary abelian p-groups.
 
 Cochain groups are built from a finite window of the complete
-resolution: Hom_G(ZG^k, M) is identified with M^k by evaluation at the
+resolution: Hom_G(ZG^k, N) is identified with N^k by evaluation at the
 standard basis, so a codifferential is the block matrix whose (c, b)
-block is the coefficient module acting by the (b, c) entry of the next
-resolution differential.  Hypercohomology totalizes Hom_G(F_p, C_j)
-over the finitely many degrees C supports, with the sign rule
-delta^n = delta_0 - (-1)^n delta_1.
+block is N acting by the (b, c) entry of the next resolution
+differential.  Coefficients M = Z^gens / L enter as the cone of the
+cochain map Hom_G(F, L) -> Hom_G(F, Z^gens) induced by a basis B of
+the relation lattice L: cone degree j is Hom(F_j, Z^gens) +
+Hom(F_{j+1}, L), with (b, a) -> (delta b + B a, -delta_L a).
+Hypercohomology totalizes Hom_G(F_p, C_j) over the finitely many
+degrees C supports, with the sign rule delta^n = delta_0 - (-1)^n
+delta_1.  Both are complexes of free abelian groups, so every table is
+read off Smith diagonals and ranks.
 """
 
 from . import exactlin
 from ._backend import smith_diagonal as _sparse_smith
 from .errors import InfiniteLength, NotConcentrated
-from .exactlin import AbelianInvariants, IntMatrix
-from .modpres import (
-    PresentedCochainComplex,
-    homology,
-    homology_module,
-    require_valid,
-)
-from .resolve import complete_resolution
+from .exactlin import AbelianInvariants, solve_in_lattice
+from .modpres import ModulePresentation, homology, homology_module, require_valid
+from .resolve import complete_resolution, resolution_step
 
 
 class CohomologyTable:
@@ -70,32 +70,75 @@ def _trivial_table(lo, hi):
     return CohomologyTable(lo, hi, [AbelianInvariants() for _ in range(hi - lo + 1)])
 
 
-def _codifferential(window, module, j):
-    """Integer matrix of Hom(F_j, M) -> Hom(F_{j+1}, M)."""
+def _table(lo, hi, dims, diag):
+    """Invariants from the ranks and Smith diagonals of a free cochain complex."""
+    invs = []
+    for i in range(lo, hi + 1):
+        into, outof = diag[i - 1], diag[i]
+        free = dims[i] - len(into) - len(outof)
+        invs.append(AbelianInvariants.from_diagonal(into, free))
+    return CohomologyTable(lo, hi, invs)
+
+
+def _codifferential(window, module, j, shift=0, sign=1):
+    """Sparse rows of Hom(F_j, Z^gens) -> Hom(F_{j+1}, Z^gens), entries
+    times ``sign`` and columns moved right by ``shift``."""
     d = window.differential(j + 1)
     g = module.gens
-    kj = window.rank(j)
     kn = window.rank(j + 1)
-    out = IntMatrix.zeros(kn * g, kj * g)
+    rows = [{} for _ in range(kn * g)]
     if d is None:
-        return out
+        return rows
     for c in range(kn):
-        for b in range(kj):
+        for b in range(window.rank(j)):
             elem = d.entries[b][c]
             if elem.is_zero():
                 continue
             blk = module.act_ring(elem)
             for i in range(g):
-                row = out.data[c * g + i]
-                src = blk.data[i]
-                for l in range(g):
-                    if src[l]:
-                        row[b * g + l] = src[l]
-    return out
+                row = rows[c * g + i]
+                base = shift + b * g
+                for l, v in enumerate(blk.data[i]):
+                    if v:
+                        row[base + l] = sign * v
+    return rows
+
+
+def _cone_maps(module, window, lo, hi):
+    """Sparse rows and source rank of each cone map C^j -> C^{j+1} for
+    j in [lo - 1, hi], with C^j = Hom(F_j, Z^gens) + Hom(F_{j+1}, L)
+    and (b, a) -> (delta b + B a, -delta_L a)."""
+    basis = module.relation_basis()
+    lattice = ModulePresentation(
+        module.group,
+        basis.cols,
+        actions=[solve_in_lattice(basis, a.mul(basis)) for a in module.actions],
+    )
+    basis_rows = basis.sparse_rows()
+    g, s = module.gens, lattice.gens
+    for j in range(lo - 1, hi + 1):
+        shift = window.rank(j) * g
+        rows = _codifferential(window, module, j)
+        for c in range(window.rank(j + 1)):
+            for i, brow in enumerate(basis_rows):
+                row = rows[c * g + i]
+                for t, v in brow.items():
+                    row[shift + c * s + t] = v
+        # Hom(F_{hi+2}, L) lies outside the window.  Dropping -delta_L
+        # from the top map keeps its rank: delta b + B a = 0 forces
+        # B delta_L a = delta B a = -delta delta b = 0, and B is injective.
+        if j < hi:
+            rows += _codifferential(window, lattice, j + 1, shift, -1)
+        yield j, rows, shift + window.rank(j + 1) * s
 
 
 def tate_cohomology_range(group, module, lo, hi):
-    """Table of Tate cohomology of ``group`` with coefficients in ``module``."""
+    """Table of Tate cohomology of ``group`` with coefficients in ``module``.
+
+    The cone needs Z^gens to be a ZG-module.  When the action matrices
+    commute and have order p only modulo the relations, M is covered by
+    a free module instead and Ĥ^i(M) = Ĥ^{i+1}(Omega M).
+    """
     if module.group != group:
         raise ValueError("module is presented over a different group")
     if lo > hi:
@@ -103,39 +146,16 @@ def tate_cohomology_range(group, module, lo, hi):
     require_valid(module)
     if module.gens == 0:
         return _trivial_table(lo, hi)
+    if not module.acts_exactly():
+        omega = resolution_step(module).kernel
+        shifted = tate_cohomology_range(group, omega, lo + 1, hi + 1)
+        return CohomologyTable(lo, hi, shifted.invariants)
     window = complete_resolution(group, lo - 1, hi + 1)
-    deltas = {
-        j: _codifferential(window, module, j) for j in range(lo - 1, hi + 1)
-    }
-    g = module.gens
-    if module.relations.cols == 0:
-        # Free coefficients: every cochain group is free, so invariants
-        # come straight from Smith diagonals and rank bookkeeping.
-        diag = {j: exactlin.smith_diagonal(m) for j, m in deltas.items()}
-        invs = []
-        for i in range(lo, hi + 1):
-            dim = window.rank(i) * g
-            into = diag[i - 1]
-            outof = diag[i]
-            torsion = tuple(x for x in into if x > 1)
-            invs.append(AbelianInvariants(torsion, dim - len(into) - len(outof)))
-        return CohomologyTable(lo, hi, invs)
-    rel = module.relations
-    groups = {}
-    for j in range(lo - 1, hi + 2):
-        k = window.rank(j)
-        block = IntMatrix.zeros(k * g, k * rel.cols)
-        for copy in range(k):
-            for a in range(g):
-                src = rel.data[a]
-                row = block.data[copy * g + a]
-                for b in range(rel.cols):
-                    if src[b]:
-                        row[copy * rel.cols + b] = src[b]
-        groups[j] = (k * g, block)
-    cochain = PresentedCochainComplex(groups, deltas)
-    invs = [cochain.cohomology(i) for i in range(lo, hi + 1)]
-    return CohomologyTable(lo, hi, invs)
+    dims, diag = {}, {}
+    for j, rows, dim in _cone_maps(module, window, lo, hi):
+        dims[j] = dim
+        diag[j] = _sparse_smith(rows, dim)
+    return _table(lo, hi, dims, diag)
 
 
 def tate_cohomology(group, module, i):
@@ -224,21 +244,11 @@ def tate_hypercohomology_range(group, complex_, lo, hi):
         group, lo - 1 + complex_.lo, hi + 1 + complex_.hi
     )
     expanded = {j: complex_.expanded(j).sparse_rows() for j in degs}
-    diag = {}
-    dims = {}
+    dims, diag = {}, {}
     for n in range(lo - 1, hi + 1):
-        rows, dim_n = _total_codifferential(window, complex_, degs, expanded, n)
-        dims[n] = dim_n
-        diag[n] = _sparse_smith(rows, dim_n)
-    invs = []
-    for i in range(lo, hi + 1):
-        into = diag[i - 1]
-        outof = diag[i]
-        torsion = tuple(x for x in into if x > 1)
-        invs.append(
-            AbelianInvariants(torsion, dims[i] - len(into) - len(outof))
-        )
-    return CohomologyTable(lo, hi, invs)
+        rows, dims[n] = _total_codifferential(window, complex_, degs, expanded, n)
+        diag[n] = _sparse_smith(rows, dims[n])
+    return _table(lo, hi, dims, diag)
 
 
 def tate_hypercohomology(group, complex_, i):

@@ -205,6 +205,13 @@ def test_quotient_invariants_requires_sublattice():
         pass
     else:
         raise AssertionError("expected SublatticeViolation")
+    # over a zero numerator the first column outside the span is column 1
+    try:
+        quotient_invariants(IntMatrix.zeros(2, 1), IntMatrix([[0, 1], [0, 0]]))
+    except SublatticeViolation as exc:
+        assert exc.column == 1
+    else:
+        raise AssertionError("expected SublatticeViolation")
 
 
 def test_cokernel_matches_oracle():

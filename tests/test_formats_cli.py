@@ -133,6 +133,22 @@ def test_cli_tate_pinned_output(capsys):
     assert "Ĥ^0 = Z/4" in out
 
 
+def test_cli_tate_module_file_with_relations(tmp_path, capsys):
+    f2 = tmp_path / "f2.mod"
+    f2.write_text("gens 1\nrelations 1\n2\naction 1\n1\naction 2\n1\n")
+    code = cli.main(
+        ["tate", "--p", "2", "--r", "2", "--module", str(f2), "--deg", "-2..2"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "Ĥ^-2 = Z/2 + Z/2        [exponent 2]\n"
+        "Ĥ^-1 = Z/2              [exponent 2]\n"
+        "Ĥ^0  = Z/2              [exponent 2]\n"
+        "Ĥ^1  = Z/2 + Z/2        [exponent 2]\n"
+        "Ĥ^2  = Z/2 + Z/2 + Z/2  [exponent 2]\n"
+    )
+
+
 def test_cli_tate_handles_negative_ranges(capsys):
     code = cli.main(
         ["tate", "--p", "3", "--r", "1", "--module", "trivial", "--deg", "-2..1"]

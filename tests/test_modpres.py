@@ -10,7 +10,6 @@ from tatekit.groupring import (
 from tatekit.modpres import (
     FreeChainComplex,
     ModulePresentation,
-    PresentedCochainComplex,
     dual_complex,
     free_module_presentation,
     homology,
@@ -172,27 +171,3 @@ def test_shifted_moves_degrees_and_keeps_homology():
     assert s.degrees() == [3, 4]
     assert homology(s, 3) == homology(c, 0)
     assert homology(s, 4) == homology(c, 1)
-
-
-def test_presented_cochain_complex_known_cases():
-    # 0 -> Z --2--> Z -> 0: H^0 = 0, H^1 = Z/2
-    no_rel = IntMatrix.zeros(1, 0)
-    cc = PresentedCochainComplex(
-        {0: (1, no_rel), 1: (1, no_rel)}, {0: IntMatrix([[2]])}
-    )
-    assert cc.composite_ok(0)
-    assert cc.cohomology(0).is_trivial()
-    h1 = cc.cohomology(1)
-    assert h1.torsion == (2,) and h1.free_rank == 0
-    # with a relation at the top: Z --2--> Z/6 has H^1 = (Z/6)/(2) = Z/2
-    cc2 = PresentedCochainComplex(
-        {0: (1, no_rel), 1: (1, IntMatrix([[6]]))}, {0: IntMatrix([[2]])}
-    )
-    h1 = cc2.cohomology(1)
-    assert h1.torsion == (2,) and h1.free_rank == 0
-    # kernel must respect the next relation span: Z --3--> Z/6 kernel is 2Z
-    cc3 = PresentedCochainComplex(
-        {0: (1, no_rel), 1: (1, IntMatrix([[6]]))}, {0: IntMatrix([[3]])}
-    )
-    h0 = cc3.cohomology(0)
-    assert h0.free_rank == 1  # 2Z with nothing below it

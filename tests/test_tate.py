@@ -1,13 +1,23 @@
 import random
+from math import comb
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatekit.errors import InfiniteLength, NotConcentrated
-from tatekit.exactlin import INFINITE, IntMatrix
+from tatekit.exactlin import INFINITE, AbelianInvariants, IntMatrix
 from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup, GroupRingMatrix
-from tatekit.modpres import FreeChainComplex, ModulePresentation, trivial_module
-from tatekit.resolve import syzygy
+from tatekit.modpres import (
+    FreeChainComplex,
+    ModulePresentation,
+    homology_module,
+    trivial_module,
+)
+from tatekit.resolve import complete_resolution, resolution_step, syzygy
 from tatekit.tate import (
     CohomologyTable,
+    _cone_maps,
     concentrated_check,
     exponent_profile,
     suspension,
@@ -88,6 +98,97 @@ def test_presented_module_with_torsion():
     assert t.invariant(0).torsion == (2,)   # Z/4 / 2*(Z/4)
     assert t.invariant(-1).torsion == (2,)  # kernel of norm / augmentation image
     assert t.invariant(1).torsion == (2,)
+
+
+def cyclic_module(group, n):
+    """Z/n with every generator acting as the identity."""
+    return ModulePresentation(group, 1, IntMatrix([[n]]))
+
+
+def test_mod_p_coefficients_count_monomials():
+    # H^n((Z/p)^r; F_p) has dimension C(n + r - 1, r - 1) for n >= 0, and
+    # Tate duality gives degree i < 0 the dimension of degree -i - 1
+    for p, r in [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]:
+        g = ElementaryAbelianGroup(p, r)
+        table = tate_cohomology_range(g, cyclic_module(g, p), -3, 3)
+        for i in range(-3, 4):
+            n = i if i >= 0 else -i - 1
+            want = AbelianInvariants((p,) * comb(n + r - 1, r - 1))
+            assert table.invariant(i) == want, (p, r, i)
+
+
+def test_cyclic_coefficients_see_only_the_group_prime():
+    # Z/6 = Z/2 + Z/3, and |G| acts invertibly on the summand prime to p
+    for p, r in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]:
+        g = ElementaryAbelianGroup(p, r)
+        zero = tate_cohomology_range(g, cyclic_module(g, 1), -2, 2)
+        assert all(v.is_trivial() for v in zero.invariants)
+        want = tate_cohomology_range(g, cyclic_module(g, p), -2, 2) if 6 % p == 0 else zero
+        assert tate_cohomology_range(g, cyclic_module(g, 6), -2, 2) == want, (p, r)
+
+
+def test_actions_exact_only_modulo_relations():
+    # Z/p^2 with every generator acting by 1 + p^2 is the trivial module,
+    # but 1 + p^2 has infinite order on Z, so Z^gens is no ZG-module
+    for p, r in [(2, 1), (3, 1), (2, 2)]:
+        g = ElementaryAbelianGroup(p, r)
+        q = p * p
+        lifted = ModulePresentation(g, 1, IntMatrix([[q]]), [IntMatrix([[1 + q]])] * r)
+        assert not lifted.acts_exactly()
+        want = tate_cohomology_range(g, cyclic_module(g, q), -2, 2)
+        assert tate_cohomology_range(g, lifted, -2, 2) == want, (p, r)
+
+
+def _composite_is_zero(upper, lower):
+    for row in upper:
+        out = {}
+        for k, v in row.items():
+            for c, w in lower[k].items():
+                out[c] = out.get(c, 0) + v * w
+        if any(out.values()):
+            return False
+    return True
+
+
+def test_consecutive_cone_maps_compose_to_zero():
+    # Negating a row block keeps every Smith diagonal, so no table can
+    # see the sign of the -delta_L block; this checks it
+    g = ElementaryAbelianGroup(2, 1)
+    two = GroupRingMatrix(g, [[g.identity() + g.identity()]])
+    cases = [
+        homology_module(FreeChainComplex(g, {0: 1, 1: 1}, {1: two}), 0),
+        cyclic_module(ElementaryAbelianGroup(2, 2), 6),
+        cyclic_module(ElementaryAbelianGroup(3, 1), 3),
+        homology_module(random_free_complex(ElementaryAbelianGroup(3, 2), [1, 2, 1], 0), 0),
+    ]
+    for m in cases:
+        assert m.relations.cols and m.acts_exactly()
+        window = complete_resolution(m.group, -3, 3)
+        maps = [rows for _, rows, _ in _cone_maps(m, window, -2, 2)]
+        for lower, upper in zip(maps, maps[1:]):
+            assert _composite_is_zero(upper, lower), m
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]),
+    st.sampled_from([[1, 1], [2, 1], [1, 2, 1], [2, 2, 1]]),
+    st.integers(0, 20),
+    st.integers(2, 12),
+)
+def test_dimension_shift_and_periodicity(pr, ranks, seed, n):
+    # Ĥ^i(M) = Ĥ^{i+1}(Omega M); Omega M has no relations, so this
+    # compares the cone over a relation lattice with the plain complex
+    g = ElementaryAbelianGroup(*pr)
+    c = random_free_complex(g, ranks, seed)
+    modules = [homology_module(c, d) for d in range(len(ranks))]
+    for m in modules + [cyclic_module(g, n)]:
+        table = tate_cohomology_range(g, m, -2, 2)
+        omega = resolution_step(m).kernel
+        assert omega.relations.cols == 0
+        assert table.invariants == tate_cohomology_range(g, omega, -1, 3).invariants
+        if g.r == 1:
+            assert table.invariants[:3] == table.invariants[2:]
 
 
 def test_free_module_has_trivial_tate_cohomology():
