@@ -30,13 +30,17 @@ from .tate import (
 
 
 def _parse_range(text):
-    """Parse a degree range ``A..B`` (negatives allowed)."""
+    """Parse a ``--deg`` range ``A..B`` (negatives allowed)."""
     sep = text.find("..", 1) if text.startswith("-") else text.find("..")
+    bad = ValueError(f"--deg must look like A..B with integers A and B, got {text!r}")
     if sep < 0:
-        raise ValueError(f"degree range must look like A..B, got {text!r}")
-    a, b = int(text[:sep]), int(text[sep + 2 :])
+        raise bad
+    try:
+        a, b = int(text[:sep]), int(text[sep + 2 :])
+    except ValueError:
+        raise bad from None
     if a > b:
-        raise ValueError(f"empty degree range {text!r}")
+        raise ValueError(f"--deg {text!r} is an empty degree range")
     return a, b
 
 
@@ -55,12 +59,19 @@ def _parse_schedule(text):
         if not chunk:
             continue
         if "->" not in chunk:
-            raise ValueError(f"schedule step {chunk!r} needs '->'")
+            raise ValueError(f"--schedule step {chunk!r} needs '->'")
         left, right = chunk.split("->", 1)
-        sources = _parse_int_list(left, "schedule sources") if left.strip() else []
-        steps.append((sources, int(right)))
+        sources = _parse_int_list(left, "--schedule sources") if left.strip() else []
+        try:
+            target = int(right)
+        except ValueError:
+            raise ValueError(
+                f"--schedule target must be an integer, got {right.strip()!r} "
+                f"in step {chunk!r}"
+            ) from None
+        steps.append((sources, target))
     if not steps:
-        raise ValueError("empty schedule")
+        raise ValueError("--schedule is empty")
     return steps
 
 

@@ -1,17 +1,18 @@
 """Complete resolutions of Z, partial resolutions of modules, syzygies.
 
-The positive half of a complete resolution is the tensor product of the
-classical 2-periodic strands, one per coordinate generator; the
+The positive half of a complete resolution is written down in closed
+form: F_n has one free generator e_a for each a in N^r with |a| = n, and
+d e_a = sum_i (-1)^(a_1+...+a_(i-1)) c_i e_(a - eps_i), where c_i is
+g_i - 1 when a_i is odd and the norm N_i when a_i is even (the tensor
+product of the 2-periodic resolutions of the cyclic factors).  The
 negative half is its Z-linear dual, spliced at degree 0 through the
-augmentation followed by its dual (the full norm).  Only finite degree
-windows are ever materialized; a per-group cache keeps the widest
-window built so far.
+full norm.  Only finite degree windows are ever materialized; a
+per-group cache keeps the widest window built so far.
 """
 
 from .errors import LiftObstruction, NoSolution
 from .exactlin import IntMatrix, solve_preimage, lattice_basis, solve_in_lattice, kernel_basis
 from .groupring import (
-    ElementaryAbelianGroup,
     GroupRingMatrix,
     decode_columns,
     full_norm,
@@ -20,16 +21,9 @@ from .groupring import (
 from .modpres import (
     FreeChainComplex,
     ModulePresentation,
-    dual_complex,
     homology,
     require_valid,
-    tensor_complex,
 )
-
-
-def augmentation_row(group):
-    """The map F_0 -> Z sending every group element to 1."""
-    return IntMatrix([[1] * group.order])
 
 
 class CompleteResolutionWindow:
@@ -42,7 +36,6 @@ class CompleteResolutionWindow:
         self.complex = FreeChainComplex(
             group, ranks, diffs, valid_range=(lo, hi), check=verify
         )
-        self.augmentation = augmentation_row(group) if lo <= 0 <= hi else None
         if verify:
             self._verify_interior()
 
@@ -80,60 +73,50 @@ class CompleteResolutionWindow:
         )
 
 
-def periodic_complete_resolution(p, lo, hi):
-    """The 2-periodic complete resolution of Z over Z/p.
-
-    Rank 1 everywhere; d_i = g - 1 for odd i and the norm for even i,
-    in both directions.
-    """
-    if lo > hi:
-        raise ValueError("empty window")
-    group = ElementaryAbelianGroup(p, 1)
-    g = group.generator(1)
-    minus = g - group.identity()
-    norm = norm_element(group, 1)
-    ranks = {i: 1 for i in range(lo, hi + 1)}
-    diffs = {}
-    for i in range(lo + 1, hi + 1):
-        elem = minus if i % 2 else norm
-        diffs[i] = GroupRingMatrix(group, [[elem]])
-    return CompleteResolutionWindow(group, lo, hi, ranks, diffs)
-
-
-def _periodic_strand(p, length):
-    group = ElementaryAbelianGroup(p, 1)
-    g = group.generator(1)
-    minus = g - group.identity()
-    norm = norm_element(group, 1)
-    ranks = {i: 1 for i in range(length + 1)}
-    diffs = {
-        i: GroupRingMatrix(group, [[minus if i % 2 else norm]])
-        for i in range(1, length + 1)
-    }
-    return FreeChainComplex(group, ranks, diffs)
+def _multi_indices(r, n):
+    """The a in N^r with |a| = n in basis order: the last coordinate
+    varies slowest and descends, and the rest are ordered recursively."""
+    if r == 1:
+        return [(n,)]
+    return [
+        head + (last,)
+        for last in range(n, -1, -1)
+        for head in _multi_indices(r - 1, n - last)
+    ]
 
 
 def positive_resolution(group, length):
     """Free resolution of Z over Z[(Z/p)^r] in degrees 0..length.
 
-    Built as the tensor product of the r periodic strands; exact in
-    degrees 1..length-1 with H_0 = Z via the all-ones augmentation.
+    Every F_n and d_n comes straight from the closed form in the module
+    docstring.  The basis of F_n is ordered as the tensor product of the
+    r strands orders it, so d_n agrees with that product entry for
+    entry.  Exact in degrees 1..length-1 with H_0 = Z via the all-ones
+    augmentation.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    out = _periodic_strand(group.p, length)
-    for _ in range(group.r - 1):
-        other = _periodic_strand(group.p, length)
-        full = tensor_complex(out, other)
-        out = FreeChainComplex(
-            full.group,
-            {i: k for i, k in full.ranks.items() if i <= length},
-            {i: d for i, d in full.diffs.items() if i <= length},
-            check=False,
-        )
-    if out.group != group:
-        raise ValueError("tensor construction produced the wrong group")
-    return out
+    zero = group.zero()
+    gens = range(1, group.r + 1)
+    minus = [group.generator(i) - group.identity() for i in gens]
+    norm = [norm_element(group, i) for i in gens]
+    bases = [_multi_indices(group.r, n) for n in range(length + 1)]
+    diffs = {}
+    for n in range(1, length + 1):
+        row_of = {a: k for k, a in enumerate(bases[n - 1])}
+        entries = [[zero] * len(bases[n]) for _ in bases[n - 1]]
+        for col, a in enumerate(bases[n]):
+            sign = 1
+            for i, ai in enumerate(a):
+                if ai:
+                    c = minus[i] if ai % 2 else norm[i]
+                    row = row_of[a[:i] + (ai - 1,) + a[i + 1 :]]
+                    entries[row][col] = c if sign > 0 else -c
+                    if ai % 2:
+                        sign = -sign
+        diffs[n] = GroupRingMatrix(group, entries, len(bases[n - 1]), len(bases[n]))
+    ranks = {n: len(basis) for n, basis in enumerate(bases)}
+    return FreeChainComplex(group, ranks, diffs, check=False)
 
 
 _window_cache = {}
@@ -142,10 +125,11 @@ _window_cache = {}
 def complete_resolution(group, lo, hi):
     """A verified window [lo, hi] of the complete resolution of Z.
 
-    Positive degrees come from positive_resolution, degree -n is the
-    dual of degree n-1, and d_0 factors through Z as augmentation
-    followed by its dual (the full norm).  Windows are cached per group
-    and only ever widened; slices of the cached window are cheap.
+    Positive degrees come from positive_resolution.  Degree -n is the
+    dual of degree n-1, with d_(-n) the antipode-transpose of d_n, and
+    d_0 factors through Z as augmentation followed by its dual (the
+    full norm).  Windows are cached per group and only ever widened;
+    slices of the cached window are cheap.
     """
     if lo > hi:
         raise ValueError("empty window")
@@ -156,31 +140,13 @@ def complete_resolution(group, lo, hi):
     build_lo = min(lo, cached.lo if cached else 0, -1)
     build_hi = max(hi, cached.hi if cached else 0, 1)
 
-    length = max(build_hi, -build_lo - 1, 1) + 1
-    pos = positive_resolution(group, length)
-    neg = dual_complex(
-        FreeChainComplex(
-            group,
-            {i: pos.rank(i) for i in range(0, -build_lo)},
-            {i: pos.diffs[i] for i in range(1, -build_lo) if i in pos.diffs},
-            check=False,
-        )
-    )
-    # neg degree -n now holds the dual of positive degree n; shift down
-    # by one so that F_{-n} = dual(F_{n-1}).
-    neg = neg.shifted(-1)
-
-    ranks = {}
-    diffs = {}
-    for i in range(build_lo, build_hi + 1):
-        ranks[i] = pos.rank(i) if i >= 0 else neg.rank(i)
-    for i in range(build_lo + 1, build_hi + 1):
-        if i > 0:
-            diffs[i] = pos.diffs[i]
-        elif i == 0:
-            diffs[0] = GroupRingMatrix(group, [[full_norm(group)]])
-        else:
-            diffs[i] = neg.diffs[i]
+    pos = positive_resolution(group, max(build_hi, -build_lo - 1))
+    ranks = {i: pos.rank(i if i >= 0 else -i - 1) for i in range(build_lo, build_hi + 1)}
+    diffs = {0: GroupRingMatrix(group, [[full_norm(group)]])}
+    for i in range(1, build_hi + 1):
+        diffs[i] = pos.diffs[i]
+    for i in range(build_lo + 1, 0):
+        diffs[i] = pos.diffs[-i].antipode_transpose()
     window = CompleteResolutionWindow(group, build_lo, build_hi, ranks, diffs)
     _window_cache[key] = window
     return window.slice(lo, hi)

@@ -239,7 +239,8 @@ def test_cli_error_exits(tmp_path, capsys):
     # malformed range
     assert cli.main(["tate", "--p", "2", "--r", "1", "--module", "trivial",
                      "--deg", "1..x"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: --deg" in err and "'1..x'" in err
     # malformed module file
     bad = tmp_path / "bad.mod"
     bad.write_text("gens x")
@@ -251,6 +252,10 @@ def test_cli_error_exits(tmp_path, capsys):
                  "t.cx")
     assert cli.main(["glue", "--in", str(torus), "--m", "0", "--n", "2"]) == 2
     assert "blocking" in capsys.readouterr().err
+    # malformed schedule target
+    assert cli.main(["gluerows", "--in", str(torus), "--schedule", "1->x"]) == 2
+    err = capsys.readouterr().err
+    assert "error: --schedule target" in err and "'x'" in err
 
 
 def test_cli_browder_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from tatekit.exactlin import (
     lattice_basis,
     solve_in_lattice,
 )
+from tatekit.gallery import product_complex
 from tatekit.groupring import ElementaryAbelianGroup, GroupRingMatrix, full_norm
 from tatekit.modpres import (
     FreeChainComplex,
@@ -23,10 +25,9 @@ from tatekit.modpres import (
     validate,
 )
 from tatekit.resolve import (
-    augmentation_row,
     complete_resolution,
     lift_chain_map,
-    periodic_complete_resolution,
+    positive_resolution,
     resolution_step,
     syzygy,
 )
@@ -34,7 +35,7 @@ from tatekit.tate import tate_cohomology_range
 
 
 def test_periodic_resolution_ranks_and_exactness():
-    w = periodic_complete_resolution(3, -5, 5)
+    w = complete_resolution(ElementaryAbelianGroup(3, 1), -5, 5)
     for i in range(-5, 6):
         assert w.rank(i) == 1
     # alternating pattern: odd differentials are g - 1, even are the norm
@@ -48,6 +49,28 @@ def test_periodic_resolution_ranks_and_exactness():
             assert coeffs == [1, 1, 1]
     # d_0 is the full norm (rank-1 group, same thing)
     assert list(w.differential(0).entries[0][0].coeffs) == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "p, r, k",
+    [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 2), (2, 3, 3), (3, 3, 2), (2, 4, 2)],
+)
+def test_closed_form_matches_tensored_lens_complexes(p, r, k):
+    # the closed form is the tensor product of r strands, which
+    # product_complex builds independently up to degree 2k - 1
+    g = ElementaryAbelianGroup(p, r)
+    length = 2 * k - 1
+    pos = positive_resolution(g, length)
+    oracle = product_complex(p, [k] * r)
+    for i in range(length + 1):
+        assert pos.rank(i) == oracle.rank(i), i
+    for i in range(1, length + 1):
+        assert pos.differential(i) == oracle.differential(i), i
+    w = complete_resolution(g, -length, length)
+    for n in range(1, length + 1):
+        assert w.rank(-n) == w.rank(n - 1), n
+        if n < length:
+            assert w.differential(-n) == w.differential(n).antipode_transpose(), n
 
 
 def test_complete_resolution_rank_pattern_rank_two():
@@ -94,12 +117,6 @@ def test_window_slices_and_caching():
     else:
         raise AssertionError("expected WindowViolation at the window edge")
     assert small.differential(5) is None
-
-
-def test_augmentation_row():
-    g = ElementaryAbelianGroup(5, 1)
-    row = augmentation_row(g)
-    assert row.data == [[1, 1, 1, 1, 1]]
 
 
 def test_resolution_step_cover_and_kernel():
