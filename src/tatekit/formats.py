@@ -187,6 +187,8 @@ def parse_module(text, group):
     if len(rel_head) != 2 or rel_head[0] != "relations":
         raise ValueError(f"expected 'relations q', got {lines[1]!r}")
     q = int(rel_head[1])
+    if q < 0:
+        raise ValueError("negative relation count")
     idx = 2
     if q:
         relations = matrix_rows(idx, g, q, "relations")

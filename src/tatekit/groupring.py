@@ -5,10 +5,12 @@ ordered lexicographically; the element with exponents (e_1, ..., e_r)
 sits at index e_1*p^(r-1) + ... + e_r.  A ring element is the dense
 tuple of its integer coefficients in that order.
 
-``expand`` turns ring elements and matrices into honest integer
-matrices through the left regular representation, one |G| x |G| block
-per entry; identity-basis columns of the expansion recover the ring
-data, which is how every module-level computation round-trips.
+``GroupRingMatrix.sparse_rows`` turns a ring matrix into the sparse
+rows of an integer matrix through the left regular representation, one
+|G| x |G| block per entry, and is the only code that writes that
+expansion; ``expand`` is its dense form.  Identity-basis columns of the
+expansion recover the ring data, which is how every module-level
+computation round-trips.
 """
 
 from .exactlin import IntMatrix
@@ -38,7 +40,6 @@ class ElementaryAbelianGroup:
         self.order = p**r
         self._mul_table = None
         self._inv_table = None
-        self._triples = {}
 
     def exponents(self, index):
         out = []
@@ -109,21 +110,6 @@ class ElementaryAbelianGroup:
         coeffs = [0] * self.order
         coeffs[0] = n
         return GroupRingElement(self, coeffs)
-
-    def regular_triples(self, coeffs):
-        """Nonzero (row, col, value) entries of the left regular matrix."""
-        key = tuple(coeffs)
-        cached = self._triples.get(key)
-        if cached is None:
-            mul = self.mul_table()
-            cached = tuple(
-                (mul[g][h], h, coeffs[g])
-                for g in range(self.order)
-                if coeffs[g]
-                for h in range(self.order)
-            )
-            self._triples[key] = cached
-        return cached
 
     def __eq__(self, other):
         return (
@@ -334,22 +320,38 @@ class GroupRingMatrix:
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def expand(self):
-        """Integer matrix of the map on underlying Z-modules.
+    def sparse_rows(self):
+        """Fresh {col: value} rows of the left-regular expansion.
 
-        Each ring entry becomes a |G| x |G| left-regular block; the
-        result is cached on the matrix.
+        Entry (i, j) becomes a |G| x |G| block; its row h holds the
+        coefficient of g at column g^-1 h, keys in ascending g.  Zero
+        entries and coefficients write nothing.
         """
+        n = self.group.order
+        mul = self.group.mul_table()
+        inv = self.group.inverse_table()
+        rows = [{} for _ in range(self.rows * n)]
+        for i, entry_row in enumerate(self.entries):
+            block = rows[i * n : (i + 1) * n]
+            for j, e in enumerate(entry_row):
+                terms = [(mul[inv[g]], v) for g, v in enumerate(e.coeffs) if v]
+                if not terms:
+                    continue
+                base = j * n
+                for h, row in enumerate(block):
+                    for shift, v in terms:
+                        row[base + shift[h]] = v
+        return rows
+
+    def expand(self):
+        """Integer matrix of the map on underlying Z-modules, cached on
+        the matrix; its nonzero entries are those of :meth:`sparse_rows`."""
         if self._expanded is None:
             n = self.group.order
             out = IntMatrix.zeros(self.rows * n, self.cols * n)
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    e = self.entries[i][j]
-                    if not e.is_zero():
-                        base_r, base_c = i * n, j * n
-                        for rr, cc, v in self.group.regular_triples(e.coeffs):
-                            out.data[base_r + rr][base_c + cc] = v
+            for dense, row in zip(out.data, self.sparse_rows()):
+                for c, v in row.items():
+                    dense[c] = v
             self._expanded = out
         return self._expanded
 

@@ -8,6 +8,7 @@ all the constructions here ever need.
 """
 
 from . import exactlin
+from ._backend import smith_diagonal
 from .errors import InvalidPresentation, NoSolution, WindowViolation
 from .exactlin import AbelianInvariants, IntMatrix
 from .groupring import GroupRingElement, GroupRingMatrix
@@ -62,7 +63,9 @@ class ModulePresentation:
         return cached
 
     def act_ring(self, element):
-        """Integer matrix of a group-ring element acting on the module."""
+        """Sparse {col: value} rows of a group-ring element acting on
+        Z^gens, keys ascending.  Cached per element and shared, so
+        callers must not mutate them."""
         cached = self._ring_actions.get(element.coeffs)
         if cached is None:
             cached = IntMatrix.zeros(self.gens, self.gens)
@@ -74,6 +77,7 @@ class ModulePresentation:
                         for j in range(self.gens):
                             if mrow[j]:
                                 row[j] += a * mrow[j]
+            cached = cached.sparse_rows()
             self._ring_actions[element.coeffs] = cached
         return cached
 
@@ -270,7 +274,10 @@ class FreeChainComplex:
         """Smith diagonal of expand(d_i), cached per degree."""
         got = self._diag_cache.get(i)
         if got is None:
-            got = exactlin.smith_diagonal(self.expanded(i))
+            d = self.diffs.get(i)
+            got = []
+            if d is not None:
+                got = smith_diagonal(d.sparse_rows(), d.cols * self.group.order)
             self._diag_cache[i] = got
         return got
 

@@ -1,23 +1,25 @@
 """Tate cohomology and hypercohomology for elementary abelian p-groups.
 
-Cochain groups are built from a finite window of the complete
-resolution: Hom_G(ZG^k, N) is identified with N^k by evaluation at the
-standard basis, so a codifferential is the block matrix whose (c, b)
-block is N acting by the (b, c) entry of the next resolution
-differential.  Coefficients M = Z^gens / L enter as the cone of the
-cochain map Hom_G(F, L) -> Hom_G(F, Z^gens) induced by a basis B of
-the relation lattice L: cone degree j is Hom(F_j, Z^gens) +
-Hom(F_{j+1}, L), with (b, a) -> (delta b + B a, -delta_L a).
-Hypercohomology totalizes Hom_G(F_p, C_j) over the finitely many
-degrees C supports, with the sign rule delta^n = delta_0 - (-1)^n
-delta_1.  Both are complexes of free abelian groups, so every table is
-read off Smith diagonals and ranks.
+Both are the cohomology of one totalization, Tot Hom_G(F, C), over a
+finite window of the complete resolution F and a bounded complex C of
+Z-free ZG-lattices.  Hom_G(ZG^k, C_j) is identified with C_j^k by
+evaluation at the standard basis; Tot^n is the sum of the
+Hom_G(F_{n+j}, C_j), with delta^n = delta_0 - (-1)^n delta_1, where
+delta_0 post-composes with the differential of C and delta_1
+pre-composes with that of F.  Hypercohomology takes C to be the given
+free complex.  A module M = Z^gens / L enters as the two-term lattice
+complex L --B--> Z^gens in degrees 1 and 0, B a basis of the relation
+lattice.  Every total complex is free abelian, so every table is read
+off Smith diagonals and ranks.
 """
+
+import functools
 
 from . import exactlin
 from ._backend import smith_diagonal as _sparse_smith
 from .errors import InfiniteLength, NotConcentrated
 from .exactlin import AbelianInvariants, solve_in_lattice
+from .groupring import GroupRingMatrix
 from .modpres import ModulePresentation, homology, homology_module, require_valid
 from .resolve import complete_resolution, resolution_step
 
@@ -70,8 +72,98 @@ def _trivial_table(lo, hi):
     return CohomologyTable(lo, hi, [AbelianInvariants() for _ in range(hi - lo + 1)])
 
 
-def _table(lo, hi, dims, diag):
-    """Invariants from the ranks and Smith diagonals of a free cochain complex."""
+def _presentation_lattices(module):
+    """M = Z^gens / L as the lattice complex L --B--> Z^gens in degrees 1
+    and 0, with B the relation basis and L acted on by the X_i with
+    B X_i = A_i B."""
+    lattices = {0: (module.gens, module.act_ring, None)}
+    basis = module.relation_basis()
+    if basis.cols:
+        lattice = ModulePresentation(
+            module.group,
+            basis.cols,
+            actions=[solve_in_lattice(basis, a.mul(basis)) for a in module.actions],
+        )
+        lattices[1] = (basis.cols, lattice.act_ring, basis.sparse_rows())
+    return lattices
+
+
+def _free_lattices(complex_):
+    """The nonzero degrees of a free complex as lattices; x acts on ZG^k
+    by its left-regular expansion, cached per x."""
+    group = complex_.group
+    lattices = {}
+    for j in complex_.degrees():
+        k = complex_.rank(j)
+        act = functools.cache(
+            lambda x, k=k: GroupRingMatrix.scalar(group, k, x).sparse_rows()
+        )
+        lattices[j] = (k * group.order, act, complex_.expanded(j).sparse_rows())
+    return lattices
+
+
+def _total_maps(window, lattices, lo, hi):
+    """Sparse rows and source dimension of each delta^n : Tot^n ->
+    Tot^{n+1} for n in [lo - 1, hi].
+
+    ``lattices`` maps each degree j of C, ascending, to ``(dim, act,
+    d)``: the Z-rank of C_j, the sparse rows of a ring element acting
+    on it, and the sparse rows of d_j : C_j -> C_{j-1} (unread in the
+    lowest degree).  Tot^n is the sum of the Hom_G(F_{n+j}, C_j) that
+    have F-degree inside ``window``, and delta^n = delta_0 - (-1)^n
+    delta_1.
+    """
+
+    def layout(n):
+        offsets, off = {}, 0
+        for j, (dim, _, _) in lattices.items():
+            offsets[j] = off
+            off += window.rank(n + j) * dim
+        return offsets, off
+
+    src, dim_n = layout(lo - 1)
+    for n in range(lo - 1, hi + 1):
+        dst, dim_next = layout(n + 1)
+        rows = [{} for _ in range(dim_next)]
+        sign = -1 if n % 2 == 0 else 1
+        for j, (dim, act, d) in lattices.items():
+            kf = window.rank(n + j)
+            # delta_0: post-compose with d_j, one copy per generator of
+            # F_{n+j}; lands in the summand at j-1.
+            if j - 1 in lattices:
+                tdim = lattices[j - 1][0]
+                for f in range(kf):
+                    tbase, sbase = dst[j - 1] + f * tdim, src[j] + f * dim
+                    for rho, drow in enumerate(d):
+                        row = rows[tbase + rho]
+                        for sigma, v in drow.items():
+                            row[sbase + sigma] = v
+            # delta_1: pre-compose with the resolution differential into
+            # degree n+j+1; lands in the summand at j with sign -(-1)^n.
+            df = window.differential(n + j + 1)
+            if df is None:
+                continue
+            for f2 in range(window.rank(n + j + 1)):
+                tbase = dst[j] + f2 * dim
+                for b in range(kf):
+                    elem = df.entries[b][f2]
+                    if elem.is_zero():
+                        continue
+                    sbase = src[j] + b * dim
+                    for i, arow in enumerate(act(elem)):
+                        row = rows[tbase + i]
+                        for t, v in arow.items():
+                            row[sbase + t] = sign * v
+        yield n, rows, dim_n
+        src, dim_n = dst, dim_next
+
+
+def _table(window, lattices, lo, hi):
+    """Invariants from the ranks and Smith diagonals of Tot Hom_G(F, C)."""
+    dims, diag = {}, {}
+    for n, rows, dim in _total_maps(window, lattices, lo, hi):
+        dims[n] = dim
+        diag[n] = _sparse_smith(rows, dim)
     invs = []
     for i in range(lo, hi + 1):
         into, outof = diag[i - 1], diag[i]
@@ -80,64 +172,12 @@ def _table(lo, hi, dims, diag):
     return CohomologyTable(lo, hi, invs)
 
 
-def _codifferential(window, module, j, shift=0, sign=1):
-    """Sparse rows of Hom(F_j, Z^gens) -> Hom(F_{j+1}, Z^gens), entries
-    times ``sign`` and columns moved right by ``shift``."""
-    d = window.differential(j + 1)
-    g = module.gens
-    kn = window.rank(j + 1)
-    rows = [{} for _ in range(kn * g)]
-    if d is None:
-        return rows
-    for c in range(kn):
-        for b in range(window.rank(j)):
-            elem = d.entries[b][c]
-            if elem.is_zero():
-                continue
-            blk = module.act_ring(elem)
-            for i in range(g):
-                row = rows[c * g + i]
-                base = shift + b * g
-                for l, v in enumerate(blk.data[i]):
-                    if v:
-                        row[base + l] = sign * v
-    return rows
-
-
-def _cone_maps(module, window, lo, hi):
-    """Sparse rows and source rank of each cone map C^j -> C^{j+1} for
-    j in [lo - 1, hi], with C^j = Hom(F_j, Z^gens) + Hom(F_{j+1}, L)
-    and (b, a) -> (delta b + B a, -delta_L a)."""
-    basis = module.relation_basis()
-    lattice = ModulePresentation(
-        module.group,
-        basis.cols,
-        actions=[solve_in_lattice(basis, a.mul(basis)) for a in module.actions],
-    )
-    basis_rows = basis.sparse_rows()
-    g, s = module.gens, lattice.gens
-    for j in range(lo - 1, hi + 1):
-        shift = window.rank(j) * g
-        rows = _codifferential(window, module, j)
-        for c in range(window.rank(j + 1)):
-            for i, brow in enumerate(basis_rows):
-                row = rows[c * g + i]
-                for t, v in brow.items():
-                    row[shift + c * s + t] = v
-        # Hom(F_{hi+2}, L) lies outside the window.  Dropping -delta_L
-        # from the top map keeps its rank: delta b + B a = 0 forces
-        # B delta_L a = delta B a = -delta delta b = 0, and B is injective.
-        if j < hi:
-            rows += _codifferential(window, lattice, j + 1, shift, -1)
-        yield j, rows, shift + window.rank(j + 1) * s
-
-
 def tate_cohomology_range(group, module, lo, hi):
     """Table of Tate cohomology of ``group`` with coefficients in ``module``.
 
-    The cone needs Z^gens to be a ZG-module.  When the action matrices
-    commute and have order p only modulo the relations, M is covered by
-    a free module instead and Ĥ^i(M) = Ĥ^{i+1}(Omega M).
+    The lattice complex needs Z^gens to be a ZG-module.  When the
+    action matrices commute and have order p only modulo the relations,
+    M is covered by a free module instead and Ĥ^i(M) = Ĥ^{i+1}(Omega M).
     """
     if module.group != group:
         raise ValueError("module is presented over a different group")
@@ -150,78 +190,16 @@ def tate_cohomology_range(group, module, lo, hi):
         omega = resolution_step(module).kernel
         shifted = tate_cohomology_range(group, omega, lo + 1, hi + 1)
         return CohomologyTable(lo, hi, shifted.invariants)
+    # Tot^{hi+1} loses Hom(F_{hi+2}, L), which lies outside the window.
+    # The rank of delta^hi, all the table reads of it, stays: where the
+    # rest of delta^hi vanishes, B a = +-delta b, so B delta_L a =
+    # delta B a = 0, and delta_L a = 0 because B is injective.
     window = complete_resolution(group, lo - 1, hi + 1)
-    dims, diag = {}, {}
-    for j, rows, dim in _cone_maps(module, window, lo, hi):
-        dims[j] = dim
-        diag[j] = _sparse_smith(rows, dim)
-    return _table(lo, hi, dims, diag)
+    return _table(window, _presentation_lattices(module), lo, hi)
 
 
 def tate_cohomology(group, module, i):
     return tate_cohomology_range(group, module, i, i).invariant(i)
-
-
-def _total_layout(window, complex_, degs, n):
-    """Offsets of the Hom(F_{n+j}, C_j) summands inside Tot^n."""
-    g = complex_.group.order
-    out = {}
-    off = 0
-    for j in degs:
-        kf = window.rank(n + j)
-        kc = complex_.rank(j)
-        out[j] = (off, kf, kc)
-        off += kf * kc * g
-    return out, off
-
-
-def _total_codifferential(window, complex_, degs, expanded, n):
-    """Sparse rows of delta^n : Tot^n -> Tot^{n+1}."""
-    group = complex_.group
-    g = group.order
-    src, dim_n = _total_layout(window, complex_, degs, n)
-    dst, dim_next = _total_layout(window, complex_, degs, n + 1)
-    rows = [{} for _ in range(dim_next)]
-    sign = -1 if n % 2 == 0 else 1
-    for j in degs:
-        off_s, kf, kc = src[j]
-        block = kc * g
-        # delta_0: post-compose with the complex differential, one copy
-        # per generator of F_{n+j}; lands in the summand at j-1.
-        if j - 1 in dst:
-            off_t, _, kc_t = dst[j - 1]
-            tblock = kc_t * g
-            for rho, erow in enumerate(expanded[j]):
-                if not erow:
-                    continue
-                for f in range(kf):
-                    row = rows[off_t + f * tblock + rho]
-                    base = off_s + f * block
-                    for sigma, v in erow.items():
-                        row[base + sigma] = row.get(base + sigma, 0) + v
-        # delta_1: pre-compose with the resolution differential into
-        # degree n+j+1; lands in the summand at j with sign -(-1)^n.
-        d = window.differential(n + j + 1)
-        if d is None:
-            continue
-        off_t, kf_t, _ = dst[j]
-        for f2 in range(kf_t):
-            tbase = off_t + f2 * block
-            for b in range(kf):
-                elem = d.entries[b][f2]
-                if elem.is_zero():
-                    continue
-                sbase = off_s + b * block
-                for hr, hc, v in group.regular_triples(elem.coeffs):
-                    w = sign * v
-                    for c in range(kc):
-                        row = rows[tbase + c * g + hr]
-                        col = sbase + c * g + hc
-                        row[col] = row.get(col, 0) + w
-    for row in rows:
-        for col in [c for c, v in row.items() if v == 0]:
-            del row[col]
-    return rows, dim_n
 
 
 def tate_hypercohomology_range(group, complex_, lo, hi):
@@ -237,18 +215,10 @@ def tate_hypercohomology_range(group, complex_, lo, hi):
         )
     if complex_.is_empty():
         return _trivial_table(lo, hi)
-    degs = [
-        j for j in range(complex_.lo, complex_.hi + 1) if complex_.rank(j)
-    ]
     window = complete_resolution(
         group, lo - 1 + complex_.lo, hi + 1 + complex_.hi
     )
-    expanded = {j: complex_.expanded(j).sparse_rows() for j in degs}
-    dims, diag = {}, {}
-    for n in range(lo - 1, hi + 1):
-        rows, dims[n] = _total_codifferential(window, complex_, degs, expanded, n)
-        diag[n] = _sparse_smith(rows, dims[n])
-    return _table(lo, hi, dims, diag)
+    return _table(window, _free_lattices(complex_), lo, hi)
 
 
 def tate_hypercohomology(group, complex_, i):

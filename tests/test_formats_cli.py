@@ -60,6 +60,24 @@ def test_parse_complex_rejects_malformed_text():
             raise AssertionError(f"parse accepted: {text!r}")
 
 
+def test_parse_module_rejects_malformed_text():
+    g = ElementaryAbelianGroup(2, 1)
+    cases = [
+        "gens -1\nrelations 0\naction 1",  # negative generator count
+        "gens 0\nrelations -1\naction 1",  # negative relation count
+        "gens 1\nrelations -1\naction 1\n1",
+        "gens 1\nrelations 1\n2 3\naction 1\n1",  # wrong entry width
+        "gens 1\naction 1\n1",  # no relations section
+    ]
+    for text in cases:
+        try:
+            parse_module(text, g)
+        except ValueError as exc:
+            assert "invalid literal" not in str(exc), text
+        else:
+            raise AssertionError(f"parse accepted: {text!r}")
+
+
 def test_parse_complex_ignores_comments_and_blanks():
     text = render_complex(lens_complex(2, 2))
     noisy = "# a sphere\n\n" + text.replace("\n", "\n# noise\n", 1)

@@ -136,16 +136,20 @@ def test_decode_columns_roundtrip():
         assert decode_columns(g, picked, m.rows) == m
 
 
-def test_regular_triples_agree_with_expand():
+def test_sparse_rows_agree_with_expand():
     rng = random.Random(25)
-    g = ElementaryAbelianGroup(2, 2)
-    for _ in range(10):
-        e = rand_element(rng, g)
-        dense = [[0] * g.order for _ in range(g.order)]
-        for row, col, v in g.regular_triples(e.coeffs):
-            dense[row][col] += v
-        m = GroupRingMatrix(g, [[e]])
-        assert m.expand().data == dense
+    for p, r in [(2, 2), (3, 1), (3, 2)]:
+        g = ElementaryAbelianGroup(p, r)
+        for _ in range(5):
+            m = rand_ring_matrix(rng, g, 2, 3)
+            want = oracle_expand(m)
+            dense = [[0] * (3 * g.order) for _ in range(2 * g.order)]
+            for row, sparse in zip(dense, m.sparse_rows()):
+                assert all(sparse.values())
+                for c, v in sparse.items():
+                    row[c] = v
+            assert dense == want, (p, r)
+            assert m.expand().data == want, (p, r)
 
 
 def test_scalar_and_zero_constructors():

@@ -17,7 +17,9 @@ from tatekit.modpres import (
 from tatekit.resolve import complete_resolution, resolution_step, syzygy
 from tatekit.tate import (
     CohomologyTable,
-    _cone_maps,
+    _free_lattices,
+    _presentation_lattices,
+    _total_maps,
     concentrated_check,
     exponent_profile,
     suspension,
@@ -152,21 +154,33 @@ def _composite_is_zero(upper, lower):
 
 def test_consecutive_cone_maps_compose_to_zero():
     # Negating a row block keeps every Smith diagonal, so no table can
-    # see the sign of the -delta_L block; this checks it
+    # see the sign rule of delta^n; this checks it for modules and for
+    # free complexes
     g = ElementaryAbelianGroup(2, 1)
     two = GroupRingMatrix(g, [[g.identity() + g.identity()]])
-    cases = [
+    modules = [
         homology_module(FreeChainComplex(g, {0: 1, 1: 1}, {1: two}), 0),
         cyclic_module(ElementaryAbelianGroup(2, 2), 6),
         cyclic_module(ElementaryAbelianGroup(3, 1), 3),
         homology_module(random_free_complex(ElementaryAbelianGroup(3, 2), [1, 2, 1], 0), 0),
     ]
-    for m in cases:
+    cases = []
+    for m in modules:
         assert m.relations.cols and m.acts_exactly()
-        window = complete_resolution(m.group, -3, 3)
-        maps = [rows for _, rows, _ in _cone_maps(m, window, -2, 2)]
+        cases.append((complete_resolution(m.group, -3, 3), _presentation_lattices(m)))
+    complexes = [
+        product_complex(2, [1, 1]),
+        random_free_complex(ElementaryAbelianGroup(3, 1), [2, 1, 0, 1], 1),
+        lens_complex(3, 2).shifted(-1),
+    ]
+    for c in complexes:
+        assert c.diffs and c.lo <= 0
+        window = complete_resolution(c.group, -3 + c.lo, 3 + c.hi)
+        cases.append((window, _free_lattices(c)))
+    for window, lattices in cases:
+        maps = [rows for _, rows, _ in _total_maps(window, lattices, -2, 2)]
         for lower, upper in zip(maps, maps[1:]):
-            assert _composite_is_zero(upper, lower), m
+            assert _composite_is_zero(upper, lower), window
 
 
 @settings(max_examples=60)
@@ -288,6 +302,24 @@ def test_concentrated_check_rejects_spread_homology():
         pass
     else:
         raise AssertionError("expected NotConcentrated")
+
+
+def test_concentrated_random_complexes_match_their_module():
+    # Free lattices on one side, a Hermite-built presentation of H_0 on
+    # the other
+    checked = 0
+    for pr in [(2, 1), (3, 1), (2, 2), (3, 2)]:
+        g = ElementaryAbelianGroup(*pr)
+        for ranks in ([2, 1], [3, 2], [2, 2]):
+            for seed in range(6):
+                c = random_free_complex(g, ranks, seed)
+                try:
+                    cmp = concentrated_check(g, c, 0)
+                except NotConcentrated:
+                    continue
+                assert cmp.ok, (pr, ranks, seed, cmp.rows)
+                checked += 1
+    assert checked >= 40
 
 
 def test_table_equality():
