@@ -179,9 +179,6 @@ class AbelianInvariants:
     def is_trivial(self):
         return not self.torsion and self.free_rank == 0
 
-    def is_finite(self):
-        return self.free_rank == 0
-
     def order(self):
         if self.free_rank:
             return INFINITE

@@ -30,6 +30,15 @@ def invariants_data(inv):
     return {"torsion": list(inv.torsion), "free": inv.free_rank}
 
 
+def _ints(tokens, what):
+    """The integers spelled by ``tokens``; errors name ``what`` and the text."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        text = " ".join(tokens)
+        raise ValueError(f"{what}: expected integers, got {text!r}") from None
+
+
 def _content_lines(text):
     """Non-blank, non-comment lines with surrounding whitespace stripped."""
     out = []
@@ -71,7 +80,7 @@ def parse_complex(text):
     head = lines[0].split()
     if len(head) != 3 or head[0] != "group":
         raise ValueError(f"expected 'group p r' header, got {lines[0]!r}")
-    group = ElementaryAbelianGroup(int(head[1]), int(head[2]))
+    group = ElementaryAbelianGroup(*_ints(head[1:], "group"))
     n = group.order
     ranks = {}
     diffs = {}
@@ -81,7 +90,7 @@ def parse_complex(text):
         if parts[0] == "deg":
             if len(parts) != 4 or parts[2] != "rank":
                 raise ValueError(f"malformed degree line {lines[idx]!r}")
-            i, k = int(parts[1]), int(parts[3])
+            i, k = _ints(parts[1::2], "degree line")
             if i in ranks:
                 raise ValueError(f"degree {i} declared twice")
             if k < 0:
@@ -91,7 +100,7 @@ def parse_complex(text):
         elif parts[0] == "d":
             if len(parts) != 2:
                 raise ValueError(f"malformed differential header {lines[idx]!r}")
-            i = int(parts[1])
+            (i,) = _ints(parts[1:], "differential header")
             if i in diffs:
                 raise ValueError(f"differential {i} declared twice")
             ka, kb = ranks.get(i - 1, 0), ranks.get(i, 0)
@@ -102,7 +111,7 @@ def parse_complex(text):
             pos = idx + 1
             for b in range(ka):
                 for c in range(kb):
-                    vals = [int(t) for t in lines[pos].split()]
+                    vals = _ints(lines[pos].split(), f"d {i} entry ({b}, {c})")
                     if len(vals) != n:
                         raise ValueError(
                             f"coefficient line {pos + 1} has {len(vals)} entries, "
@@ -164,7 +173,7 @@ def parse_module(text, group):
     head = lines[0].split()
     if len(head) != 2 or head[0] != "gens":
         raise ValueError(f"expected 'gens g' header, got {lines[0]!r}")
-    g = int(head[1])
+    (g,) = _ints(head[1:], "gens")
     if g < 0:
         raise ValueError("negative generator count")
 
@@ -173,7 +182,7 @@ def parse_module(text, group):
             raise ValueError(f"{what} needs {rows} rows")
         data = []
         for i in range(rows):
-            vals = [int(t) for t in lines[start + i].split()]
+            vals = _ints(lines[start + i].split(), f"{what} row {i}")
             if len(vals) != cols:
                 raise ValueError(
                     f"{what} row {i} has {len(vals)} entries, expected {cols}"
@@ -186,7 +195,7 @@ def parse_module(text, group):
     rel_head = lines[1].split()
     if len(rel_head) != 2 or rel_head[0] != "relations":
         raise ValueError(f"expected 'relations q', got {lines[1]!r}")
-    q = int(rel_head[1])
+    (q,) = _ints(rel_head[1:], "relations")
     if q < 0:
         raise ValueError("negative relation count")
     idx = 2

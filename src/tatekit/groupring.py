@@ -106,11 +106,6 @@ class ElementaryAbelianGroup:
         coeffs[self.index_of(exponents)] = 1
         return GroupRingElement(self, coeffs)
 
-    def from_int(self, n):
-        coeffs = [0] * self.order
-        coeffs[0] = n
-        return GroupRingElement(self, coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, ElementaryAbelianGroup)
@@ -182,9 +177,6 @@ class GroupRingElement:
 
     def is_zero(self):
         return not any(self.coeffs)
-
-    def augmentation(self):
-        return sum(self.coeffs)
 
     def _check(self, other):
         if self.group != other.group:
@@ -266,9 +258,6 @@ class GroupRingMatrix:
             m.entries[i][i] = element
         return m
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     def mul(self, other):
         if self.group != other.group or self.cols != other.rows:
             raise ValueError("shape or group mismatch in ring product")
@@ -282,28 +271,6 @@ class GroupRingMatrix:
                         if not b.is_zero():
                             out.entries[i][j] = out.entries[i][j] + a * b
         return out
-
-    def add(self, other):
-        if self.group != other.group or (self.rows, self.cols) != (
-            other.rows,
-            other.cols,
-        ):
-            raise ValueError("shape or group mismatch in ring sum")
-        return GroupRingMatrix(
-            self.group,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
-
-    def neg(self):
-        return GroupRingMatrix(
-            self.group,
-            [[-e for e in row] for row in self.entries],
-            self.rows,
-            self.cols,
-        )
 
     def antipode_transpose(self):
         """Transpose with the antipode applied entrywise (the dual map)."""
@@ -366,11 +333,6 @@ class GroupRingMatrix:
 
     def __repr__(self):
         return f"GroupRingMatrix({self.group!r}, rows={self.rows}, cols={self.cols})"
-
-
-def expand_matrix(m):
-    """Left-regular integer expansion of a group-ring matrix."""
-    return m.expand()
 
 
 def decode_columns(group, mat, row_blocks):

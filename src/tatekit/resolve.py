@@ -1,17 +1,32 @@
 """Complete resolutions of Z, partial resolutions of modules, syzygies.
 
-The positive half of a complete resolution is written down in closed
-form: F_n has one free generator e_a for each a in N^r with |a| = n, and
-d e_a = sum_i (-1)^(a_1+...+a_(i-1)) c_i e_(a - eps_i), where c_i is
-g_i - 1 when a_i is odd and the norm N_i when a_i is even (the tensor
-product of the 2-periodic resolutions of the cyclic factors).  The
-negative half is its Z-linear dual, spliced at degree 0 through the
-full norm.  Only finite degree windows are ever materialized; a
-per-group cache keeps the widest window built so far.
+The positive half of a complete resolution of Z is written down in
+closed form: F_n has one free generator e_a for each a in N^r with
+|a| = n, and d e_a = sum_i (-1)^(a_1+...+a_(i-1)) c_i e_(a - eps_i),
+where c_i is g_i - 1 when a_i is odd and the norm N_i when a_i is even
+(the tensor product of the 2-periodic resolutions of the cyclic
+factors).  The negative half is its Z-linear dual, spliced at degree 0
+through the full norm.
+
+The degree is the unit of work: each d_n is built once per group, and
+each degree n is certified once per group, by d_n d_(n+1) = 0 and
+H_n = 0.  A window [lo, hi] is a complex over those degrees whose
+interior lo < n < hi is certified.
 """
 
+from functools import cache
+from math import comb
+
+from ._backend import smith_diagonal
 from .errors import LiftObstruction, NoSolution
-from .exactlin import IntMatrix, solve_preimage, lattice_basis, solve_in_lattice, kernel_basis
+from .exactlin import (
+    AbelianInvariants,
+    IntMatrix,
+    kernel_basis,
+    lattice_basis,
+    solve_in_lattice,
+    solve_preimage,
+)
 from .groupring import (
     GroupRingMatrix,
     decode_columns,
@@ -26,53 +41,6 @@ from .modpres import (
 )
 
 
-class CompleteResolutionWindow:
-    """Degrees lo..hi of a complete free resolution of Z."""
-
-    def __init__(self, group, lo, hi, ranks, diffs, verify=True):
-        self.group = group
-        self.lo = lo
-        self.hi = hi
-        self.complex = FreeChainComplex(
-            group, ranks, diffs, valid_range=(lo, hi), check=verify
-        )
-        if verify:
-            self._verify_interior()
-
-    def rank(self, i):
-        return self.complex.rank(i)
-
-    def differential(self, i):
-        return self.complex.differential(i)
-
-    def _verify_interior(self):
-        for n in range(self.lo + 1, self.hi):
-            h = homology(self.complex, n)
-            if not h.is_trivial():
-                raise ValueError(
-                    f"resolution window not exact at degree {n}: {h}"
-                )
-
-    def slice(self, lo, hi):
-        if lo < self.lo or hi > self.hi:
-            raise ValueError("slice exceeds the built window")
-        ranks = {i: self.rank(i) for i in range(lo, hi + 1)}
-        diffs = {
-            i: self.complex.diffs[i]
-            for i in range(lo + 1, hi + 1)
-            if i in self.complex.diffs
-        }
-        out = CompleteResolutionWindow(
-            self.group, lo, hi, ranks, diffs, verify=False
-        )
-        return out
-
-    def __repr__(self):
-        return (
-            f"CompleteResolutionWindow({self.group!r}, [{self.lo},{self.hi}])"
-        )
-
-
 def _multi_indices(r, n):
     """The a in N^r with |a| = n in basis order: the last coordinate
     varies slowest and descends, and the rest are ordered recursively."""
@@ -85,71 +53,118 @@ def _multi_indices(r, n):
     ]
 
 
-def positive_resolution(group, length):
-    """Free resolution of Z over Z[(Z/p)^r] in degrees 0..length.
+def _closed_form(group, n):
+    """A fresh d_n, n >= 1, from the closed form in the module docstring.
 
-    Every F_n and d_n comes straight from the closed form in the module
-    docstring.  The basis of F_n is ordered as the tensor product of the
-    r strands orders it, so d_n agrees with that product entry for
-    entry.  Exact in degrees 1..length-1 with H_0 = Z via the all-ones
-    augmentation.
+    The basis of F_n is ordered as the tensor product of the r strands
+    orders it, so d_n agrees with that product entry for entry.
     """
-    if length < 1:
-        raise ValueError("length must be at least 1")
     zero = group.zero()
     gens = range(1, group.r + 1)
     minus = [group.generator(i) - group.identity() for i in gens]
     norm = [norm_element(group, i) for i in gens]
-    bases = [_multi_indices(group.r, n) for n in range(length + 1)]
-    diffs = {}
-    for n in range(1, length + 1):
-        row_of = {a: k for k, a in enumerate(bases[n - 1])}
-        entries = [[zero] * len(bases[n]) for _ in bases[n - 1]]
-        for col, a in enumerate(bases[n]):
-            sign = 1
-            for i, ai in enumerate(a):
-                if ai:
-                    c = minus[i] if ai % 2 else norm[i]
-                    row = row_of[a[:i] + (ai - 1,) + a[i + 1 :]]
-                    entries[row][col] = c if sign > 0 else -c
-                    if ai % 2:
-                        sign = -sign
-        diffs[n] = GroupRingMatrix(group, entries, len(bases[n - 1]), len(bases[n]))
-    ranks = {n: len(basis) for n, basis in enumerate(bases)}
+    row_of = {a: k for k, a in enumerate(_multi_indices(group.r, n - 1))}
+    cols = _multi_indices(group.r, n)
+    entries = [[zero] * len(cols) for _ in row_of]
+    for col, a in enumerate(cols):
+        sign = 1
+        for i, ai in enumerate(a):
+            if ai:
+                c = minus[i] if ai % 2 else norm[i]
+                row = row_of[a[:i] + (ai - 1,) + a[i + 1 :]]
+                entries[row][col] = c if sign > 0 else -c
+                if ai % 2:
+                    sign = -sign
+    return GroupRingMatrix(group, entries, len(row_of), len(cols))
+
+
+def _rank(group, n):
+    """Rank of F_n; degree -n is the dual of degree n - 1."""
+    m = n if n >= 0 else -n - 1
+    return comb(m + group.r - 1, group.r - 1)
+
+
+def positive_resolution(group, length):
+    """Free resolution of Z over Z[(Z/p)^r] in degrees 0..length.
+
+    Fresh matrices from the closed form, not the cached ones of
+    :func:`complete_resolution`.  Exact in degrees 1..length-1 with
+    H_0 = Z via the all-ones augmentation.
+    """
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    ranks = {n: _rank(group, n) for n in range(length + 1)}
+    diffs = {n: _closed_form(group, n) for n in range(1, length + 1)}
     return FreeChainComplex(group, ranks, diffs, check=False)
 
 
-_window_cache = {}
+@cache
+def _differential(group, n):
+    """d_n of the complete resolution: the closed form for n >= 1, the
+    full norm at n = 0, and the antipode-transpose of d_(-n) below."""
+    if n > 0:
+        return _closed_form(group, n)
+    if n == 0:
+        return GroupRingMatrix(group, [[full_norm(group)]])
+    return _differential(group, -n).antipode_transpose()
+
+
+def _smith(d):
+    return smith_diagonal(d.sparse_rows(), d.cols * d.group.order)
+
+
+@cache
+def _diagonal(group, n):
+    return _smith(_differential(group, n))
+
+
+def check_exact(d, up, diag_out=None, diag_in=None):
+    """Raise ValueError unless d o up = 0 in the group ring and the free
+    module between them has no homology over Z.
+
+    The homology is read off the Smith diagonals of ``d`` and ``up``,
+    as :func:`homology` reads it; pass them in when they are known.
+    """
+    if not d.mul(up).is_zero():
+        raise ValueError("d o d != 0 in the group ring")
+    diag_out = _smith(d) if diag_out is None else diag_out
+    diag_in = _smith(up) if diag_in is None else diag_in
+    free = d.cols * d.group.order - len(diag_out) - len(diag_in)
+    h = AbelianInvariants.from_diagonal(diag_in, free)
+    if not h.is_trivial():
+        raise ValueError(f"not exact: homology {h}")
+
+
+@cache
+def _certify(group, n):
+    try:
+        check_exact(
+            _differential(group, n),
+            _differential(group, n + 1),
+            _diagonal(group, n),
+            _diagonal(group, n + 1),
+        )
+    except ValueError as exc:
+        raise ValueError(f"complete resolution at degree {n}: {exc}") from None
 
 
 def complete_resolution(group, lo, hi):
-    """A verified window [lo, hi] of the complete resolution of Z.
+    """Degrees lo..hi of the complete resolution of Z.
 
-    Positive degrees come from positive_resolution.  Degree -n is the
-    dual of degree n-1, with d_(-n) the antipode-transpose of d_n, and
-    d_0 factors through Z as augmentation followed by its dual (the
-    full norm).  Windows are cached per group and only ever widened;
-    slices of the cached window are cheap.
+    Every degree strictly inside the window is certified before the
+    window is handed out; homology at its edges raises WindowViolation.
+    Windows share the cached differentials, so callers must not mutate
+    them.
     """
     if lo > hi:
         raise ValueError("empty window")
-    key = (group.p, group.r)
-    cached = _window_cache.get(key)
-    if cached is not None and cached.lo <= lo and cached.hi >= hi:
-        return cached.slice(lo, hi)
-    build_lo = min(lo, cached.lo if cached else 0, -1)
-    build_hi = max(hi, cached.hi if cached else 0, 1)
-
-    pos = positive_resolution(group, max(build_hi, -build_lo - 1))
-    ranks = {i: pos.rank(i if i >= 0 else -i - 1) for i in range(build_lo, build_hi + 1)}
-    diffs = {0: GroupRingMatrix(group, [[full_norm(group)]])}
-    for i in range(1, build_hi + 1):
-        diffs[i] = pos.diffs[i]
-    for i in range(build_lo + 1, 0):
-        diffs[i] = pos.diffs[-i].antipode_transpose()
-    window = CompleteResolutionWindow(group, build_lo, build_hi, ranks, diffs)
-    _window_cache[key] = window
-    return window.slice(lo, hi)
+    for n in range(lo + 1, hi):
+        _certify(group, n)
+    ranks = {n: _rank(group, n) for n in range(lo, hi + 1)}
+    diffs = {n: _differential(group, n) for n in range(lo + 1, hi + 1)}
+    return FreeChainComplex(
+        group, ranks, diffs, valid_range=(lo, hi), check=False
+    )
 
 
 class ResolutionStep:

@@ -42,7 +42,7 @@ from .modpres import (
     homology_module,
     require_valid,
 )
-from .resolve import complete_resolution, lift_chain_map, resolution_step
+from .resolve import lift_chain_map, resolution_step
 from .tate import tate_cohomology
 
 
@@ -470,9 +470,6 @@ def browder_check(complex_):
             "action, expected Z with trivial action"
         )
     group = complex_.group
-    # Degree j + 1 reads the window [j, j + 2]; build the widest once so
-    # the loop only slices the cached window instead of widening it.
-    complete_resolution(group, 0, complex_.hi + 2)
     rows = []
     product = 1
     for j in range(1, complex_.hi + 1):

@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tatekit import cli
 from tatekit.errors import InvalidPresentation
 from tatekit.exactlin import AbelianInvariants
@@ -15,7 +19,7 @@ from tatekit.formats import (
 )
 from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup
-from tatekit.modpres import trivial_module
+from tatekit.modpres import homology_module, trivial_module
 from tatekit.resolve import syzygy
 from tatekit.surgery import BrowderReport, dimension_rows
 
@@ -50,12 +54,16 @@ def test_parse_complex_rejects_malformed_text():
         "group 2 1\ndeg 0 rank 1\nd 1\n1 1",  # d without a source degree
         good + "\nextra",  # trailing garbage
         good.replace("-1 1", "-1 1 1"),  # wrong entry width
+        good.replace("-1 1", "-1 x"),  # non-integer coefficient
+        "group 2 x\ndeg 0 rank 1",
+        "group 2 1\ndeg 0 rank 1.5",
+        "group 2 1\ndeg 0 rank 1\ndeg 1 rank 1\nd x",
     ]
     for text in cases:
         try:
             parse_complex(text)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            assert "invalid literal" not in str(exc), text
         else:
             raise AssertionError(f"parse accepted: {text!r}")
 
@@ -68,6 +76,10 @@ def test_parse_module_rejects_malformed_text():
         "gens 1\nrelations -1\naction 1\n1",
         "gens 1\nrelations 1\n2 3\naction 1\n1",  # wrong entry width
         "gens 1\naction 1\n1",  # no relations section
+        "gens x\nrelations 0\naction 1",
+        "gens 1\nrelations x\naction 1\n1",
+        "gens 1\nrelations 1\nx\naction 1\n1",
+        "gens 1\nrelations 0\naction 1\n1.5",
     ]
     for text in cases:
         try:
@@ -76,6 +88,8 @@ def test_parse_module_rejects_malformed_text():
             assert "invalid literal" not in str(exc), text
         else:
             raise AssertionError(f"parse accepted: {text!r}")
+    with pytest.raises(ValueError, match="action 1 row 0: expected integers, got '1.5'"):
+        parse_module(cases[-1], g)
 
 
 def test_parse_complex_ignores_comments_and_blanks():
@@ -93,6 +107,41 @@ def test_module_round_trip():
     assert m2.relations.data == m.relations.data
     assert [a.data for a in m2.actions] == [a.data for a in m.actions]
     assert render_module(m2) == text
+
+
+_complexes = st.builds(
+    lambda pr, ranks, seed: random_free_complex(
+        ElementaryAbelianGroup(*pr), ranks, seed
+    ),
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]),
+    st.lists(st.integers(0, 3), min_size=2, max_size=4),
+    st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=40)
+@given(_complexes)
+def test_complex_files_round_trip(c):
+    text = render_complex(c)
+    d = parse_complex(text)
+    assert render_complex(d) == text
+    assert d.group == c.group
+    assert d.ranks == c.ranks
+    assert d.diffs == c.diffs
+
+
+@settings(max_examples=25)
+@given(_complexes)
+def test_module_files_round_trip(c):
+    # homology modules carry relations, unlike syzygies
+    for j in c.degrees():
+        m = homology_module(c, j)
+        text = render_module(m)
+        m2 = parse_module(text, c.group)
+        assert render_module(m2) == text, j
+        assert m2.gens == m.gens
+        assert m2.relations.data == m.relations.data
+        assert [a.data for a in m2.actions] == [a.data for a in m.actions]
 
 
 def test_parse_module_trivial_literal():
