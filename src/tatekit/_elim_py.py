@@ -74,13 +74,19 @@ def _axpy(rows, col_rows, r, src, coef, ncols):
                 col_rows[k].discard(r)
 
 
-def smith_diagonal(rows, ncols):
+def smith_diagonal(rows, ncols, unit_rows=None):
     """Elementary divisors of a sparse integer matrix.
 
     Returns the full positive diagonal of the Smith normal form without
     computing transforms: ones first, then the nontrivial divisors, each
     dividing the next.  The length of the result is the rank.  Input
     rows are consumed.
+
+    If ``unit_rows`` is a list, the row index of every +-1 pivot taken
+    before the first general (non-unit) pivot is appended to it.  Until
+    then every row operation adds a multiple of one of these rows, and
+    each of their pivot columns is left +-1 at its row and 0 elsewhere;
+    ``tate._table`` relies on both to shrink the next map.
     """
     nrows = len(rows)
     col_rows = {}
@@ -132,6 +138,8 @@ def smith_diagonal(rows, ncols):
                 axpy(r, i, -rows[r][c] * v)
             retire(i, c)
             ones += 1
+            if unit_rows is not None:
+                unit_rows.append(i)
 
         # General phase: smallest remaining entry becomes the pivot.
         best = None
@@ -145,6 +153,9 @@ def smith_diagonal(rows, ncols):
         if best is None:
             break
         _, i, c = best
+        # From here on rows are combined with non-unit pivot rows, so
+        # later unit pivots are not recorded.
+        unit_rows = None
 
         while True:
             live = col_rows[c]

@@ -11,6 +11,14 @@ free complex.  A module M = Z^gens / L enters as the two-term lattice
 complex L --B--> Z^gens in degrees 1 and 0, B a basis of the relation
 lattice.  Every total complex is free abelian, so every table is read
 off Smith diagonals and ranks.
+
+Consecutive codifferentials share the reduction: delta^n is reduced
+only on the coordinates of Tot^n that the unit pivots of delta^{n-1}
+left alive (reduction pairs, as in Kaczynski-Mrozek-Slusarek,
+"Homology computation by reduction of chain complexes", 1998).  Since
+delta^n delta^{n-1} = 0, the columns of delta^n at the +-1 pivot rows
+of delta^{n-1} vanish after the matching column operations, so
+dropping them keeps every Smith diagonal; see ``_table``.
 """
 
 import functools
@@ -98,7 +106,12 @@ def _free_lattices(complex_):
         act = functools.cache(
             lambda x, k=k: GroupRingMatrix.scalar(group, k, x).sparse_rows()
         )
-        lattices[j] = (k * group.order, act, complex_.expanded(j).sparse_rows())
+        d = complex_.differential(j)
+        if d is None:
+            rows = [{} for _ in range(complex_.rank(j - 1) * group.order)]
+        else:
+            rows = d.sparse_rows()
+        lattices[j] = (k * group.order, act, rows)
     return lattices
 
 
@@ -159,11 +172,28 @@ def _total_maps(window, lattices, lo, hi):
 
 
 def _table(window, lattices, lo, hi):
-    """Invariants from the ranks and Smith diagonals of Tot Hom_G(F, C)."""
+    """Invariants from the ranks and Smith diagonals of Tot Hom_G(F, C).
+
+    Write A = delta^{n-1} and B = delta^n, so BA = 0.  A row operation
+    "row r += c row y" on A is the column operation "col y -= c col r"
+    on B.  With P the product of the row operations of A's unit phase,
+    all of which add a unit pivot row y, B P^-1 differs from B only in
+    those columns y.  The pivot column of y in PA is +-1 at row y and 0
+    elsewhere, so (B P^-1)(PA) = 0 makes column y of B P^-1 zero, and
+    Smith(B) = Smith(B with the columns y deleted).  The next map still
+    kills B with those columns deleted, so the cancellation chains
+    through every degree.
+    """
     dims, diag = {}, {}
+    cancelled = set()
     for n, rows, dim in _total_maps(window, lattices, lo, hi):
+        for row in rows:
+            for k in cancelled.intersection(row):
+                del row[k]
+        units = []
         dims[n] = dim
-        diag[n] = _sparse_smith(rows, dim)
+        diag[n] = _sparse_smith(rows, dim, units)
+        cancelled = set(units)
     invs = []
     for i in range(lo, hi + 1):
         into, outof = diag[i - 1], diag[i]

@@ -64,6 +64,43 @@ def test_smith_diagonal_matches_oracle():
     assert max(got) > 2**100
 
 
+def _kernel_units(data, ncols):
+    units = []
+    rows = IntMatrix(data, len(data), ncols).sparse_rows()
+    return _backend.smith_diagonal(rows, ncols, units), units
+
+
+def _transpose(m):
+    return IntMatrix([list(c) for c in zip(*m.data)], m.cols, m.rows)
+
+
+def test_smith_diagonal_reports_unit_pivot_rows():
+    assert _kernel_units([[1, 1], [0, 2]], 2) == ([1, 2], [0])
+    assert _kernel_units([[2, 0], [0, 3]], 2) == ([1, 6], [])
+    # the 1 of [[2, 3]] only appears once the general phase has begun
+    assert _kernel_units([[2, 3]], 2) == ([1], [])
+    # row 2 becomes a unit pivot after a general step; [-2, -2, 5] kills
+    # this matrix from the left and has diagonal [1], but [2] without
+    # column 2
+    assert _kernel_units([[2, 3], [3, 2], [2, 2]], 2) == ([1, 1], [])
+    rng = random.Random(101)
+    for _ in range(150):
+        m = rand_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
+        got, units = _kernel_units(m.data, m.cols)
+        assert got == _backend.smith_diagonal(m.sparse_rows(), m.cols), m.data
+        assert len(set(units)) == len(units) <= len(got), (m.data, units)
+        assert all(0 <= i < m.rows for i in units), (m.data, units)
+        # any b with b m = 0 keeps its Smith diagonal without the
+        # columns at the reported rows
+        left = kernel_basis(_transpose(m))
+        if not left.cols:
+            continue
+        mix = IntMatrix([[rng.randint(-3, 3) for _ in range(left.cols)] for _ in range(3)])
+        b = mix.mul(_transpose(left))
+        kept = [{k: v for k, v in row.items() if k not in units} for row in b.sparse_rows()]
+        assert _backend.smith_diagonal(kept, b.cols) == smith_diagonal(b), (m.data, units)
+
+
 def test_elimination_core_is_the_pure_module():
     # tatebench/child.py:108 reads BACKEND; tatebench/tracer.py:24,180 wraps these
     assert BACKEND == "pure"
