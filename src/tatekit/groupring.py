@@ -261,15 +261,17 @@ class GroupRingMatrix:
     def mul(self, other):
         if self.group != other.group or self.cols != other.rows:
             raise ValueError("shape or group mismatch in ring product")
+        # The nonzero entries of each row of ``other``, indexed once.
+        nonzero = [
+            [(j, b) for j, b in enumerate(row) if not b.is_zero()]
+            for row in other.entries
+        ]
         out = GroupRingMatrix.zero(self.group, self.rows, other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if not a.is_zero():
-                    for j in range(other.cols):
-                        b = other.entries[k][j]
-                        if not b.is_zero():
-                            out.entries[i][j] = out.entries[i][j] + a * b
+        for a_row, out_row in zip(self.entries, out.entries):
+            for a, right in zip(a_row, nonzero):
+                if right and not a.is_zero():
+                    for j, b in right:
+                        out_row[j] = out_row[j] + a * b
         return out
 
     def antipode_transpose(self):

@@ -9,9 +9,14 @@ factors).  The negative half is its Z-linear dual, spliced at degree 0
 through the full norm.
 
 The degree is the unit of work: each d_n is built once per group, and
-each degree n is certified once per group, by d_n d_(n+1) = 0 and
-H_n = 0.  A window [lo, hi] is a complex over those degrees whose
-interior lo < n < hi is certified.
+each degree n is certified once per group, by d_n d_(n+1) = 0 and then
+H_n = 0, read off Smith diagonals.  Only the positive half is reduced:
+the expansion of d_(-n) is the transpose of that of d_n, so the two
+share a diagonal.  The positive half is reduced top-down, each d_n with
+the columns at the unit pivot rows of d_(n+1) deleted, which keeps its
+diagonal once d_n d_(n+1) = 0 is known (reduction pairs, as in
+Kaczynski-Mrozek-Slusarek 1998).  A window [lo, hi] is a complex over
+those degrees whose interior lo < n < hi is certified.
 """
 
 from functools import cache
@@ -113,22 +118,18 @@ def _smith(d):
     return smith_diagonal(d.sparse_rows(), d.cols * d.group.order)
 
 
-@cache
-def _diagonal(group, n):
-    return _smith(_differential(group, n))
-
-
-def check_exact(d, up, diag_out=None, diag_in=None):
+def check_exact(d, up, diagonals=None):
     """Raise ValueError unless d o up = 0 in the group ring and the free
     module between them has no homology over Z.
 
     The homology is read off the Smith diagonals of ``d`` and ``up``,
-    as :func:`homology` reads it; pass them in when they are known.
+    as :func:`homology` reads it.  ``diagonals``, when given, returns
+    that pair; it is called only once d o up = 0 is known, so it may
+    reduce ``d`` with the columns at the unit pivots of ``up`` deleted.
     """
     if not d.mul(up).is_zero():
         raise ValueError("d o d != 0 in the group ring")
-    diag_out = _smith(d) if diag_out is None else diag_out
-    diag_in = _smith(up) if diag_in is None else diag_in
+    diag_out, diag_in = diagonals() if diagonals else (_smith(d), _smith(up))
     free = d.cols * d.group.order - len(diag_out) - len(diag_in)
     h = AbelianInvariants.from_diagonal(diag_in, free)
     if not h.is_trivial():
@@ -136,16 +137,63 @@ def check_exact(d, up, diag_out=None, diag_in=None):
 
 
 @cache
-def _certify(group, n):
-    try:
-        check_exact(
-            _differential(group, n),
-            _differential(group, n + 1),
-            _diagonal(group, n),
-            _diagonal(group, n + 1),
-        )
-    except ValueError as exc:
-        raise ValueError(f"complete resolution at degree {n}: {exc}") from None
+def _known(group):
+    """The Smith diagonal of each d_n, n >= 0, reduced so far, and the
+    degrees certified exact."""
+    return {}, set()
+
+
+def _twin(n):
+    """The m >= 0 with d_n, d_(n+1) equal to d_m, d_(m+1), or, for
+    n < 0, to the antipode-transposes of d_(m+1), d_m."""
+    return n if n >= 0 else -n - 1
+
+
+def _certify(group, lo, hi):
+    """Certify each degree strictly inside [lo, hi] by :func:`check_exact`.
+
+    Degrees go in descending order of their twin pair, so the pass
+    reduces d_m top-down.  Once d_m d_(m+1) = 0 is known, d_m is reduced
+    with the columns at the unit pivot rows of d_(m+1) deleted, if this
+    pass reduced d_(m+1), which keeps its Smith diagonal (the argument
+    of ``tate._table``).  A negative degree reads its twin's diagonals,
+    since d_(-m) is built as the antipode-transpose of d_m.  Its d o d
+    check runs on the actual negative differentials; their product is
+    the antipode-transpose of d_m d_(m+1), so it also licenses the
+    cancellation.
+    """
+    diagonals, exact = _known(group)
+    units = {}
+
+    def diagonal(m, cancel):
+        if m not in diagonals:
+            d = _differential(group, m)
+            rows = d.sparse_rows()
+            dead = units.pop(m + 1, None) if cancel else None
+            if dead:
+                for row in rows:
+                    for k in dead.intersection(row):
+                        del row[k]
+            found = []
+            diagonals[m] = smith_diagonal(rows, d.cols * group.order, found)
+            units[m] = set(found)
+        return diagonals[m]
+
+    for n in sorted(range(lo + 1, hi), key=_twin, reverse=True):
+        if n in exact:
+            continue
+        m = _twin(n)
+
+        def read(m=m, n=n):
+            upper = diagonal(m + 1, cancel=False)
+            lower = diagonal(m, cancel=True)
+            return (lower, upper) if n >= 0 else (upper, lower)
+
+        try:
+            check_exact(_differential(group, n), _differential(group, n + 1), read)
+        except ValueError as exc:
+            raise ValueError(f"complete resolution at degree {n}: {exc}") from None
+        exact.add(n)
 
 
 def complete_resolution(group, lo, hi):
@@ -153,13 +201,13 @@ def complete_resolution(group, lo, hi):
 
     Every degree strictly inside the window is certified before the
     window is handed out; homology at its edges raises WindowViolation.
-    Windows share the cached differentials, so callers must not mutate
-    them.
+    The Smith work is the positive half up to max(hi, -(lo + 1)),
+    reduced top-down and cached once per group.  Windows share the
+    cached differentials, so callers must not mutate them.
     """
     if lo > hi:
         raise ValueError("empty window")
-    for n in range(lo + 1, hi):
-        _certify(group, n)
+    _certify(group, lo, hi)
     ranks = {n: _rank(group, n) for n in range(lo, hi + 1)}
     diffs = {n: _differential(group, n) for n in range(lo + 1, hi + 1)}
     return FreeChainComplex(

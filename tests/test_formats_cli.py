@@ -336,6 +336,19 @@ def test_cli_browder_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "DOES NOT DIVIDE" in capsys.readouterr().out
 
 
+def test_cli_internal_errors_exit_2_without_a_traceback(tmp_path, capsys, monkeypatch):
+    path = _gen(tmp_path, capsys, ["lens", "--p", "2", "--k", "1"], "c.cx")
+
+    def broken(complex_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "browder_check", broken)
+    assert cli.main(["browder", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert captured.out == ""
+
+
 def test_cli_gen_random_round_trip(tmp_path, capsys):
     path = _gen(tmp_path, capsys, ["random", "--p", "3", "--r", "1",
                                    "--ranks", "2,2,1", "--seed", "5"], "r.cx")

@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tatekit.exactlin import IntMatrix
 from tatekit.groupring import (
     ElementaryAbelianGroup,
@@ -11,6 +15,9 @@ from tatekit.groupring import (
     norm_element,
     ring_multiply,
 )
+
+from tatekit.modpres import FreeChainComplex
+from tatekit.resolve import _differential
 
 from oracles import oracle_expand
 
@@ -164,3 +171,68 @@ def test_scalar_and_zero_constructors():
         [0, 0, 1, 0],
         [0, 0, 0, 1],
     ]
+
+
+@st.composite
+def sparse_ring_matrix(draw, group, rows, cols):
+    """A group-ring matrix with about three zero entries in four, and
+    mostly zero coefficients in the rest."""
+    coeff = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
+    entries = [
+        [
+            group.zero()
+            if draw(st.integers(0, 3))
+            else GroupRingElement(
+                group,
+                draw(st.lists(coeff, min_size=group.order, max_size=group.order)),
+            )
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    return GroupRingMatrix(group, entries, rows, cols)
+
+
+def _entries(sparse_rows):
+    return {(i, c): v for i, row in enumerate(sparse_rows) for c, v in row.items()}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([(2, 1), (2, 3), (3, 2), (5, 1)]), st.data())
+def test_antipode_transpose_expands_to_the_transpose(pr, data):
+    # the expansion of the dual map is the transpose of the expansion,
+    # so a negative degree of the complete resolution shares its twin's
+    # Smith diagonal
+    g = ElementaryAbelianGroup(*pr)
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    m = data.draw(sparse_ring_matrix(g, rows, cols))
+    transpose = {(c, i): v for (i, c), v in _entries(m.sparse_rows()).items()}
+    assert _entries(m.antipode_transpose().sparse_rows()) == transpose
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_negative_differentials_expand_to_the_transposes(p, r):
+    g = ElementaryAbelianGroup(p, r)
+    for n in range(1, 7):
+        up = _entries(_differential(g, n).sparse_rows())
+        down = _entries(_differential(g, -n).sparse_rows())
+        assert down == {(c, i): v for (i, c), v in up.items()}, (p, r, n)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), st.data())
+def test_sparse_ring_product_matches_the_expanded_product(pr, data):
+    g = ElementaryAbelianGroup(*pr)
+    k0, k1, k2 = (data.draw(st.integers(1, 6)) for _ in range(3))
+    a = data.draw(sparse_ring_matrix(g, k0, k1))
+    b = data.draw(sparse_ring_matrix(g, k1, k2))
+    product = a.mul(b)
+    assert (product.rows, product.cols) == (k0, k2)
+    assert product.expand() == a.expand().mul(b.expand())
+    # the construction check of a free complex reads the same product
+    ranks = {0: k0, 1: k1, 2: k2}
+    if product.is_zero():
+        FreeChainComplex(g, ranks, {1: a, 2: b})
+    else:
+        with pytest.raises(ValueError, match="d_1 o d_2"):
+            FreeChainComplex(g, ranks, {1: a, 2: b})

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tatekit import resolve
+from tatekit._backend import smith_diagonal
 from tatekit.errors import LiftObstruction, WindowViolation
 from tatekit.exactlin import (
     IntMatrix,
@@ -309,3 +311,124 @@ def test_lift_chain_map_through_a_proper_generator_subset():
     assert lhs == rhs
     _, cert = glue(c, 1, 3)
     assert cert.ok
+
+
+def _clear_resolve_caches():
+    resolve._differential.cache_clear()
+    resolve._known.cache_clear()
+
+
+@pytest.fixture
+def cold_resolve():
+    """Empty resolve caches before and after, so that a tampered
+    differential cannot leak into another test."""
+    _clear_resolve_caches()
+    yield
+    _clear_resolve_caches()
+
+
+def _fresh_smith(d):
+    return smith_diagonal(d.sparse_rows(), d.cols * d.group.order)
+
+
+def _window_orders(k):
+    """Windows reaching degree +-k, ascending, descending and overlapping."""
+    slide = [(lo, lo + 3) for lo in range(-k, k - 2)]
+    return [slide, slide[::-1], [(-1, k), (-k, 1), (-2, 2), (1, k), (-k, -1)]]
+
+
+@pytest.mark.parametrize(
+    "p, r, k",
+    [(2, 1, 10), (2, 2, 7), (2, 3, 5), (2, 4, 4), (3, 1, 8), (3, 2, 5), (3, 3, 3), (5, 2, 4)],
+)
+def test_certified_diagonals_match_fresh_smith_in_any_window_order(
+    p, r, k, cold_resolve, monkeypatch
+):
+    # every diagonal certification reads, cancelled or read off the
+    # positive twin, is the Smith diagonal of the actual d_n, however
+    # the windows before it filled the caches
+    g = ElementaryAbelianGroup(p, r)
+    real = resolve.check_exact
+    reads = []
+
+    def spy(d, up, diagonals=None):
+        def read():
+            got = diagonals()
+            reads.append((d, up, got))
+            return got
+
+        return real(d, up, read)
+
+    monkeypatch.setattr(resolve, "check_exact", spy)
+    for windows in _window_orders(k):
+        _clear_resolve_caches()
+        reads.clear()
+        for lo, hi in windows:
+            complete_resolution(g, lo, hi)
+        certified = {n for lo, hi in windows for n in range(lo + 1, hi)}
+        assert len(reads) == len(certified), windows
+        for d, up, (diag_out, diag_in) in reads:
+            assert diag_out == _fresh_smith(d), windows
+            assert diag_in == _fresh_smith(up), windows
+        diagonals, exact = resolve._known(g)
+        assert exact == certified
+        for m, diag in diagonals.items():
+            assert diag == _fresh_smith(resolve._differential(g, m)), (windows, m)
+
+
+def _patch_degree(monkeypatch, n, change):
+    real = resolve._differential
+
+    def tampered(group, m):
+        d = real(group, m)
+        return change(d) if m == n else d
+
+    monkeypatch.setattr(resolve, "_differential", tampered)
+
+
+def _doubled(d):
+    return GroupRingMatrix(
+        d.group, [[e * 2 for e in row] for row in d.entries], d.rows, d.cols
+    )
+
+
+def _perturbed(d):
+    entries = [list(row) for row in d.entries]
+    entries[0][0] = entries[0][0] + d.group.identity()
+    return GroupRingMatrix(d.group, entries, d.rows, d.cols)
+
+
+@pytest.mark.parametrize("lo, hi, degree", [(0, 5, 2), (-6, -1, -4)])
+def test_certificate_catches_a_doubled_differential(
+    lo, hi, degree, cold_resolve, monkeypatch
+):
+    # 2 d_3 leaves Z/2 summands in H_2 = ker d_2 / 2 im d_3; its twin
+    # 2 d_(-3), built from it, leaves them in H_(-4)
+    g = ElementaryAbelianGroup(2, 2)
+    _patch_degree(monkeypatch, 3, _doubled)
+    with pytest.raises(ValueError, match=rf"degree {degree}: not exact"):
+        complete_resolution(g, lo, hi)
+
+
+@pytest.mark.parametrize("n, lo, hi, degree", [(3, -1, 6, 3), (-3, -6, 0, -4)])
+def test_d_o_d_check_runs_before_any_cancelled_diagonal(
+    n, lo, hi, degree, cold_resolve, monkeypatch
+):
+    # d_n is perturbed so that d o d fails at ``degree``; no diagonal of
+    # d_|n| (the one reduced against the unit pivots of its upper
+    # neighbour) may be computed before the certificate fires
+    g = ElementaryAbelianGroup(2, 2)
+    _patch_degree(monkeypatch, n, _perturbed)
+    real = resolve.smith_diagonal
+    shapes = []
+
+    def spy(rows, ncols, unit_rows=None):
+        shapes.append((len(rows), ncols))
+        return real(rows, ncols, unit_rows)
+
+    monkeypatch.setattr(resolve, "smith_diagonal", spy)
+    with pytest.raises(ValueError, match=rf"degree {degree}: d o d"):
+        complete_resolution(g, lo, hi)
+    target = resolve._differential(g, abs(n))
+    assert shapes, "the pass reduced nothing before the check"
+    assert (target.rows * g.order, target.cols * g.order) not in shapes
