@@ -53,6 +53,13 @@ def _content_lines(text):
 # complex files
 
 
+def _dense_rows(d):
+    """Every entry of a group-ring matrix as a coefficient list, zeros
+    included, row by row."""
+    zero = d.group.zero()
+    return [[list(row.get(c, zero).coeffs) for c in range(d.cols)] for row in d.entries]
+
+
 def render_complex(complex_):
     """Canonical text form of a free chain complex.
 
@@ -65,11 +72,9 @@ def render_complex(complex_):
     for i in complex_.degrees():
         lines.append(f"deg {i} rank {complex_.rank(i)}")
     for i in sorted(complex_.diffs):
-        d = complex_.diffs[i]
         lines.append(f"d {i}")
-        for b in range(d.rows):
-            for c in range(d.cols):
-                lines.append(" ".join(str(v) for v in d.entries[b][c].coeffs))
+        for row in _dense_rows(complex_.diffs[i]):
+            lines.extend(" ".join(str(v) for v in coeffs) for coeffs in row)
     return "\n".join(lines) + "\n"
 
 
@@ -107,7 +112,7 @@ def parse_complex(text):
             count = ka * kb
             if idx + 1 + count > len(lines):
                 raise ValueError(f"differential {i} needs {count} coefficient lines")
-            entries = [[None] * kb for _ in range(ka)]
+            rows = [{} for _ in range(ka)]
             pos = idx + 1
             for b in range(ka):
                 for c in range(kb):
@@ -117,9 +122,9 @@ def parse_complex(text):
                             f"coefficient line {pos + 1} has {len(vals)} entries, "
                             f"expected {n}"
                         )
-                    entries[b][c] = GroupRingElement(group, vals)
+                    rows[b][c] = GroupRingElement(group, vals)
                     pos += 1
-            diffs[i] = GroupRingMatrix(group, entries, ka, kb)
+            diffs[i] = GroupRingMatrix(group, rows, ka, kb)
             idx = pos
         else:
             raise ValueError(f"unrecognized line {lines[idx]!r}")
@@ -131,10 +136,7 @@ def complex_data(complex_):
         "group": {"p": complex_.group.p, "r": complex_.group.r},
         "ranks": {str(i): complex_.rank(i) for i in complex_.degrees()},
         "differentials": {
-            str(i): [
-                [list(e.coeffs) for e in row] for row in complex_.diffs[i].entries
-            ]
-            for i in sorted(complex_.diffs)
+            str(i): _dense_rows(complex_.diffs[i]) for i in sorted(complex_.diffs)
         },
     }
 

@@ -31,7 +31,7 @@ def lens_complex(p, k):
     top = 2 * k - 1
     ranks = {i: 1 for i in range(top + 1)}
     diffs = {
-        i: GroupRingMatrix(group, [[minus if i % 2 else norm]])
+        i: GroupRingMatrix(group, [{0: minus if i % 2 else norm}], 1, 1)
         for i in range(1, top + 1)
     }
     return FreeChainComplex(group, ranks, diffs)

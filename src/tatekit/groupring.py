@@ -5,12 +5,16 @@ ordered lexicographically; the element with exponents (e_1, ..., e_r)
 sits at index e_1*p^(r-1) + ... + e_r.  A ring element is the dense
 tuple of its integer coefficients in that order.
 
-``GroupRingMatrix.sparse_rows`` turns a ring matrix into the sparse
-rows of an integer matrix through the left regular representation, one
-|G| x |G| block per entry, and is the only code that writes that
-expansion; ``expand`` is its dense form.  Identity-basis columns of the
-expansion recover the ring data, which is how every module-level
-computation round-trips.
+A ``GroupRingMatrix`` keeps only its nonzero entries, one
+``{col: element}`` dict per row, so products, duals and expansions cost
+O(nnz).  ``GroupRingMatrix.sparse_rows`` turns a ring matrix into the
+sparse rows of an integer matrix through the left regular
+representation, one |G| x |G| block per entry, and is the only code
+that writes that expansion; ``expand`` is its dense form.  The
+identity-basis columns of the expansion carry the ring data:
+``encode_columns`` writes them and ``decode_columns`` reads them back,
+which is how every module-level computation round-trips.  ``act_rows``
+applies a group generator to ZG^k as a permutation of rows.
 """
 
 from .exactlin import IntMatrix
@@ -196,11 +200,6 @@ class GroupRingElement:
         return f"GroupRingElement({self.group!r}, {list(self.coeffs)!r})"
 
 
-def ring_multiply(a, b):
-    """Convolution product of two group-ring elements."""
-    return a * b
-
-
 def antipode(a):
     return a.antipode()
 
@@ -225,76 +224,76 @@ def full_norm(group):
 
 
 class GroupRingMatrix:
-    """A rows x cols matrix with group-ring entries."""
+    """An nrows x ncols matrix over Z[G], kept as sparse rows.
+
+    ``entries[i]`` is a ``{col: element}`` dict holding the nonzero
+    entries of row i, keys ascending.  The constructor is the only
+    writer: it drops zero elements and rejects a column outside
+    0..ncols-1 or an entry over another group.  Matrices are shared,
+    so callers must not change ``entries`` afterwards.
+    """
 
     __slots__ = ("group", "rows", "cols", "entries", "_expanded")
 
-    def __init__(self, group, entries, rows=None, cols=None):
-        if rows is None:
-            rows = len(entries)
-        if cols is None:
-            cols = len(entries[0]) if rows else 0
+    def __init__(self, group, rows, nrows, ncols):
+        rows = list(rows)
+        if len(rows) != nrows:
+            raise ValueError(f"got {len(rows)} rows, expected {nrows}")
         self.group = group
-        self.rows = rows
-        self.cols = cols
-        self.entries = [list(r) for r in entries]
+        self.rows = nrows
+        self.cols = ncols
+        self.entries = [self._nonzero(row) for row in rows]
         self._expanded = None
-        for row in self.entries:
-            if len(row) != cols:
-                raise ValueError("ragged entry data")
-            for e in row:
-                if e.group != group:
-                    raise ValueError("entry over the wrong group")
+
+    def _nonzero(self, row):
+        kept = {}
+        for c in sorted(row):
+            e = row[c]
+            if not 0 <= c < self.cols:
+                raise ValueError(f"column {c} outside 0..{self.cols - 1}")
+            if e.group != self.group:
+                raise ValueError("entry over the wrong group")
+            if not e.is_zero():
+                kept[c] = e
+        return kept
 
     @classmethod
     def zero(cls, group, rows, cols):
-        z = group.zero()
-        return cls(group, [[z] * cols for _ in range(rows)], rows, cols)
+        return cls(group, [{}] * rows, rows, cols)
 
     @classmethod
     def scalar(cls, group, n, element):
-        m = cls.zero(group, n, n)
-        for i in range(n):
-            m.entries[i][i] = element
-        return m
+        return cls(group, [{i: element} for i in range(n)], n, n)
 
     def mul(self, other):
         if self.group != other.group or self.cols != other.rows:
             raise ValueError("shape or group mismatch in ring product")
-        # The nonzero entries of each row of ``other``, indexed once.
-        nonzero = [
-            [(j, b) for j, b in enumerate(row) if not b.is_zero()]
-            for row in other.entries
-        ]
-        out = GroupRingMatrix.zero(self.group, self.rows, other.cols)
-        for a_row, out_row in zip(self.entries, out.entries):
-            for a, right in zip(a_row, nonzero):
-                if right and not a.is_zero():
-                    for j, b in right:
-                        out_row[j] = out_row[j] + a * b
-        return out
+        rows = []
+        for a_row in self.entries:
+            out = {}
+            for k, a in a_row.items():
+                for j, b in other.entries[k].items():
+                    out[j] = out[j] + a * b if j in out else a * b
+            rows.append(out)
+        return GroupRingMatrix(self.group, rows, self.rows, other.cols)
 
     def antipode_transpose(self):
         """Transpose with the antipode applied entrywise (the dual map)."""
-        return GroupRingMatrix(
-            self.group,
-            [
-                [self.entries[i][j].antipode() for i in range(self.rows)]
-                for j in range(self.cols)
-            ],
-            self.cols,
-            self.rows,
-        )
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, e in row.items():
+                cols[j][i] = e.antipode()
+        return GroupRingMatrix(self.group, cols, self.cols, self.rows)
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.entries)
 
     def sparse_rows(self):
         """Fresh {col: value} rows of the left-regular expansion.
 
         Entry (i, j) becomes a |G| x |G| block; its row h holds the
         coefficient of g at column g^-1 h, keys in ascending g.  Zero
-        entries and coefficients write nothing.
+        coefficients write nothing.
         """
         n = self.group.order
         mul = self.group.mul_table()
@@ -302,10 +301,8 @@ class GroupRingMatrix:
         rows = [{} for _ in range(self.rows * n)]
         for i, entry_row in enumerate(self.entries):
             block = rows[i * n : (i + 1) * n]
-            for j, e in enumerate(entry_row):
+            for j, e in entry_row.items():
                 terms = [(mul[inv[g]], v) for g, v in enumerate(e.coeffs) if v]
-                if not terms:
-                    continue
                 base = j * n
                 for h, row in enumerate(block):
                     for shift, v in terms:
@@ -337,8 +334,20 @@ class GroupRingMatrix:
         return f"GroupRingMatrix({self.group!r}, rows={self.rows}, cols={self.cols})"
 
 
+def encode_columns(ring_matrix):
+    """Identity-basis columns of the expansion of a group-ring matrix:
+    column c of the result stacks the coefficients of column c."""
+    n = ring_matrix.group.order
+    out = IntMatrix.zeros(ring_matrix.rows * n, ring_matrix.cols)
+    for b, row in enumerate(ring_matrix.entries):
+        for c, e in row.items():
+            for h, v in enumerate(e.coeffs):
+                out.data[b * n + h][c] = v
+    return out
+
+
 def decode_columns(group, mat, row_blocks):
-    """Inverse of identity-column encoding.
+    """Inverse of :func:`encode_columns`.
 
     ``mat`` has ``row_blocks * |G|`` rows; column ``c`` is read as the
     image of a free-module generator, giving the group-ring matrix
@@ -347,10 +356,34 @@ def decode_columns(group, mat, row_blocks):
     n = group.order
     if mat.rows != row_blocks * n:
         raise ValueError("row count is not a multiple of the group order")
-    out = GroupRingMatrix.zero(group, row_blocks, mat.cols)
-    for c in range(mat.cols):
-        for b in range(row_blocks):
-            coeffs = [mat.data[b * n + h][c] for h in range(n)]
-            if any(coeffs):
-                out.entries[b][c] = GroupRingElement(group, coeffs)
-    return out
+    rows = []
+    for b in range(row_blocks):
+        block = mat.data[b * n : (b + 1) * n]
+        rows.append(
+            {
+                c: GroupRingElement(group, col)
+                for c, col in enumerate(zip(*block))
+                if any(col)
+            }
+        )
+    return GroupRingMatrix(group, rows, row_blocks, mat.cols)
+
+
+def act_rows(group, i, mat):
+    """The generator g_i (counted from 1) acting on ZG^k, applied to an
+    integer matrix with k|G| rows: row b|G| + h moves to b|G| + g_i h.
+
+    The result equals ``GroupRingMatrix.scalar(group, k, g_i).expand()
+    .mul(mat)``, without the expansion or the product.
+    """
+    if not 1 <= i <= group.r:
+        raise ValueError(f"generator index {i} out of range 1..{group.r}")
+    n = group.order
+    if mat.rows % n:
+        raise ValueError("row count is not a multiple of the group order")
+    shift = group.mul_table()[group.p ** (group.r - i)]
+    data = [None] * mat.rows
+    for b in range(0, mat.rows, n):
+        for h in range(n):
+            data[b + shift[h]] = mat.data[b + h]
+    return IntMatrix(data, mat.rows, mat.cols)

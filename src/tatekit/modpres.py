@@ -11,7 +11,7 @@ from . import exactlin
 from ._backend import smith_diagonal
 from .errors import InvalidPresentation, NoSolution, WindowViolation
 from .exactlin import AbelianInvariants, IntMatrix
-from .groupring import GroupRingElement, GroupRingMatrix
+from .groupring import GroupRingElement, GroupRingMatrix, act_rows
 
 
 class ModulePresentation:
@@ -124,12 +124,8 @@ def free_module_presentation(group, k):
     if k < 0:
         raise ValueError("rank must be nonnegative")
     gens = k * group.order
-    actions = []
-    for i in range(1, group.r + 1):
-        mat = GroupRingMatrix.scalar(group, k, group.generator(i)).expand()
-        actions.append(mat)
-    if k == 0:
-        actions = [IntMatrix.zeros(0, 0) for _ in range(group.r)]
+    ident = IntMatrix.identity(gens)
+    actions = [act_rows(group, i, ident) for i in range(1, group.r + 1)]
     return ModulePresentation(group, gens, IntMatrix.zeros(gens, 0), actions)
 
 
@@ -319,10 +315,8 @@ def _homology_data(complex_, n):
     boundaries = complex_.expanded(n + 1)
     solve = exactlin.solve_preimage
     relations = exactlin.lattice_basis(solve(cycles, boundaries))
-    actions = []
-    for i in range(1, group.r + 1):
-        perm = GroupRingMatrix.scalar(group, k, group.generator(i)).expand()
-        actions.append(solve(cycles, perm.mul(cycles)))
+    gens = range(1, group.r + 1)
+    actions = [solve(cycles, act_rows(group, i, cycles)) for i in gens]
     module = ModulePresentation(group, cycles.cols, relations, actions)
     return cycles, module
 
@@ -398,35 +392,29 @@ def tensor_complex(c, d):
             continue
         src, dst = layout(n), layout(n - 1)
         dst_off = {(i, j): off for i, j, off in dst}
-        entries = [
-            [group.zero() for _ in range(ranks[n])] for _ in range(ranks[n - 1])
-        ]
+        rows = [{} for _ in range(ranks[n - 1])]
         for i, j, off in src:
             kc, kd = c.rank(i), d.rank(j)
             dc = c.differential(i)
             if dc is not None and (i - 1, j) in dst_off:
                 base = dst_off[(i - 1, j)]
-                for u2 in range(dc.rows):
-                    for u in range(kc):
-                        e = dc.entries[u2][u]
-                        if not e.is_zero():
-                            te = _tensor_elements(e, ident_d, group)
-                            for v in range(kd):
-                                entries[base + u2 * kd + v][off + u * kd + v] = te
+                for u2, row in enumerate(dc.entries):
+                    for u, e in row.items():
+                        te = _tensor_elements(e, ident_d, group)
+                        for v in range(kd):
+                            rows[base + u2 * kd + v][off + u * kd + v] = te
             dd = d.differential(j)
             if dd is not None and (i, j - 1) in dst_off:
                 base = dst_off[(i, j - 1)]
                 sign = -1 if i % 2 else 1
                 kd2 = dd.rows
-                for v2 in range(kd2):
-                    for v in range(kd):
-                        e = dd.entries[v2][v]
-                        if not e.is_zero():
-                            te = _tensor_elements(ident_c, e, group)
-                            if sign < 0:
-                                te = -te
-                            for u in range(kc):
-                                entries[base + u * kd2 + v2][off + u * kd + v] = te
-        diffs[n] = GroupRingMatrix(group, entries, ranks[n - 1], ranks[n])
+                for v2, row in enumerate(dd.entries):
+                    for v, e in row.items():
+                        te = _tensor_elements(ident_c, e, group)
+                        if sign < 0:
+                            te = -te
+                        for u in range(kc):
+                            rows[base + u * kd2 + v2][off + u * kd + v] = te
+        diffs[n] = GroupRingMatrix(group, rows, ranks[n - 1], ranks[n])
 
     return FreeChainComplex(group, ranks, diffs)

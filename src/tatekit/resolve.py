@@ -34,7 +34,9 @@ from .exactlin import (
 )
 from .groupring import (
     GroupRingMatrix,
+    act_rows,
     decode_columns,
+    encode_columns,
     full_norm,
     norm_element,
 )
@@ -64,43 +66,28 @@ def _closed_form(group, n):
     The basis of F_n is ordered as the tensor product of the r strands
     orders it, so d_n agrees with that product entry for entry.
     """
-    zero = group.zero()
     gens = range(1, group.r + 1)
     minus = [group.generator(i) - group.identity() for i in gens]
     norm = [norm_element(group, i) for i in gens]
     row_of = {a: k for k, a in enumerate(_multi_indices(group.r, n - 1))}
     cols = _multi_indices(group.r, n)
-    entries = [[zero] * len(cols) for _ in row_of]
+    rows = [{} for _ in row_of]
     for col, a in enumerate(cols):
         sign = 1
         for i, ai in enumerate(a):
             if ai:
                 c = minus[i] if ai % 2 else norm[i]
                 row = row_of[a[:i] + (ai - 1,) + a[i + 1 :]]
-                entries[row][col] = c if sign > 0 else -c
+                rows[row][col] = c if sign > 0 else -c
                 if ai % 2:
                     sign = -sign
-    return GroupRingMatrix(group, entries, len(row_of), len(cols))
+    return GroupRingMatrix(group, rows, len(row_of), len(cols))
 
 
 def _rank(group, n):
     """Rank of F_n; degree -n is the dual of degree n - 1."""
     m = n if n >= 0 else -n - 1
     return comb(m + group.r - 1, group.r - 1)
-
-
-def positive_resolution(group, length):
-    """Free resolution of Z over Z[(Z/p)^r] in degrees 0..length.
-
-    Fresh matrices from the closed form, not the cached ones of
-    :func:`complete_resolution`.  Exact in degrees 1..length-1 with
-    H_0 = Z via the all-ones augmentation.
-    """
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    ranks = {n: _rank(group, n) for n in range(length + 1)}
-    diffs = {n: _closed_form(group, n) for n in range(1, length + 1)}
-    return FreeChainComplex(group, ranks, diffs, check=False)
 
 
 @cache
@@ -110,7 +97,7 @@ def _differential(group, n):
     if n > 0:
         return _closed_form(group, n)
     if n == 0:
-        return GroupRingMatrix(group, [[full_norm(group)]])
+        return GroupRingMatrix(group, [{0: full_norm(group)}], 1, 1)
     return _differential(group, -n).antipode_transpose()
 
 
@@ -277,10 +264,8 @@ def resolution_step(module):
         full = kernel_basis(stacked)
         raw = full.submatrix(range(s * n), range(full.cols))
     basis = lattice_basis(raw)
-    actions = []
-    for i in range(1, group.r + 1):
-        perm = GroupRingMatrix.scalar(group, s, group.generator(i)).expand()
-        actions.append(solve_in_lattice(basis, perm.mul(basis)))
+    gens = range(1, group.r + 1)
+    actions = [solve_in_lattice(basis, act_rows(group, i, basis)) for i in gens]
     kernel = ModulePresentation(
         group, basis.cols, IntMatrix.zeros(basis.cols, 0), actions
     )
@@ -327,7 +312,7 @@ def lift_chain_map(resolution, complex_, m, n, cycle_basis):
                 )
             )
             continue
-        rhs = maps[-1].expand().mul(_encode_columns(df))
+        rhs = encode_columns(maps[-1].mul(df))
         try:
             sol = solve_preimage(complex_.expanded(i), rhs)
         except NoSolution as exc:
@@ -336,17 +321,3 @@ def lift_chain_map(resolution, complex_, m, n, cycle_basis):
             ) from exc
         maps.append(decode_columns(group, sol, complex_.rank(i)))
     return maps
-
-
-def _encode_columns(ring_matrix):
-    """Identity-basis columns of a group-ring matrix, as an IntMatrix."""
-    n = ring_matrix.group.order
-    out = IntMatrix.zeros(ring_matrix.rows * n, ring_matrix.cols)
-    for c in range(ring_matrix.cols):
-        for b in range(ring_matrix.rows):
-            e = ring_matrix.entries[b][c]
-            if not e.is_zero():
-                for h, v in enumerate(e.coeffs):
-                    if v:
-                        out.data[b * n + h][c] = v
-    return out

@@ -142,23 +142,19 @@ def _mapping_cone(complex_, resolution, maps, m, n):
         rf_s = resolution.rank(i - 1)
         if (rc_t + rf_t) == 0 or (rc_s + rf_s) == 0:
             continue
-        cone = GroupRingMatrix.zero(group, rc_t + rf_t, rc_s + rf_s)
+        rows = [{} for _ in range(rc_t + rf_t)]
         dc = complex_.differential(i)
         if dc is not None:
-            for a in range(rc_t):
-                for b in range(rc_s):
-                    cone.entries[a][b] = dc.entries[a][b]
+            for row, d_row in zip(rows, dc.entries):
+                row.update(d_row)
         if rf_s and m <= i - 1 <= n - 1:
-            f = maps[i - 1 - m]
-            for a in range(rc_t):
-                for b in range(rf_s):
-                    cone.entries[a][rc_s + b] = f.entries[a][b]
+            for row, f_row in zip(rows, maps[i - 1 - m].entries):
+                row.update((rc_s + b, e) for b, e in f_row.items())
         df = resolution.differential(i - 1)
         if df is not None:
-            for a in range(rf_t):
-                for b in range(rf_s):
-                    cone.entries[rc_t + a][rc_s + b] = -df.entries[a][b]
-        diffs[i] = cone
+            for row, d_row in zip(rows[rc_t:], df.entries):
+                row.update((rc_s + b, -e) for b, e in d_row.items())
+        diffs[i] = GroupRingMatrix(group, rows, rc_t + rf_t, rc_s + rf_s)
     return FreeChainComplex(group, ranks, diffs)
 
 

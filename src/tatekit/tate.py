@@ -156,13 +156,12 @@ def _total_maps(window, lattices, lo, hi):
             df = window.differential(n + j + 1)
             if df is None:
                 continue
-            for f2 in range(window.rank(n + j + 1)):
-                tbase = dst[j] + f2 * dim
-                for b in range(kf):
-                    elem = df.entries[b][f2]
-                    if elem.is_zero():
-                        continue
-                    sbase = src[j] + b * dim
+            # Rows of df in ascending b, so each row of delta^n gets its
+            # keys in ascending order within the summand.
+            for b, drow in enumerate(df.entries):
+                sbase = src[j] + b * dim
+                for f2, elem in drow.items():
+                    tbase = dst[j] + f2 * dim
                     for i, arow in enumerate(act(elem)):
                         row = rows[tbase + i]
                         for t, v in arow.items():

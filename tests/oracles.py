@@ -105,9 +105,10 @@ def oracle_expand(ring_matrix):
     n = group.order
     rows = ring_matrix.rows * n
     out = [[0] * (ring_matrix.cols * n) for _ in range(rows)]
+    zero = group.zero()
     for b in range(ring_matrix.rows):
         for c in range(ring_matrix.cols):
-            coeffs = ring_matrix.entries[b][c].coeffs
+            coeffs = ring_matrix.entries[b].get(c, zero).coeffs
             for h in range(n):
                 h_exp = group.exponents(h)
                 for k in range(n):

@@ -10,6 +10,7 @@ from tatekit import cli
 from tatekit.errors import InvalidPresentation
 from tatekit.exactlin import AbelianInvariants
 from tatekit.formats import (
+    complex_data,
     parse_complex,
     parse_module,
     render_browder,
@@ -41,6 +42,20 @@ def test_complex_round_trip_preserves_the_data():
     assert [d.rank(i) for i in range(3)] == [1, 2, 1]
     for i in (1, 2):
         assert d.differential(i).entries == c.differential(i).entries
+
+
+def test_complex_with_zero_entries_round_trips():
+    # zero entries are not stored, yet the file and the JSON spell out
+    # every entry, zeros included
+    c = product_complex(2, [2, 1])
+    text = render_complex(c)
+    assert " ".join(["0"] * c.group.order) in text.splitlines()
+    d = parse_complex(text)
+    assert render_complex(d) == text
+    assert complex_data(d) == complex_data(c)
+    for i, rows in complex_data(c)["differentials"].items():
+        diff = c.differential(int(i))
+        assert [len(row) for row in rows] == [diff.cols] * diff.rows
 
 
 def test_parse_complex_rejects_malformed_text():

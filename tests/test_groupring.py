@@ -9,11 +9,12 @@ from tatekit.groupring import (
     ElementaryAbelianGroup,
     GroupRingElement,
     GroupRingMatrix,
+    act_rows,
     antipode,
     decode_columns,
+    encode_columns,
     full_norm,
     norm_element,
-    ring_multiply,
 )
 
 from tatekit.modpres import FreeChainComplex
@@ -31,7 +32,7 @@ def rand_element(rng, group, lo=-3, hi=3):
 def rand_ring_matrix(rng, group, rows, cols):
     return GroupRingMatrix(
         group,
-        [[rand_element(rng, group) for _ in range(cols)] for _ in range(rows)],
+        [{c: rand_element(rng, group) for c in range(cols)} for _ in range(rows)],
         rows,
         cols,
     )
@@ -57,14 +58,14 @@ def test_bad_group_parameters_rejected():
             raise AssertionError(f"accepted p={p}, r={r}")
 
 
-def test_ring_multiply_against_convolution():
+def test_ring_product_against_convolution():
     rng = random.Random(3)
     for p, r in [(2, 1), (3, 1), (2, 2), (5, 1)]:
         g = ElementaryAbelianGroup(p, r)
         for _ in range(20):
             a = rand_element(rng, g)
             b = rand_element(rng, g)
-            prod = ring_multiply(a, b)
+            prod = a * b
             # naive double loop straight from the definition
             want = [0] * g.order
             for i in range(g.order):
@@ -79,7 +80,7 @@ def test_ring_multiply_against_convolution():
                         want[k] += a.coeffs[i] * b.coeffs[j]
             assert list(prod.coeffs) == want
             # commutative ring
-            assert ring_multiply(b, a) == prod
+            assert b * a == prod
 
 
 def test_antipode_is_an_involution_and_antihomomorphism():
@@ -89,9 +90,7 @@ def test_antipode_is_an_involution_and_antihomomorphism():
         a = rand_element(rng, g)
         b = rand_element(rng, g)
         assert antipode(antipode(a)) == a
-        assert antipode(ring_multiply(a, b)) == ring_multiply(
-            antipode(a), antipode(b)
-        )
+        assert antipode(a * b) == antipode(a) * antipode(b)
 
 
 def test_norm_elements():
@@ -103,9 +102,9 @@ def test_norm_elements():
     # (g_i - 1) * N_i == 0 in the ring
     gen = g.generator(1)
     diff = gen + (-g.identity())
-    assert ring_multiply(diff, n1).is_zero()
+    assert (diff * n1).is_zero()
     # full norm is the product of the generator norms
-    assert ring_multiply(norm_element(g, 1), norm_element(g, 2)) == fn
+    assert norm_element(g, 1) * norm_element(g, 2) == fn
 
 
 def test_expand_matches_oracle_and_is_multiplicative():
@@ -121,7 +120,7 @@ def test_expand_matches_oracle_and_is_multiplicative():
 
 def test_expand_full_norm_is_all_ones():
     g = ElementaryAbelianGroup(2, 2)
-    m = GroupRingMatrix(g, [[full_norm(g)]])
+    m = GroupRingMatrix(g, [{0: full_norm(g)}], 1, 1)
     assert m.expand().data == [[1] * 4 for _ in range(4)]
 
 
@@ -178,16 +177,13 @@ def sparse_ring_matrix(draw, group, rows, cols):
     """A group-ring matrix with about three zero entries in four, and
     mostly zero coefficients in the rest."""
     coeff = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
+    coeffs = st.lists(coeff, min_size=group.order, max_size=group.order)
     entries = [
-        [
-            group.zero()
-            if draw(st.integers(0, 3))
-            else GroupRingElement(
-                group,
-                draw(st.lists(coeff, min_size=group.order, max_size=group.order)),
-            )
-            for _ in range(cols)
-        ]
+        {
+            c: GroupRingElement(group, draw(coeffs))
+            for c in range(cols)
+            if not draw(st.integers(0, 3))
+        }
         for _ in range(rows)
     ]
     return GroupRingMatrix(group, entries, rows, cols)
@@ -236,3 +232,96 @@ def test_sparse_ring_product_matches_the_expanded_product(pr, data):
     else:
         with pytest.raises(ValueError, match="d_1 o d_2"):
             FreeChainComplex(g, ranks, {1: a, 2: b})
+
+
+def _stored(m):
+    return [e for row in m.entries for e in row.values()]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), st.data())
+def test_no_operation_stores_a_zero_entry(pr, data):
+    g = ElementaryAbelianGroup(*pr)
+    k0, k1, k2 = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = data.draw(sparse_ring_matrix(g, k0, k1))
+    b = data.draw(sparse_ring_matrix(g, k1, k2))
+    # (g_1 - 1) N_1 = 0, so this product cancels entry by entry
+    minus = g.generator(1) - g.identity()
+    cancel = GroupRingMatrix.scalar(g, k0, minus).mul(
+        GroupRingMatrix.scalar(g, k0, norm_element(g, 1))
+    )
+    made = [
+        a,
+        a.mul(b),
+        a.antipode_transpose(),
+        decode_columns(g, encode_columns(b), k1),
+        GroupRingMatrix(g, [{0: g.zero(), 1: minus}], 1, 2),
+        cancel,
+    ]
+    for m in made:
+        assert not any(e.is_zero() for e in _stored(m))
+    assert cancel.is_zero() and cancel.entries == [{}] * k0
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 3), (3, 2)])
+def test_resolution_differentials_store_no_zero_entry(p, r):
+    g = ElementaryAbelianGroup(p, r)
+    for n in range(-5, 6):
+        d = _differential(g, n)
+        assert not any(e.is_zero() for e in _stored(d)), n
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), st.data())
+def test_ring_product_is_the_decoded_expanded_product(pr, data):
+    g = ElementaryAbelianGroup(*pr)
+    k0, k1, k2 = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = data.draw(sparse_ring_matrix(g, k0, k1))
+    b = data.draw(sparse_ring_matrix(g, k1, k2))
+    full = a.expand().mul(b.expand())
+    identity_columns = full.submatrix(
+        range(full.rows), range(0, full.cols, g.order)
+    )
+    assert a.mul(b) == decode_columns(g, identity_columns, k0)
+
+
+def test_constructor_rejects_bad_keys_and_foreign_entries():
+    g = ElementaryAbelianGroup(2, 2)
+    other = ElementaryAbelianGroup(3, 1)
+    with pytest.raises(ValueError, match="column 2 outside 0..1"):
+        GroupRingMatrix(g, [{2: g.identity()}], 1, 2)
+    with pytest.raises(ValueError, match="column -1"):
+        GroupRingMatrix(g, [{-1: g.identity()}], 1, 2)
+    with pytest.raises(ValueError, match="wrong group"):
+        GroupRingMatrix(g, [{0: other.identity()}], 1, 1)
+    with pytest.raises(ValueError, match="expected 2"):
+        GroupRingMatrix(g, [{}], 2, 1)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]), st.data())
+def test_act_rows_is_the_expanded_scalar_product(pr, data):
+    g = ElementaryAbelianGroup(*pr)
+    k, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
+    entry = st.integers(-3, 3)
+    rows = [
+        data.draw(st.lists(entry, min_size=cols, max_size=cols))
+        for _ in range(k * g.order)
+    ]
+    mat = IntMatrix(rows, k * g.order, cols)
+    for i in range(1, g.r + 1):
+        want = GroupRingMatrix.scalar(g, k, g.generator(i)).expand().mul(mat)
+        assert act_rows(g, i, mat) == want, i
+    with pytest.raises(ValueError):
+        act_rows(g, g.r + 1, mat)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), st.data())
+def test_encode_columns_of_a_product_and_round_trip(pr, data):
+    g = ElementaryAbelianGroup(*pr)
+    k0, k1, k2 = (data.draw(st.integers(1, 5)) for _ in range(3))
+    f = data.draw(sparse_ring_matrix(g, k0, k1))
+    d = data.draw(sparse_ring_matrix(g, k1, k2))
+    assert encode_columns(f.mul(d)) == f.expand().mul(encode_columns(d))
+    assert decode_columns(g, encode_columns(d), k1) == d

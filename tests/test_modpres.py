@@ -29,7 +29,7 @@ def two_periodic_circle(p):
     """Free Z/p-complex of a circle: ZG --(g-1)--> ZG."""
     g = ElementaryAbelianGroup(p, 1)
     gen = g.generator(1)
-    d1 = GroupRingMatrix(g, [[gen + (-g.identity())]])
+    d1 = GroupRingMatrix(g, [{0: gen + (-g.identity())}], 1, 1)
     return FreeChainComplex(g, {0: 1, 1: 1}, {1: d1})
 
 
@@ -95,7 +95,7 @@ def test_homology_matches_oracle_on_small_complexes():
         assert list(inv.torsion) == torsion and inv.free_rank == free
     # a complex with torsion: ZG --2--> ZG over Z/2
     g = ElementaryAbelianGroup(2, 1)
-    two = GroupRingMatrix(g, [[g.identity() + g.identity()]])
+    two = GroupRingMatrix(g, [{0: g.identity() + g.identity()}], 1, 1)
     t = FreeChainComplex(g, {0: 1, 1: 1}, {1: two})
     torsion, free = oracle_homology(t, 0)
     inv = homology(t, 0)
@@ -113,7 +113,7 @@ def test_homology_range_agrees_with_pointwise():
 def test_differential_shape_and_composite_are_checked():
     g = ElementaryAbelianGroup(2, 1)
     gen = g.generator(1)
-    d = GroupRingMatrix(g, [[gen + (-g.identity())]])
+    d = GroupRingMatrix(g, [{0: gen + (-g.identity())}], 1, 1)
     try:
         FreeChainComplex(g, {0: 2, 1: 1}, {1: d})
     except ValueError:
@@ -121,7 +121,7 @@ def test_differential_shape_and_composite_are_checked():
     else:
         raise AssertionError("expected shape error")
     # d o d != 0: use d1 = d2 = (g - 1 + 1) = g, whose square is g^2 = 1
-    bad = GroupRingMatrix(g, [[gen]])
+    bad = GroupRingMatrix(g, [{0: gen}], 1, 1)
     try:
         FreeChainComplex(g, {0: 1, 1: 1, 2: 1}, {1: bad, 2: bad})
     except ValueError:
@@ -132,7 +132,7 @@ def test_differential_shape_and_composite_are_checked():
 
 def test_homology_module_carries_the_action():
     g = ElementaryAbelianGroup(2, 1)
-    two = GroupRingMatrix(g, [[g.identity() + g.identity()]])
+    two = GroupRingMatrix(g, [{0: g.identity() + g.identity()}], 1, 1)
     t = FreeChainComplex(g, {0: 1, 1: 1}, {1: two})
     m = homology_module(t, 0)
     assert validate(m) == []

@@ -30,7 +30,6 @@ from tatekit.resolve import (
     check_exact,
     complete_resolution,
     lift_chain_map,
-    positive_resolution,
     resolution_step,
     syzygy,
 )
@@ -63,7 +62,7 @@ def test_closed_form_matches_tensored_lens_complexes(p, r, k):
     # product_complex builds independently up to degree 2k - 1
     g = ElementaryAbelianGroup(p, r)
     length = 2 * k - 1
-    pos = positive_resolution(g, length)
+    pos = complete_resolution(g, 0, length)
     oracle = product_complex(p, [k] * r)
     for i in range(length + 1):
         assert pos.rank(i) == oracle.rank(i), i
@@ -125,14 +124,14 @@ def test_window_slices_and_caching():
 
 def test_exactness_certificate_rejects_broken_pairs():
     g = ElementaryAbelianGroup(2, 1)
-    minus = GroupRingMatrix(g, [[g.generator(1) - g.identity()]])
-    norm = GroupRingMatrix(g, [[full_norm(g)]])
+    minus = GroupRingMatrix(g, [{0: g.generator(1) - g.identity()}], 1, 1)
+    norm = GroupRingMatrix(g, [{0: full_norm(g)}], 1, 1)
     check_exact(minus, norm)  # the periodic resolution passes
     # (g - 1) 2N = 0, but H_1 = ker(g - 1) / 2N = Z/2
     with pytest.raises(ValueError, match="not exact"):
-        check_exact(minus, GroupRingMatrix(g, [[full_norm(g) * 2]]))
+        check_exact(minus, GroupRingMatrix(g, [{0: full_norm(g) * 2}], 1, 1))
     with pytest.raises(ValueError, match="d o d"):
-        check_exact(minus, GroupRingMatrix(g, [[g.identity()]]))
+        check_exact(minus, GroupRingMatrix(g, [{0: g.identity()}], 1, 1))
 
 
 def test_resolution_step_cover_and_kernel():
@@ -387,15 +386,14 @@ def _patch_degree(monkeypatch, n, change):
 
 
 def _doubled(d):
-    return GroupRingMatrix(
-        d.group, [[e * 2 for e in row] for row in d.entries], d.rows, d.cols
-    )
+    rows = [{c: e * 2 for c, e in row.items()} for row in d.entries]
+    return GroupRingMatrix(d.group, rows, d.rows, d.cols)
 
 
 def _perturbed(d):
-    entries = [list(row) for row in d.entries]
-    entries[0][0] = entries[0][0] + d.group.identity()
-    return GroupRingMatrix(d.group, entries, d.rows, d.cols)
+    rows = [dict(row) for row in d.entries]
+    rows[0][0] = rows[0].get(0, d.group.zero()) + d.group.identity()
+    return GroupRingMatrix(d.group, rows, d.rows, d.cols)
 
 
 @pytest.mark.parametrize("lo, hi, degree", [(0, 5, 2), (-6, -1, -4)])

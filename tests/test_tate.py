@@ -159,7 +159,7 @@ def test_consecutive_cone_maps_compose_to_zero():
     # see the sign rule of delta^n; this checks it for modules and for
     # free complexes
     g = ElementaryAbelianGroup(2, 1)
-    two = GroupRingMatrix(g, [[g.identity() + g.identity()]])
+    two = GroupRingMatrix(g, [{0: g.identity() + g.identity()}], 1, 1)
     modules = [
         homology_module(FreeChainComplex(g, {0: 1, 1: 1}, {1: two}), 0),
         cyclic_module(ElementaryAbelianGroup(2, 2), 6),
@@ -271,7 +271,7 @@ def test_hypercohomology_of_free_complex_vanishes():
 def test_hypercohomology_of_concentrated_module_matches_shift():
     # [ZG --2--> ZG] has H_0 = ZG/2; hypercohomology = Tate of that module
     g = ElementaryAbelianGroup(2, 1)
-    two = GroupRingMatrix(g, [[g.identity() + g.identity()]])
+    two = GroupRingMatrix(g, [{0: g.identity() + g.identity()}], 1, 1)
     c = FreeChainComplex(g, {0: 1, 1: 1}, {1: two})
     from tatekit.modpres import homology_module
 
@@ -296,7 +296,7 @@ def test_suspension_shifts_hypercohomology():
 
 def test_hypercohomology_rejects_windowed_complexes():
     g = ElementaryAbelianGroup(2, 1)
-    two = GroupRingMatrix(g, [[g.identity() + g.identity()]])
+    two = GroupRingMatrix(g, [{0: g.identity() + g.identity()}], 1, 1)
     c = FreeChainComplex(g, {0: 1, 1: 1}, {1: two}, valid_range=(0, 1))
     try:
         tate_hypercohomology_range(g, c, -1, 1)
@@ -328,7 +328,7 @@ def test_exponent_profile_requires_positive_start():
 
 def test_concentrated_check_on_torsion_complex():
     g = ElementaryAbelianGroup(2, 1)
-    two = GroupRingMatrix(g, [[g.identity() + g.identity()]])
+    two = GroupRingMatrix(g, [{0: g.identity() + g.identity()}], 1, 1)
     c = FreeChainComplex(g, {0: 1, 1: 1}, {1: two})
     cmp0 = concentrated_check(g, c, 0)
     assert cmp0.ok

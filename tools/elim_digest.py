@@ -1,0 +1,77 @@
+"""Digest of the elimination work each benchmark workload does.
+
+    python3 tools/elim_digest.py
+
+For each workload of ``tatebench/workloads.py`` (tate, syzygy, hyper,
+surgery) it runs the operation list once at seed 1, in a fresh
+interpreter so the module-level caches start cold, with
+``_backend.smith_diagonal`` and ``_backend.hermite`` wrapped at every
+binding in the ``tatekit`` modules.  It prints one line per workload:
+the number of kernel calls and one SHA-256 over every input, each taken
+before the kernel consumes it as the kernel name, the rows with their
+key order, and ``ncols``.  A refactor that leaves the elimination work
+alone prints the same lines before and after.
+
+``tatekit`` is imported from the ``src`` next to this script and the
+workloads are only read, never changed.
+"""
+
+import hashlib
+import multiprocessing
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("tate", "syzygy", "hyper", "surgery")
+SEED = 1
+
+
+def _wrap_kernels(digest, counter):
+    """Rebind both kernels in every loaded tatekit module to a wrapper
+    that feeds each input into ``digest`` before calling the kernel."""
+    from tatekit import _backend
+
+    originals = {id(fn): fn for fn in (_backend.smith_diagonal, _backend.hermite)}
+    wrappers = {}
+    for fn in originals.values():
+
+        def wrapper(rows, ncols, *rest, fn=fn):
+            counter[0] += 1
+            data = (fn.__name__, [list(row.items()) for row in rows], ncols)
+            digest.update(repr(data).encode())
+            return fn(rows, ncols, *rest)
+
+        wrappers[id(fn)] = wrapper
+    for name, module in list(sys.modules.items()):
+        if name == "tatekit" or name.startswith("tatekit."):
+            for attr, obj in list(vars(module).items()):
+                if id(obj) in originals and originals[id(obj)] is obj:
+                    setattr(module, attr, wrappers[id(obj)])
+
+
+def elim_digest(workload):
+    """Kernel call count and input digest of one pass of ``workload``."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tatebench")]
+    import tatekit  # noqa: F401  (loads every module before wrapping)
+    import workloads
+
+    digest, counter = hashlib.sha256(), [0]
+    _wrap_kernels(digest, counter)
+    for op in workloads.build(workload, SEED):
+        op.run()
+    return counter[0], digest.hexdigest()
+
+
+def main():
+    # Spawned workers inherit the environment; the benchmark fixes the
+    # hash seed the same way.
+    os.environ["PYTHONHASHSEED"] = "0"
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(1, maxtasksperchild=1) as pool:
+        results = pool.map(elim_digest, WORKLOADS, chunksize=1)
+    for workload, (calls, sha) in zip(WORKLOADS, results):
+        print(f"{workload:8} calls {calls:5}  sha256 {sha}")
+
+
+if __name__ == "__main__":
+    main()
