@@ -214,10 +214,9 @@ def _cmd_exponents(args):
     return 0
 
 
-def _add_group_flags(sub, need_r=True):
+def _add_group_flags(sub):
     sub.add_argument("--p", type=int, required=True, help="prime p")
-    if need_r:
-        sub.add_argument("--r", type=int, required=True, help="rank r of (Z/p)^r")
+    sub.add_argument("--r", type=int, required=True, help="rank r of (Z/p)^r")
 
 
 def build_parser():

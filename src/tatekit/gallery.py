@@ -1,51 +1,44 @@
 """Generators for the free complexes everything else is tested on.
 
 Lens complexes are the standard rank-one free Z/p complexes on
-odd-dimensional spheres, products are their tensor products, and
-random_free_complex draws seeded complexes whose differentials are
-repaired to d o d = 0 by sampling columns from the kernel lattice of
-the previous differential.
+odd-dimensional spheres, and products are their tensor products: the
+closed form of the complete resolution in ``resolve``, truncated at
+a_i <= 2k_i - 1.  random_free_complex draws seeded complexes whose
+differentials are repaired to d o d = 0 by sampling columns from the
+kernel lattice of the previous differential.
 """
 
 import random
 
 from .exactlin import IntMatrix, kernel_basis
-from .groupring import (
-    ElementaryAbelianGroup,
-    GroupRingMatrix,
-    decode_columns,
-    norm_element,
-)
-from .modpres import FreeChainComplex, tensor_complex
+from .groupring import ElementaryAbelianGroup, decode_columns
+from .modpres import FreeChainComplex
+from .resolve import _closed_form, _multi_indices
 
 
 def lens_complex(p, k):
     """Free Z/p complex on the sphere S^(2k-1): rank 1 in degrees
     0..2k-1, alternating g-1 and norm differentials."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    group = ElementaryAbelianGroup(p, 1)
-    g = group.generator(1)
-    minus = g - group.identity()
-    norm = norm_element(group, 1)
-    top = 2 * k - 1
-    ranks = {i: 1 for i in range(top + 1)}
-    diffs = {
-        i: GroupRingMatrix(group, [{0: minus if i % 2 else norm}], 1, 1)
-        for i in range(1, top + 1)
-    }
-    return FreeChainComplex(group, ranks, diffs)
+    return product_complex(p, [k])
 
 
 def product_complex(p, k_list):
-    """Tensor product of lens complexes: a free (Z/p)^r complex on a
-    product of odd spheres S^(2k_1-1) x ... x S^(2k_r-1)."""
+    """Free (Z/p)^r complex on a product of odd spheres
+    S^(2k_1-1) x ... x S^(2k_r-1), the tensor product of lens complexes.
+
+    Degree n has one generator e_a for each a with |a| = n and
+    a_i <= 2k_i - 1, and d is the complete resolution's closed form.
+    """
     if not k_list:
         raise ValueError("need at least one factor")
-    out = lens_complex(p, k_list[0])
-    for k in k_list[1:]:
-        out = tensor_complex(out, lens_complex(p, k))
-    return out
+    if any(k < 1 for k in k_list):
+        raise ValueError("need k >= 1")
+    group = ElementaryAbelianGroup(p, len(k_list))
+    caps = tuple(2 * k - 1 for k in k_list)
+    top = sum(caps)
+    ranks = {n: len(_multi_indices(caps, n)) for n in range(top + 1)}
+    diffs = {n: _closed_form(group, n, caps) for n in range(1, top + 1)}
+    return FreeChainComplex(group, ranks, diffs)
 
 
 def random_free_complex(group, ranks, seed):

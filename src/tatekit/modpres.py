@@ -11,7 +11,7 @@ from . import exactlin
 from ._backend import smith_diagonal
 from .errors import InvalidPresentation, NoSolution, WindowViolation
 from .exactlin import AbelianInvariants, IntMatrix
-from .groupring import GroupRingElement, GroupRingMatrix, act_rows
+from .groupring import act_rows
 
 
 class ModulePresentation:
@@ -189,15 +189,19 @@ def require_valid(module):
 class FreeChainComplex:
     """A finite complex of free ZG-modules.
 
-    ``ranks`` maps degree to a positive rank; ``diffs`` maps degree i to
-    the GroupRingMatrix of d_i : degree i -> degree i-1.  ``d o d = 0``
-    is checked in the group ring on construction.  A complex carved out
-    of an infinite resolution carries ``valid_range`` and only answers
-    homology questions strictly inside it.
+    ``ranks`` maps degree to a nonnegative rank, zero ranks dropped;
+    ``diffs`` maps degree i to the GroupRingMatrix of d_i : degree i ->
+    degree i-1.  ``d o d = 0`` is checked in the group ring on
+    construction.  A complex carved out of an infinite resolution
+    carries ``valid_range`` and only answers homology questions
+    strictly inside it.
     """
 
     def __init__(self, group, ranks, diffs, valid_range=None, check=True):
         self.group = group
+        for i, k in ranks.items():
+            if k < 0:
+                raise ValueError(f"negative rank {k} at degree {i}")
         self.ranks = {i: k for i, k in ranks.items() if k}
         self.diffs = {}
         self.valid_range = valid_range
@@ -334,87 +338,3 @@ def dual_complex(complex_):
         # d_i : C_i -> C_{i-1} dualizes to (dual C)_{1-i} -> (dual C)_{-i}.
         diffs[1 - i] = complex_.diffs[i].antipode_transpose()
     return FreeChainComplex(complex_.group, ranks, diffs)
-
-
-def _tensor_elements(a, b, group):
-    """a (x) b inside the group ring of the product group."""
-    o2 = len(b.coeffs)
-    coeffs = [0] * (len(a.coeffs) * o2)
-    for i, x in enumerate(a.coeffs):
-        if x:
-            base = i * o2
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    coeffs[base + j] = x * y
-    return GroupRingElement(group, coeffs)
-
-
-def tensor_complex(c, d):
-    """Tensor product over Z of two free complexes.
-
-    The factors live over (Z/p)^r1 and (Z/p)^r2; the result lives over
-    (Z/p)^(r1+r2), with the left factor's generators first.  The
-    differential carries the sign (-1)^deg on the left factor.
-    """
-    from .groupring import ElementaryAbelianGroup
-
-    if c.group.p != d.group.p:
-        raise ValueError("tensor factors must share the prime")
-    group = ElementaryAbelianGroup(c.group.p, c.group.r + d.group.r)
-    ident_c = c.group.identity()
-    ident_d = d.group.identity()
-
-    layouts = {}
-
-    def layout(n):
-        got = layouts.get(n)
-        if got is None:
-            got = []
-            offset = 0
-            for i in sorted(c.ranks):
-                j = n - i
-                kd = d.rank(j)
-                if kd:
-                    got.append((i, j, offset))
-                    offset += c.rank(i) * kd
-            layouts[n] = got
-        return got
-
-    ranks = {}
-    for n in range(c.lo + d.lo, c.hi + d.hi + 1):
-        total = sum(c.rank(i) * d.rank(j) for i, j, _ in layout(n))
-        if total:
-            ranks[n] = total
-
-    diffs = {}
-    for n in sorted(ranks):
-        if (n - 1) not in ranks:
-            continue
-        src, dst = layout(n), layout(n - 1)
-        dst_off = {(i, j): off for i, j, off in dst}
-        rows = [{} for _ in range(ranks[n - 1])]
-        for i, j, off in src:
-            kc, kd = c.rank(i), d.rank(j)
-            dc = c.differential(i)
-            if dc is not None and (i - 1, j) in dst_off:
-                base = dst_off[(i - 1, j)]
-                for u2, row in enumerate(dc.entries):
-                    for u, e in row.items():
-                        te = _tensor_elements(e, ident_d, group)
-                        for v in range(kd):
-                            rows[base + u2 * kd + v][off + u * kd + v] = te
-            dd = d.differential(j)
-            if dd is not None and (i, j - 1) in dst_off:
-                base = dst_off[(i, j - 1)]
-                sign = -1 if i % 2 else 1
-                kd2 = dd.rows
-                for v2, row in enumerate(dd.entries):
-                    for v, e in row.items():
-                        te = _tensor_elements(ident_c, e, group)
-                        if sign < 0:
-                            te = -te
-                        for u in range(kc):
-                            rows[base + u * kd2 + v2][off + u * kd + v] = te
-        diffs[n] = GroupRingMatrix(group, rows, ranks[n - 1], ranks[n])
-
-    return FreeChainComplex(group, ranks, diffs)

@@ -5,7 +5,9 @@ closed form: F_n has one free generator e_a for each a in N^r with
 |a| = n, and d e_a = sum_i (-1)^(a_1+...+a_(i-1)) c_i e_(a - eps_i),
 where c_i is g_i - 1 when a_i is odd and the norm N_i when a_i is even
 (the tensor product of the 2-periodic resolutions of the cyclic
-factors).  The negative half is its Z-linear dual, spliced at degree 0
+factors).  Cut off at a_i <= 2k_i - 1, the same formula is the free
+complex of S^(2k_1-1) x ... x S^(2k_r-1) that ``gallery`` builds.
+The negative half is its Z-linear dual, spliced at degree 0
 through the full norm.
 
 The degree is the unit of work: each d_n is built once per group, and
@@ -48,29 +50,33 @@ from .modpres import (
 )
 
 
-def _multi_indices(r, n):
-    """The a in N^r with |a| = n in basis order: the last coordinate
-    varies slowest and descends, and the rest are ordered recursively."""
-    if r == 1:
-        return [(n,)]
+def _multi_indices(caps, n):
+    """The a in N^r with |a| = n and a_i <= caps[i], r = len(caps), in
+    basis order: the last coordinate varies slowest and descends, and
+    the rest are ordered recursively."""
+    if len(caps) == 1:
+        return [(n,)] if n <= caps[0] else []
     return [
         head + (last,)
-        for last in range(n, -1, -1)
-        for head in _multi_indices(r - 1, n - last)
+        for last in range(min(n, caps[-1]), -1, -1)
+        for head in _multi_indices(caps[:-1], n - last)
     ]
 
 
-def _closed_form(group, n):
-    """A fresh d_n, n >= 1, from the closed form in the module docstring.
+def _closed_form(group, n, caps):
+    """A fresh d_n, n >= 1, from the closed form in the module docstring,
+    on the e_a with a_i <= caps[i].
 
     The basis of F_n is ordered as the tensor product of the r strands
-    orders it, so d_n agrees with that product entry for entry.
+    orders it, so d_n agrees with that product entry for entry; with
+    caps 2k_i - 1 the strands are the lens complexes of the spheres
+    S^(2k_i - 1), and d_n is the differential of their product.
     """
     gens = range(1, group.r + 1)
     minus = [group.generator(i) - group.identity() for i in gens]
     norm = [norm_element(group, i) for i in gens]
-    row_of = {a: k for k, a in enumerate(_multi_indices(group.r, n - 1))}
-    cols = _multi_indices(group.r, n)
+    row_of = {a: k for k, a in enumerate(_multi_indices(caps, n - 1))}
+    cols = _multi_indices(caps, n)
     rows = [{} for _ in row_of]
     for col, a in enumerate(cols):
         sign = 1
@@ -95,7 +101,7 @@ def _differential(group, n):
     """d_n of the complete resolution: the closed form for n >= 1, the
     full norm at n = 0, and the antipode-transpose of d_(-n) below."""
     if n > 0:
-        return _closed_form(group, n)
+        return _closed_form(group, n, (n,) * group.r)
     if n == 0:
         return GroupRingMatrix(group, [{0: full_norm(group)}], 1, 1)
     return _differential(group, -n).antipode_transpose()

@@ -283,8 +283,17 @@ def glue_rows(complex_, schedule):
     the target, working downward from the highest source so each glue
     sees the gap it needs.
 
+    The whole schedule is checked before the first glue: a step whose
+    source lies above its target raises ValueError naming the step.
     Returns the final complex and the certificates in execution order.
     """
+    for idx, (sources, target) in enumerate(schedule):
+        for src in sources:
+            if src > target:
+                raise ValueError(
+                    f"schedule step {idx} (glue {src} -> {target}): "
+                    "source lies above the target"
+                )
     current = complex_
     certs = []
     for idx, (sources, target) in enumerate(schedule):

@@ -3,11 +3,24 @@
 Everything here is written against dense row-lists with deliberately
 different algorithms from the library code: Smith form by recursive
 corner reduction, rank over the rationals via Fraction Gaussian
-elimination, and homology read off those two primitives.  Slow and
+elimination, and homology read off those two primitives.  The one
+exception is the tensor oracle: ``tensor_complex`` is the generic
+tensor product of free complexes, with a block layout and Koszul
+signs, and ``oracle_product_complex`` folds it over hand-written lens
+complexes.  The library builds products from the closed form of the
+complete resolution instead, so each checks the other.  Slow and
 simple on purpose.
 """
 
 from fractions import Fraction
+
+from tatekit.groupring import (
+    ElementaryAbelianGroup,
+    GroupRingElement,
+    GroupRingMatrix,
+    norm_element,
+)
+from tatekit.modpres import FreeChainComplex
 
 
 def oracle_smith_diagonal(mat):
@@ -141,3 +154,108 @@ def oracle_homology(complex_, i):
         [d for d in oracle_smith_diagonal(d_out) if d > 1] if d_out else []
     )
     return torsion, free
+
+
+def oracle_lens_complex(p, k):
+    """Free Z/p complex on S^(2k-1): rank 1 in degrees 0..2k-1, with
+    d_i = g - 1 for odd i and the norm for even i."""
+    group = ElementaryAbelianGroup(p, 1)
+    minus = group.generator(1) - group.identity()
+    norm = norm_element(group, 1)
+    top = 2 * k - 1
+    ranks = {i: 1 for i in range(top + 1)}
+    diffs = {
+        i: GroupRingMatrix(group, [{0: minus if i % 2 else norm}], 1, 1)
+        for i in range(1, top + 1)
+    }
+    return FreeChainComplex(group, ranks, diffs)
+
+
+def oracle_product_complex(p, k_list):
+    """The lens complexes of k_list tensored together from the left."""
+    out = oracle_lens_complex(p, k_list[0])
+    for k in k_list[1:]:
+        out = tensor_complex(out, oracle_lens_complex(p, k))
+    return out
+
+
+def _tensor_elements(a, b, group):
+    """a (x) b inside the group ring of the product group."""
+    o2 = len(b.coeffs)
+    coeffs = [0] * (len(a.coeffs) * o2)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            base = i * o2
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    coeffs[base + j] = x * y
+    return GroupRingElement(group, coeffs)
+
+
+def tensor_complex(c, d):
+    """Tensor product over Z of two free complexes.
+
+    The factors live over (Z/p)^r1 and (Z/p)^r2; the result lives over
+    (Z/p)^(r1+r2), with the left factor's generators first.  The
+    differential carries the sign (-1)^deg on the left factor.
+    """
+    if c.group.p != d.group.p:
+        raise ValueError("tensor factors must share the prime")
+    group = ElementaryAbelianGroup(c.group.p, c.group.r + d.group.r)
+    ident_c = c.group.identity()
+    ident_d = d.group.identity()
+
+    layouts = {}
+
+    def layout(n):
+        got = layouts.get(n)
+        if got is None:
+            got = []
+            offset = 0
+            for i in sorted(c.ranks):
+                j = n - i
+                kd = d.rank(j)
+                if kd:
+                    got.append((i, j, offset))
+                    offset += c.rank(i) * kd
+            layouts[n] = got
+        return got
+
+    ranks = {}
+    for n in range(c.lo + d.lo, c.hi + d.hi + 1):
+        total = sum(c.rank(i) * d.rank(j) for i, j, _ in layout(n))
+        if total:
+            ranks[n] = total
+
+    diffs = {}
+    for n in sorted(ranks):
+        if (n - 1) not in ranks:
+            continue
+        src, dst = layout(n), layout(n - 1)
+        dst_off = {(i, j): off for i, j, off in dst}
+        rows = [{} for _ in range(ranks[n - 1])]
+        for i, j, off in src:
+            kc, kd = c.rank(i), d.rank(j)
+            dc = c.differential(i)
+            if dc is not None and (i - 1, j) in dst_off:
+                base = dst_off[(i - 1, j)]
+                for u2, row in enumerate(dc.entries):
+                    for u, e in row.items():
+                        te = _tensor_elements(e, ident_d, group)
+                        for v in range(kd):
+                            rows[base + u2 * kd + v][off + u * kd + v] = te
+            dd = d.differential(j)
+            if dd is not None and (i, j - 1) in dst_off:
+                base = dst_off[(i, j - 1)]
+                sign = -1 if i % 2 else 1
+                kd2 = dd.rows
+                for v2, row in enumerate(dd.entries):
+                    for v, e in row.items():
+                        te = _tensor_elements(ident_c, e, group)
+                        if sign < 0:
+                            te = -te
+                        for u in range(kc):
+                            rows[base + u * kd2 + v2][off + u * kd + v] = te
+        diffs[n] = GroupRingMatrix(group, rows, ranks[n - 1], ranks[n])
+
+    return FreeChainComplex(group, ranks, diffs)

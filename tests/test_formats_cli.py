@@ -294,6 +294,15 @@ def test_cli_gluerows_schedule(tmp_path, capsys):
     assert out.count("verdict ok") == 2
 
 
+def test_cli_gluerows_rejects_a_source_above_its_target(tmp_path, capsys):
+    src = _gen(tmp_path, capsys, ["lens", "--p", "2", "--k", "2"], "in.cx")
+    for schedule, step in [("5->3", "schedule step 0"), ("2->3;5->3", "schedule step 1")]:
+        assert cli.main(["gluerows", "--in", str(src), "--schedule", schedule]) == 2
+        captured = capsys.readouterr()
+        assert step in captured.err and "5 -> 3" in captured.err
+        assert captured.out == ""  # the valid step before it never ran
+
+
 def test_cli_syzygy_emits_module_format(tmp_path, capsys):
     assert cli.main(["syzygy", "--p", "2", "--r", "2", "--module", "trivial",
                      "--n", "1"]) == 0

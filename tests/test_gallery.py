@@ -3,7 +3,7 @@ from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup, norm_element
 from tatekit.modpres import homology
 
-from oracles import oracle_homology
+from oracles import oracle_homology, oracle_product_complex
 
 
 def test_lens_complex_shape():
@@ -62,6 +62,22 @@ def test_product_complex_mixed_spheres():
         h = homology(c, i)
         assert h.torsion == ()
         assert h.free_rank == free, i
+
+
+def test_product_complex_matches_the_tensored_lens_oracle():
+    # the closed form truncated at a_i <= 2k_i - 1 against the generic
+    # tensor product of hand-written lens complexes, byte for byte
+    cases = {
+        2: [[1], [4], [2, 1], [1, 3], [2, 2, 1], [1, 1, 2], [1, 1, 1, 1], [2, 1, 1, 1]],
+        3: [[1], [3], [2, 1], [1, 2], [2, 1, 1], [1, 1, 1]],
+        5: [[2], [1, 1], [2, 1], [1, 1, 1]],
+    }
+    for p, k_lists in cases.items():
+        for ks in k_lists:
+            want = render_complex(oracle_product_complex(p, ks))
+            assert render_complex(product_complex(p, ks)) == want, (p, ks)
+            if len(ks) == 1:
+                assert render_complex(lens_complex(p, ks[0])) == want, (p, ks)
 
 
 def test_product_complex_needs_a_factor():

@@ -16,13 +16,12 @@ from tatekit.modpres import (
     homology_module,
     homology_range,
     require_valid,
-    tensor_complex,
     trivial_module,
     validate,
     zero_module,
 )
 
-from oracles import oracle_homology
+from oracles import oracle_homology, tensor_complex
 
 
 def two_periodic_circle(p):
@@ -128,6 +127,17 @@ def test_differential_shape_and_composite_are_checked():
         pass
     else:
         raise AssertionError("expected composite error")
+
+
+def test_free_chain_complex_rejects_a_negative_rank():
+    g = ElementaryAbelianGroup(2, 1)
+    for ranks, where in [({0: -1, 1: 2}, "at degree 0"), ({0: 1, 3: -2}, "at degree 3")]:
+        try:
+            FreeChainComplex(g, ranks, {})
+        except ValueError as exc:
+            assert where in str(exc)
+        else:
+            raise AssertionError("expected ValueError for a negative rank")
 
 
 def test_homology_module_carries_the_action():

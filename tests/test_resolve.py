@@ -15,7 +15,6 @@ from tatekit.exactlin import (
     lattice_basis,
     solve_in_lattice,
 )
-from tatekit.gallery import product_complex
 from tatekit.groupring import ElementaryAbelianGroup, GroupRingMatrix, full_norm
 from tatekit.modpres import (
     FreeChainComplex,
@@ -34,6 +33,8 @@ from tatekit.resolve import (
     syzygy,
 )
 from tatekit.tate import tate_cohomology_range
+
+from oracles import oracle_product_complex
 
 
 def test_periodic_resolution_ranks_and_exactness():
@@ -58,12 +59,12 @@ def test_periodic_resolution_ranks_and_exactness():
     [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 2), (2, 3, 3), (3, 3, 2), (2, 4, 2)],
 )
 def test_closed_form_matches_tensored_lens_complexes(p, r, k):
-    # the closed form is the tensor product of r strands, which
-    # product_complex builds independently up to degree 2k - 1
+    # the closed form is the tensor product of r strands, which the
+    # tensor oracle builds independently up to degree 2k - 1
     g = ElementaryAbelianGroup(p, r)
     length = 2 * k - 1
     pos = complete_resolution(g, 0, length)
-    oracle = product_complex(p, [k] * r)
+    oracle = oracle_product_complex(p, [k] * r)
     for i in range(length + 1):
         assert pos.rank(i) == oracle.rank(i), i
     for i in range(1, length + 1):

@@ -1,5 +1,6 @@
 import math
 
+from tatekit import surgery
 from tatekit.errors import (
     FiltrationInvalid,
     GapViolation,
@@ -98,6 +99,23 @@ def test_glue_rows_reports_schedule_step_on_gap():
         assert "schedule step 0" in str(exc)
     else:
         raise AssertionError("expected GapViolation through glue_rows")
+
+
+def test_glue_rows_checks_the_whole_schedule_first(monkeypatch):
+    calls = []
+    monkeypatch.setattr(surgery, "glue", lambda *args: calls.append(args))
+    cases = [
+        ([([1], 0)], "schedule step 0 (glue 1 -> 0)"),
+        ([([2], 3), ([1, 4], 3)], "schedule step 1 (glue 4 -> 3)"),
+    ]
+    for schedule, step in cases:
+        try:
+            glue_rows(lens_complex(2, 2), schedule)
+        except ValueError as exc:
+            assert step in str(exc)
+        else:
+            raise AssertionError("expected ValueError for a source above its target")
+    assert calls == []
 
 
 def test_dimension_rows_example():
