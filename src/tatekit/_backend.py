@@ -1,8 +1,8 @@
 """The elimination kernels, under the module name the package imports.
 
-``exactlin``, ``modpres``, ``resolve`` and ``tate`` import the kernels
-from here, and ``tatebench`` reads ``BACKEND`` and traces the names
-bound here.
+``exactlin`` calls the kernels through this module, the only one that
+does, and ``tatebench`` reads ``BACKEND`` and traces the names bound
+here.
 """
 
 from ._elim_py import hermite, smith_diagonal

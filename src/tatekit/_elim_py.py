@@ -86,7 +86,8 @@ def smith_diagonal(rows, ncols, unit_rows=None):
     before the first general (non-unit) pivot is appended to it.  Until
     then every row operation adds a multiple of one of these rows, and
     each of their pivot columns is left +-1 at its row and 0 elsewhere;
-    ``tate._table`` relies on both to shrink the next map.
+    ``exactlin.chain_diagonals``, the only caller that asks for them,
+    relies on both to shrink the next map of a chain.
     """
     nrows = len(rows)
     col_rows = {}

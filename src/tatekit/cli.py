@@ -152,8 +152,6 @@ def _cmd_hyper(args):
 def _cmd_syzygy(args):
     group = ElementaryAbelianGroup(args.p, args.r)
     module = _read_module(args.module, group)
-    if args.n < 0:
-        raise ValueError("syzygy index must be nonnegative")
     result = syzygy(module, args.n)
     _emit(args, formats.render_module(result), formats.module_data(result))
     return 0

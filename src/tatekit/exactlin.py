@@ -8,7 +8,12 @@ through the two sparse kernels of :mod:`tatekit._elim_py`:
   :func:`lattice_basis`, and, with each column tagged by its index,
   :func:`kernel_basis` and :func:`solve_preimage`;
 - ``smith_diagonal``: :func:`smith_diagonal`,
-  :func:`cokernel_invariants` and :func:`quotient_invariants`.
+  :func:`cokernel_invariants`, :func:`quotient_invariants` and
+  :func:`chain_diagonals`, the one reduction of a chain of maps that
+  cancels unit pivots from one map to the next.
+
+:func:`homology_invariants` reads a homology group off the diagonals
+of the maps into and out of it; every invariant here is read that way.
 
 :func:`solve_in_lattice` needs no kernel: it back-substitutes into an
 echelon basis.
@@ -329,11 +334,45 @@ def quotient_invariants(k, l):
         coords = solve_in_lattice(basis, l)
     except NoSolution as exc:
         raise SublatticeViolation(str(exc), column=exc.column) from exc
-    diag = _backend.smith_diagonal(coords.sparse_rows(), coords.cols)
-    return AbelianInvariants.from_diagonal(diag, basis.cols - len(diag))
+    return homology_invariants(basis.cols, smith_diagonal(coords), ())
 
 
 def cokernel_invariants(a):
     """Invariants of Z^rows / column-span(a)."""
-    diag = _backend.smith_diagonal(a.sparse_rows(), a.cols)
-    return AbelianInvariants.from_diagonal(diag, a.rows - len(diag))
+    return homology_invariants(a.rows, smith_diagonal(a), ())
+
+
+def homology_invariants(dim, into, outof):
+    """Invariants of ker(out) / im(in) inside Z^dim, from the Smith
+    diagonals of the maps into and out of Z^dim: the torsion is that of
+    ``into`` and the free rank what neither map's rank takes."""
+    return AbelianInvariants.from_diagonal(into, dim - len(into) - len(outof))
+
+
+def chain_diagonals(maps):
+    """Smith diagonal of each sparse map ``(rows, ncols)`` of a chain,
+    in order; each map must compose to zero with the one before it, and
+    its rows are consumed.
+
+    Each map is reduced with the columns at the +-1 pivot rows of the
+    previous map deleted (reduction pairs, Kaczynski-Mrozek-Slusarek,
+    "Homology computation by reduction of chain complexes", 1998).
+    Write A for the previous map and B for this one, so BA = 0.  A row
+    operation "row r += c row y" on A is the column operation "col y -=
+    c col r" on B.  With P the product of the row operations of A's
+    unit phase, all of which add a unit pivot row y (see
+    ``_elim_py.smith_diagonal``), B P^-1 differs from B only in those
+    columns y.  The pivot column of y in PA is +-1 at row y and 0
+    elsewhere, so (B P^-1)(PA) = 0 makes column y of B P^-1 zero, and
+    Smith(B) = Smith(B with the columns y deleted).  The next map still
+    kills B with those columns deleted, so the cancellation chains.  A
+    zero map has no pivots, so it cancels nothing in the map after it.
+    """
+    cancelled = set()
+    for rows, ncols in maps:
+        for row in rows:
+            for k in cancelled.intersection(row):
+                del row[k]
+        units = []
+        yield _backend.smith_diagonal(rows, ncols, units)
+        cancelled = set(units)

@@ -8,9 +8,8 @@ all the constructions here ever need.
 """
 
 from . import exactlin
-from ._backend import smith_diagonal
 from .errors import InvalidPresentation, NoSolution, WindowViolation
-from .exactlin import AbelianInvariants, IntMatrix
+from .exactlin import AbelianInvariants, IntMatrix, chain_diagonals, homology_invariants
 from .groupring import act_rows
 
 
@@ -86,14 +85,25 @@ class ModulePresentation:
         order dividing p on Z^gens itself, not only modulo the relations."""
         if self.relation_basis().cols == 0:
             return True  # validity already asks this of Z^gens itself
+        return all(defect.is_zero() for _, defect in self._action_defects())
+
+    def _action_defects(self):
+        """(problem, matrix) for each condition on the actions: every
+        commutator, then every p-th power minus the identity.  A valid
+        presentation has each matrix in the relation span."""
+        acts = self.actions
+        for i in range(len(acts)):
+            for j in range(i + 1, len(acts)):
+                yield (
+                    f"actions {i + 1} and {j + 1} do not commute",
+                    acts[i].mul(acts[j]).sub(acts[j].mul(acts[i])),
+                )
         ident = IntMatrix.identity(self.gens)
-        for i, a in enumerate(self.actions):
+        for i, a in enumerate(acts):
             power = ident
             for _ in range(self.group.p):
                 power = a.mul(power)
-            if power != ident or any(a.mul(b) != b.mul(a) for b in self.actions[:i]):
-                return False
-        return True
+            yield f"action {i + 1} does not have order dividing p", power.sub(ident)
 
     def has_trivial_action(self):
         """True when every generator acts as the identity mod relations."""
@@ -159,24 +169,10 @@ def validate(module):
             problems.append(
                 f"action {i + 1} does not preserve relations (column {col})"
             )
-    for i in range(len(m.actions)):
-        for j in range(i + 1, len(m.actions)):
-            comm = m.actions[i].mul(m.actions[j]).sub(m.actions[j].mul(m.actions[i]))
-            col = m.in_relation_span(comm)
-            if col is not None:
-                problems.append(
-                    f"actions {i + 1} and {j + 1} do not commute (column {col})"
-                )
-    ident = IntMatrix.identity(g)
-    for i, a in enumerate(m.actions):
-        power = ident
-        for _ in range(m.group.p):
-            power = a.mul(power)
-        col = m.in_relation_span(power.sub(ident))
+    for problem, defect in m._action_defects():
+        col = m.in_relation_span(defect)
         if col is not None:
-            problems.append(
-                f"action {i + 1} does not have order dividing p (column {col})"
-            )
+            problems.append(f"{problem} (column {col})")
     return problems
 
 
@@ -205,7 +201,7 @@ class FreeChainComplex:
         self.ranks = {i: k for i, k in ranks.items() if k}
         self.diffs = {}
         self.valid_range = valid_range
-        self._diag_cache = {}
+        self._diags = None
         for i, d in diffs.items():
             if d is None or d.is_zero():
                 continue
@@ -270,16 +266,24 @@ class FreeChainComplex:
                     f"degree {n} outside the validated interior of [{lo},{hi}]"
                 )
 
-    def _diag(self, i):
-        """Smith diagonal of expand(d_i), cached per degree."""
-        got = self._diag_cache.get(i)
-        if got is None:
-            d = self.diffs.get(i)
-            got = []
-            if d is not None:
-                got = smith_diagonal(d.sparse_rows(), d.cols * self.group.order)
-            self._diag_cache[i] = got
-        return got
+    def sparse_rows(self, i):
+        """Fresh sparse rows of expand(d_i), all empty when d_i is absent."""
+        d = self.diffs.get(i)
+        if d is None:
+            return [{} for _ in range(self.rank(i - 1) * self.group.order)]
+        return d.sparse_rows()
+
+    def _diagonals(self):
+        """Smith diagonal of expand(d_i) for lo < i <= hi, from one
+        top-down chain of ``exactlin.chain_diagonals`` on first use.  A
+        missing differential enters as a zero map, which has no unit
+        pivots to cancel in the map below it."""
+        if self._diags is None:
+            n = self.group.order
+            degrees = range(self.hi, self.lo, -1)
+            maps = ((self.sparse_rows(i), self.rank(i) * n) for i in degrees)
+            self._diags = dict(zip(degrees, chain_diagonals(maps)))
+        return self._diags
 
     def __repr__(self):
         span = f"[{self.lo},{self.hi}]" if self.ranks else "empty"
@@ -297,11 +301,9 @@ def homology(complex_, n):
     k = complex_.rank(n)
     if k == 0:
         return AbelianInvariants()
-    ambient = k * complex_.group.order
-    diag_in = complex_._diag(n + 1)
-    diag_out = complex_._diag(n)
-    free = ambient - len(diag_in) - len(diag_out)
-    return AbelianInvariants.from_diagonal(diag_in, free)
+    diag = complex_._diagonals()
+    into, outof = diag.get(n + 1, ()), diag.get(n, ())
+    return homology_invariants(k * complex_.group.order, into, outof)
 
 
 def homology_range(complex_, lo, hi):

@@ -14,21 +14,22 @@ The degree is the unit of work: each d_n is built once per group, and
 each degree n is certified once per group, by d_n d_(n+1) = 0 and then
 H_n = 0, read off Smith diagonals.  Only the positive half is reduced:
 the expansion of d_(-n) is the transpose of that of d_n, so the two
-share a diagonal.  The positive half is reduced top-down, each d_n with
-the columns at the unit pivot rows of d_(n+1) deleted, which keeps its
-diagonal once d_n d_(n+1) = 0 is known (reduction pairs, as in
-Kaczynski-Mrozek-Slusarek 1998).  A window [lo, hi] is a complex over
-those degrees whose interior lo < n < hi is certified.
+share a diagonal.  The positive half is reduced top-down as one chain
+of ``exactlin.chain_diagonals``, each d_n with the columns at the unit
+pivot rows of d_(n+1) deleted, which keeps its diagonal once
+d_n d_(n+1) = 0 is known; so every d o d check of a pass runs before
+its chain.  A window [lo, hi] is a complex over those degrees whose
+interior lo < n < hi is certified.
 """
 
 from functools import cache
 from math import comb
 
-from ._backend import smith_diagonal
 from .errors import LiftObstruction, NoSolution
 from .exactlin import (
-    AbelianInvariants,
     IntMatrix,
+    chain_diagonals,
+    homology_invariants,
     kernel_basis,
     lattice_basis,
     solve_in_lattice,
@@ -107,33 +108,10 @@ def _differential(group, n):
     return _differential(group, -n).antipode_transpose()
 
 
-def _smith(d):
-    return smith_diagonal(d.sparse_rows(), d.cols * d.group.order)
-
-
-def check_exact(d, up, diagonals=None):
-    """Raise ValueError unless d o up = 0 in the group ring and the free
-    module between them has no homology over Z.
-
-    The homology is read off the Smith diagonals of ``d`` and ``up``,
-    as :func:`homology` reads it.  ``diagonals``, when given, returns
-    that pair; it is called only once d o up = 0 is known, so it may
-    reduce ``d`` with the columns at the unit pivots of ``up`` deleted.
-    """
-    if not d.mul(up).is_zero():
-        raise ValueError("d o d != 0 in the group ring")
-    diag_out, diag_in = diagonals() if diagonals else (_smith(d), _smith(up))
-    free = d.cols * d.group.order - len(diag_out) - len(diag_in)
-    h = AbelianInvariants.from_diagonal(diag_in, free)
-    if not h.is_trivial():
-        raise ValueError(f"not exact: homology {h}")
-
-
 @cache
-def _known(group):
-    """The Smith diagonal of each d_n, n >= 0, reduced so far, and the
-    degrees certified exact."""
-    return {}, set()
+def _certified(group):
+    """The degrees certified exact so far."""
+    return set()
 
 
 def _twin(n):
@@ -143,50 +121,49 @@ def _twin(n):
 
 
 def _certify(group, lo, hi):
-    """Certify each degree strictly inside [lo, hi] by :func:`check_exact`.
+    """Certify each uncertified degree strictly inside [lo, hi]: raise
+    ValueError naming the degree unless d_n d_(n+1) = 0 in the group
+    ring and H_n = 0.
 
-    Degrees go in descending order of their twin pair, so the pass
-    reduces d_m top-down.  Once d_m d_(m+1) = 0 is known, d_m is reduced
-    with the columns at the unit pivot rows of d_(m+1) deleted, if this
-    pass reduced d_(m+1), which keeps its Smith diagonal (the argument
-    of ``tate._table``).  A negative degree reads its twin's diagonals,
-    since d_(-m) is built as the antipode-transpose of d_m.  Its d o d
-    check runs on the actual negative differentials; their product is
-    the antipode-transpose of d_m d_(m+1), so it also licenses the
-    cancellation.
+    Every d o d check runs first, in descending order of twin.  Then one
+    chain reduces d_m from m = t + 1 down to m = b, t and b the largest
+    and smallest twin of the degrees to certify, each d_m with the
+    columns at the unit pivot rows of d_(m+1) deleted.  That needs
+    d_m d_(m+1) = 0 for each b <= m <= t.  The interior of a window is
+    contiguous, and so are its twins, so each such m is the twin of an
+    interior degree n, d o d checked in this pass or certified before.
+    The check at n < 0 runs on the actual negative differentials; their
+    product is the antipode-transpose of d_m d_(m+1), so it licenses
+    the same cancellation.  A negative degree reads its twin's
+    diagonals, since d_(-m) is built as the antipode-transpose of d_m.
     """
-    diagonals, exact = _known(group)
-    units = {}
-
-    def diagonal(m, cancel):
-        if m not in diagonals:
-            d = _differential(group, m)
-            rows = d.sparse_rows()
-            dead = units.pop(m + 1, None) if cancel else None
-            if dead:
-                for row in rows:
-                    for k in dead.intersection(row):
-                        del row[k]
-            found = []
-            diagonals[m] = smith_diagonal(rows, d.cols * group.order, found)
-            units[m] = set(found)
-        return diagonals[m]
-
-    for n in sorted(range(lo + 1, hi), key=_twin, reverse=True):
-        if n in exact:
-            continue
+    exact = _certified(group)
+    todo = [n for n in range(lo + 1, hi) if n not in exact]
+    todo.sort(key=_twin, reverse=True)
+    if not todo:
+        return
+    for n in todo:
+        if not _differential(group, n).mul(_differential(group, n + 1)).is_zero():
+            raise ValueError(
+                f"complete resolution at degree {n}: d o d != 0 in the group ring"
+            )
+    degrees = range(_twin(todo[0]) + 1, _twin(todo[-1]) - 1, -1)
+    maps = (
+        (_differential(group, m).sparse_rows(), _rank(group, m) * group.order)
+        for m in degrees
+    )
+    diagonal = dict(zip(degrees, chain_diagonals(maps)))
+    for n in todo:
         m = _twin(n)
-
-        def read(m=m, n=n):
-            upper = diagonal(m + 1, cancel=False)
-            lower = diagonal(m, cancel=True)
-            return (lower, upper) if n >= 0 else (upper, lower)
-
-        try:
-            check_exact(_differential(group, n), _differential(group, n + 1), read)
-        except ValueError as exc:
-            raise ValueError(f"complete resolution at degree {n}: {exc}") from None
-        exact.add(n)
+        into, outof = diagonal[m + 1], diagonal[m]
+        if n < 0:
+            into, outof = outof, into
+        h = homology_invariants(_rank(group, n) * group.order, into, outof)
+        if not h.is_trivial():
+            raise ValueError(
+                f"complete resolution at degree {n}: not exact: homology {h}"
+            )
+    exact.update(todo)
 
 
 def complete_resolution(group, lo, hi):
@@ -194,8 +171,8 @@ def complete_resolution(group, lo, hi):
 
     Every degree strictly inside the window is certified before the
     window is handed out; homology at its edges raises WindowViolation.
-    The Smith work is the positive half up to max(hi, -(lo + 1)),
-    reduced top-down and cached once per group.  Windows share the
+    The Smith work of a call is the positive half over the twins of
+    the degrees it certifies, reduced top-down.  Windows share the
     cached differentials, so callers must not mutate them.
     """
     if lo > hi:

@@ -177,51 +177,28 @@ def _verify_ses(complex_, cone, n, top_basis):
         dst = padded.data[a]
         for b in range(zc.cols):
             dst[b] = row[b]
-    try:
-        alpha = solve_preimage(zd, padded)
-    except NoSolution:
-        return False, hc.invariants(), hd.invariants(), t
     # beta: the F-part of each cone cycle written in the syzygy basis.
     proj = zd.submatrix(range(rc, rd), range(zd.cols))
     try:
+        alpha = solve_preimage(zd, padded)
         beta = solve_in_lattice(top_basis, proj)
-    except (NoSolution, SublatticeViolation):
+        # well-defined: alpha maps relations into relations ...
+        solve_in_lattice(rel_d, alpha.mul(rel_c))
+    except NoSolution:
         return False, hc.invariants(), hd.invariants(), t
-
-    ok = True
-    # well-defined: alpha maps relations into relations, beta kills them
-    if rel_c.cols:
-        image = alpha.mul(rel_c)
-        if rel_d.cols:
-            try:
-                solve_in_lattice(rel_d, image)
-            except (NoSolution, SublatticeViolation):
-                ok = False
-        else:
-            ok = ok and image.is_zero()
-    if rel_d.cols:
-        ok = ok and beta.mul(rel_d).is_zero()
-    ok = ok and beta.mul(alpha).is_zero()
-    if not ok:
-        return False, hc.invariants(), hd.invariants(), t
+    # ... and beta kills them
+    ok = beta.mul(rel_d).is_zero() and beta.mul(alpha).is_zero()
 
     # injectivity of alpha on classes
-    stacked = alpha.hstack(rel_d) if rel_d.cols else alpha
-    ker = kernel_basis(stacked)
+    ker = kernel_basis(alpha.hstack(rel_d))
     pre = ker.submatrix(range(alpha.cols), range(ker.cols))
-    num = pre.hstack(rel_c) if rel_c.cols else pre
-    den = rel_c if rel_c.cols else IntMatrix.zeros(alpha.cols, 0)
-    if not quotient_invariants(num, den).is_trivial():
-        ok = False
+    ok = ok and quotient_invariants(pre.hstack(rel_c), rel_c).is_trivial()
     # exactness in the middle: ker beta = im alpha modulo relations
     kmid = kernel_basis(beta)
-    num = kmid.hstack(rel_d) if rel_d.cols else kmid
-    den = alpha.hstack(rel_d) if rel_d.cols else alpha
-    if not quotient_invariants(num, den).is_trivial():
-        ok = False
+    mid = quotient_invariants(kmid.hstack(rel_d), alpha.hstack(rel_d))
+    ok = ok and mid.is_trivial()
     # surjectivity of beta onto the free syzygy lattice
-    if not cokernel_invariants(beta).is_trivial():
-        ok = False
+    ok = ok and cokernel_invariants(beta).is_trivial()
     return ok, hc.invariants(), hd.invariants(), t
 
 

@@ -12,21 +12,21 @@ complex L --B--> Z^gens in degrees 1 and 0, B a basis of the relation
 lattice.  Every total complex is free abelian, so every table is read
 off Smith diagonals and ranks.
 
-Consecutive codifferentials share the reduction: delta^n is reduced
-only on the coordinates of Tot^n that the unit pivots of delta^{n-1}
-left alive (reduction pairs, as in Kaczynski-Mrozek-Slusarek,
-"Homology computation by reduction of chain complexes", 1998).  Since
-delta^n delta^{n-1} = 0, the columns of delta^n at the +-1 pivot rows
-of delta^{n-1} vanish after the matching column operations, so
-dropping them keeps every Smith diagonal; see ``_table``.
+The codifferentials delta^{lo-1}, ..., delta^hi form one chain for
+``exactlin.chain_diagonals``, which reduces each only on the
+coordinates that the unit pivots of the one before it left alive.
 """
 
 import functools
 
 from . import exactlin
-from ._backend import smith_diagonal as _sparse_smith
 from .errors import InfiniteLength, NotConcentrated
-from .exactlin import AbelianInvariants, solve_in_lattice
+from .exactlin import (
+    AbelianInvariants,
+    chain_diagonals,
+    homology_invariants,
+    solve_in_lattice,
+)
 from .groupring import GroupRingMatrix
 from .modpres import ModulePresentation, homology, homology_module, require_valid
 from .resolve import complete_resolution, resolution_step
@@ -106,18 +106,18 @@ def _free_lattices(complex_):
         act = functools.cache(
             lambda x, k=k: GroupRingMatrix.scalar(group, k, x).sparse_rows()
         )
-        d = complex_.differential(j)
-        if d is None:
-            rows = [{} for _ in range(complex_.rank(j - 1) * group.order)]
-        else:
-            rows = d.sparse_rows()
-        lattices[j] = (k * group.order, act, rows)
+        lattices[j] = (k * group.order, act, complex_.sparse_rows(j))
     return lattices
+
+
+def _dimension(window, lattices, n):
+    """Z-rank of Tot^n, the sum of the Hom_G(F_{n+j}, C_j)."""
+    return sum(window.rank(n + j) * dim for j, (dim, _, _) in lattices.items())
 
 
 def _total_maps(window, lattices, lo, hi):
     """Sparse rows and source dimension of each delta^n : Tot^n ->
-    Tot^{n+1} for n in [lo - 1, hi].
+    Tot^{n+1} for n in [lo - 1, hi], ascending.
 
     ``lattices`` maps each degree j of C, ascending, to ``(dim, act,
     d)``: the Z-rank of C_j, the sparse rows of a ring element acting
@@ -127,17 +127,17 @@ def _total_maps(window, lattices, lo, hi):
     delta_1.
     """
 
-    def layout(n):
-        offsets, off = {}, 0
+    def offsets(n):
+        out, off = {}, 0
         for j, (dim, _, _) in lattices.items():
-            offsets[j] = off
+            out[j] = off
             off += window.rank(n + j) * dim
-        return offsets, off
+        return out
 
-    src, dim_n = layout(lo - 1)
+    src = offsets(lo - 1)
     for n in range(lo - 1, hi + 1):
-        dst, dim_next = layout(n + 1)
-        rows = [{} for _ in range(dim_next)]
+        dst = offsets(n + 1)
+        rows = [{} for _ in range(_dimension(window, lattices, n + 1))]
         sign = -1 if n % 2 == 0 else 1
         for j, (dim, act, d) in lattices.items():
             kf = window.rank(n + j)
@@ -166,38 +166,19 @@ def _total_maps(window, lattices, lo, hi):
                         row = rows[tbase + i]
                         for t, v in arow.items():
                             row[sbase + t] = sign * v
-        yield n, rows, dim_n
-        src, dim_n = dst, dim_next
+        yield rows, _dimension(window, lattices, n)
+        src = dst
 
 
 def _table(window, lattices, lo, hi):
-    """Invariants from the ranks and Smith diagonals of Tot Hom_G(F, C).
-
-    Write A = delta^{n-1} and B = delta^n, so BA = 0.  A row operation
-    "row r += c row y" on A is the column operation "col y -= c col r"
-    on B.  With P the product of the row operations of A's unit phase,
-    all of which add a unit pivot row y, B P^-1 differs from B only in
-    those columns y.  The pivot column of y in PA is +-1 at row y and 0
-    elsewhere, so (B P^-1)(PA) = 0 makes column y of B P^-1 zero, and
-    Smith(B) = Smith(B with the columns y deleted).  The next map still
-    kills B with those columns deleted, so the cancellation chains
-    through every degree.
-    """
-    dims, diag = {}, {}
-    cancelled = set()
-    for n, rows, dim in _total_maps(window, lattices, lo, hi):
-        for row in rows:
-            for k in cancelled.intersection(row):
-                del row[k]
-        units = []
-        dims[n] = dim
-        diag[n] = _sparse_smith(rows, dim, units)
-        cancelled = set(units)
-    invs = []
-    for i in range(lo, hi + 1):
-        into, outof = diag[i - 1], diag[i]
-        free = dims[i] - len(into) - len(outof)
-        invs.append(AbelianInvariants.from_diagonal(into, free))
+    """Invariants from the ranks and Smith diagonals of Tot Hom_G(F, C)."""
+    diags = list(chain_diagonals(_total_maps(window, lattices, lo, hi)))
+    invs = [
+        homology_invariants(
+            _dimension(window, lattices, n), diags[n - lo], diags[n - lo + 1]
+        )
+        for n in range(lo, hi + 1)
+    ]
     return CohomologyTable(lo, hi, invs)
 
 

@@ -10,6 +10,7 @@ from tatekit.exactlin import (
     INFINITE,
     AbelianInvariants,
     IntMatrix,
+    chain_diagonals,
     cokernel_invariants,
     exponent,
     kernel_basis,
@@ -20,6 +21,9 @@ from tatekit.exactlin import (
     solve_in_lattice,
     solve_preimage,
 )
+
+from tatekit.gallery import random_free_complex
+from tatekit.groupring import ElementaryAbelianGroup
 
 from oracles import oracle_cokernel, oracle_rank, oracle_smith_diagonal
 
@@ -99,6 +103,30 @@ def test_smith_diagonal_reports_unit_pivot_rows():
         b = mix.mul(_transpose(left))
         kept = [{k: v for k, v in row.items() if k not in units} for row in b.sparse_rows()]
         assert _backend.smith_diagonal(kept, b.cols) == smith_diagonal(b), (m.data, units)
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    st.lists(st.integers(0, 3), min_size=2, max_size=5),
+    st.integers(0, 30),
+    st.integers(0, 4),
+    st.booleans(),
+)
+def test_chain_diagonals_match_oracle_on_free_complexes(pr, ranks, seed, zero, down):
+    # the expansions of d_1, ..., d_top of a random free complex, d_zero
+    # replaced by a zero map, form a chain read top-down; their
+    # transposes form one read bottom-up.  Each map's diagonal is that
+    # of the whole map, whatever the unit pivots before it cancelled.
+    g = ElementaryAbelianGroup(*pr)
+    c = random_free_complex(g, ranks, seed)
+    maps = []
+    for i in range(1, len(ranks)):
+        d = c.expanded(i)
+        maps.append(IntMatrix.zeros(d.rows, d.cols) if i == zero else d)
+    chain = maps[::-1] if down else [_transpose(m) for m in maps]
+    got = list(chain_diagonals((m.sparse_rows(), m.cols) for m in chain))
+    assert got == [oracle_smith_diagonal(m.data) for m in chain]
 
 
 def test_elimination_core_is_the_pure_module():

@@ -310,6 +310,11 @@ def test_cli_syzygy_emits_module_format(tmp_path, capsys):
     g = ElementaryAbelianGroup(2, 2)
     m = parse_module(out, g)
     assert m.gens == syzygy(trivial_module(g), 1).gens
+    assert cli.main(["syzygy", "--p", "2", "--r", "2", "--module", "trivial",
+                     "--n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: syzygy index must be nonnegative\n"
+    assert captured.out == ""
 
 
 def test_cli_exponents(capsys):

@@ -1,12 +1,12 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tatekit.errors import InvalidPresentation
 from tatekit.exactlin import IntMatrix
-from tatekit.groupring import (
-    ElementaryAbelianGroup,
-    GroupRingMatrix,
-    full_norm,
-)
+from tatekit.gallery import random_free_complex
+from tatekit.groupring import ElementaryAbelianGroup, GroupRingMatrix
 from tatekit.modpres import (
     FreeChainComplex,
     ModulePresentation,
@@ -181,3 +181,25 @@ def test_shifted_moves_degrees_and_keeps_homology():
     assert s.degrees() == [3, 4]
     assert homology(s, 3) == homology(c, 0)
     assert homology(s, 4) == homology(c, 1)
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    st.integers(0, 30),
+    st.integers(0, 4),
+    st.integers(-3, 3),
+)
+def test_homology_matches_oracle_with_gaps_and_shifts(pr, ranks, seed, omit, shift):
+    # zero ranks and an omitted middle differential enter the chain of
+    # diagonals as zero maps; a shifted copy reads its own chain
+    g = ElementaryAbelianGroup(*pr)
+    c = random_free_complex(g, ranks, seed)
+    diffs = {i: d for i, d in c.diffs.items() if i != omit}
+    c = FreeChainComplex(g, c.ranks, diffs)
+    for complex_ in (c, c.shifted(shift)):
+        for i in range(complex_.lo - 1, complex_.hi + 2):
+            h = homology(complex_, i)
+            torsion, free = oracle_homology(complex_, i)
+            assert (h.torsion, h.free_rank) == (tuple(torsion), free), i

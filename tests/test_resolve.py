@@ -1,11 +1,8 @@
-import math
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tatekit import resolve
+from tatekit import _backend, resolve
 from tatekit._backend import smith_diagonal
 from tatekit.errors import LiftObstruction, WindowViolation
 from tatekit.exactlin import (
@@ -26,7 +23,6 @@ from tatekit.modpres import (
     validate,
 )
 from tatekit.resolve import (
-    check_exact,
     complete_resolution,
     lift_chain_map,
     resolution_step,
@@ -121,18 +117,6 @@ def test_window_slices_and_caching():
     else:
         raise AssertionError("expected WindowViolation at the window edge")
     assert small.differential(5) is None
-
-
-def test_exactness_certificate_rejects_broken_pairs():
-    g = ElementaryAbelianGroup(2, 1)
-    minus = GroupRingMatrix(g, [{0: g.generator(1) - g.identity()}], 1, 1)
-    norm = GroupRingMatrix(g, [{0: full_norm(g)}], 1, 1)
-    check_exact(minus, norm)  # the periodic resolution passes
-    # (g - 1) 2N = 0, but H_1 = ker(g - 1) / 2N = Z/2
-    with pytest.raises(ValueError, match="not exact"):
-        check_exact(minus, GroupRingMatrix(g, [{0: full_norm(g) * 2}], 1, 1))
-    with pytest.raises(ValueError, match="d o d"):
-        check_exact(minus, GroupRingMatrix(g, [{0: g.identity()}], 1, 1))
 
 
 def test_resolution_step_cover_and_kernel():
@@ -315,7 +299,7 @@ def test_lift_chain_map_through_a_proper_generator_subset():
 
 def _clear_resolve_caches():
     resolve._differential.cache_clear()
-    resolve._known.cache_clear()
+    resolve._certified.cache_clear()
 
 
 @pytest.fixture
@@ -344,36 +328,32 @@ def _window_orders(k):
 def test_certified_diagonals_match_fresh_smith_in_any_window_order(
     p, r, k, cold_resolve, monkeypatch
 ):
-    # every diagonal certification reads, cancelled or read off the
-    # positive twin, is the Smith diagonal of the actual d_n, however
-    # the windows before it filled the caches
+    # every pair of diagonals certification reads, cancelled in the
+    # chain or read off the positive twin, is the pair of Smith
+    # diagonals of the actual d_(n+1), d_n of one certified degree n,
+    # however the windows before it were certified
     g = ElementaryAbelianGroup(p, r)
-    real = resolve.check_exact
+    real = resolve.homology_invariants
     reads = []
 
-    def spy(d, up, diagonals=None):
-        def read():
-            got = diagonals()
-            reads.append((d, up, got))
-            return got
+    def spy(dim, into, outof):
+        reads.append((tuple(into), tuple(outof)))
+        return real(dim, into, outof)
 
-        return real(d, up, read)
-
-    monkeypatch.setattr(resolve, "check_exact", spy)
+    monkeypatch.setattr(resolve, "homology_invariants", spy)
     for windows in _window_orders(k):
         _clear_resolve_caches()
         reads.clear()
         for lo, hi in windows:
             complete_resolution(g, lo, hi)
         certified = {n for lo, hi in windows for n in range(lo + 1, hi)}
-        assert len(reads) == len(certified), windows
-        for d, up, (diag_out, diag_in) in reads:
-            assert diag_out == _fresh_smith(d), windows
-            assert diag_in == _fresh_smith(up), windows
-        diagonals, exact = resolve._known(g)
-        assert exact == certified
-        for m, diag in diagonals.items():
-            assert diag == _fresh_smith(resolve._differential(g, m)), (windows, m)
+        fresh = {
+            n: tuple(_fresh_smith(resolve._differential(g, n)))
+            for n in range(min(certified), max(certified) + 2)
+        }
+        want = sorted((fresh[n + 1], fresh[n]) for n in certified)
+        assert sorted(reads) == want, windows
+        assert resolve._certified(g) == certified
 
 
 def _patch_degree(monkeypatch, n, change):
@@ -397,6 +377,22 @@ def _perturbed(d):
     return GroupRingMatrix(d.group, rows, d.rows, d.cols)
 
 
+def test_exactness_certificate_rejects_broken_pairs(cold_resolve, monkeypatch):
+    # over Z/2 the resolution has d_1 = g - 1 and d_2 = N
+    g = ElementaryAbelianGroup(2, 1)
+    complete_resolution(g, 0, 2)
+    _clear_resolve_caches()
+    # (g - 1) 2N = 0, but H_1 = ker(g - 1) / 2N = Z/2
+    norm = GroupRingMatrix(g, [{0: full_norm(g) * 2}], 1, 1)
+    _patch_degree(monkeypatch, 2, lambda d: norm)
+    with pytest.raises(ValueError, match="degree 1: not exact"):
+        complete_resolution(g, 0, 2)
+    unit = GroupRingMatrix(g, [{0: g.identity()}], 1, 1)
+    _patch_degree(monkeypatch, 2, lambda d: unit)
+    with pytest.raises(ValueError, match="degree 1: d o d"):
+        complete_resolution(g, 0, 2)
+
+
 @pytest.mark.parametrize("lo, hi, degree", [(0, 5, 2), (-6, -1, -4)])
 def test_certificate_catches_a_doubled_differential(
     lo, hi, degree, cold_resolve, monkeypatch
@@ -413,21 +409,19 @@ def test_certificate_catches_a_doubled_differential(
 def test_d_o_d_check_runs_before_any_cancelled_diagonal(
     n, lo, hi, degree, cold_resolve, monkeypatch
 ):
-    # d_n is perturbed so that d o d fails at ``degree``; no diagonal of
-    # d_|n| (the one reduced against the unit pivots of its upper
-    # neighbour) may be computed before the certificate fires
+    # d_n is perturbed so that d o d fails at ``degree``; every d o d
+    # check of the pass runs before its chain, which cancels against
+    # unit pivots and so relies on them, so no Smith reduction may run
     g = ElementaryAbelianGroup(2, 2)
     _patch_degree(monkeypatch, n, _perturbed)
-    real = resolve.smith_diagonal
+    real = _backend.smith_diagonal
     shapes = []
 
     def spy(rows, ncols, unit_rows=None):
         shapes.append((len(rows), ncols))
         return real(rows, ncols, unit_rows)
 
-    monkeypatch.setattr(resolve, "smith_diagonal", spy)
+    monkeypatch.setattr(_backend, "smith_diagonal", spy)
     with pytest.raises(ValueError, match=rf"degree {degree}: d o d"):
         complete_resolution(g, lo, hi)
-    target = resolve._differential(g, abs(n))
-    assert shapes, "the pass reduced nothing before the check"
-    assert (target.rows * g.order, target.cols * g.order) not in shapes
+    assert shapes == []

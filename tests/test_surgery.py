@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from tatekit import surgery
 from tatekit.errors import (
     FiltrationInvalid,
@@ -264,3 +266,27 @@ def test_filtration_requires_stable_witnesses():
         assert "stable" in str(exc)
     else:
         raise AssertionError("expected FiltrationInvalid for unstable witness")
+
+
+def _scaled(basis):
+    return basis.scale(2)
+
+
+def _last_dropped(basis):
+    return basis.submatrix(range(basis.rows), range(basis.cols - 1))
+
+
+@pytest.mark.parametrize("tamper", [_scaled, _last_dropped])
+@pytest.mark.parametrize(
+    "c, m, n", [(product_complex(3, [1, 1]), 1, 2), (lens_complex(2, 3), 0, 2)]
+)
+def test_ses_certificate_rejects_a_wrong_syzygy_basis(c, m, n, tamper):
+    # the exact sequence 0 -> H_n(C) -> H_n(D) -> Omega^(n-m) H_m(C) -> 0
+    # holds with the syzygy lattice of the resolution, and fails with a
+    # proper sublattice of it or one lattice vector short
+    resolution, cycles, top_basis = surgery._resolve_through(c, m, n)
+    maps = surgery.lift_chain_map(resolution, c, m, n, cycles)
+    cone = surgery._mapping_cone(c, resolution, maps, m, n)
+    assert top_basis.cols
+    assert surgery._verify_ses(c, cone, n, top_basis)[0]
+    assert not surgery._verify_ses(c, cone, n, tamper(top_basis))[0]

@@ -215,7 +215,7 @@ def test_consecutive_cone_maps_compose_to_zero():
         window = complete_resolution(c.group, -3 + c.lo, 3 + c.hi)
         cases.append((window, _free_lattices(c)))
     for window, lattices in cases:
-        maps = [rows for _, rows, _ in _total_maps(window, lattices, -2, 2)]
+        maps = [rows for rows, _ in _total_maps(window, lattices, -2, 2)]
         for lower, upper in zip(maps, maps[1:]):
             assert _composite_is_zero(upper, lower), window
 
@@ -245,7 +245,8 @@ def test_dimension_shift_and_periodicity(pr, ranks, seed, n):
 def _full_table(window, lattices, lo, hi):
     """Reference for ``_table``: every delta^n reduced whole."""
     dims, diag = {}, {}
-    for n, rows, dim in _total_maps(window, lattices, lo, hi):
+    maps = _total_maps(window, lattices, lo, hi)
+    for n, (rows, dim) in zip(range(lo - 1, hi + 1), maps):
         dims[n] = dim
         diag[n] = smith_diagonal(rows, dim)
     invs = []

@@ -7,10 +7,12 @@ surgery) it runs the operation list once at seed 1, in a fresh
 interpreter so the module-level caches start cold, with
 ``_backend.smith_diagonal`` and ``_backend.hermite`` wrapped at every
 binding in the ``tatekit`` modules.  It prints one line per workload:
-the number of kernel calls and one SHA-256 over every input, each taken
-before the kernel consumes it as the kernel name, the rows with their
-key order, and ``ncols``.  A refactor that leaves the elimination work
-alone prints the same lines before and after.
+the number of kernel calls, the total number of nonzero entries over
+their inputs, and one SHA-256 over every input, each taken before the
+kernel consumes it as the kernel name, the rows with their key order,
+and ``ncols``.  A refactor that leaves the elimination work alone
+prints the same lines before and after; when the digest changes, the
+nonzero count shows whether the kernels were handed more or less.
 
 ``tatekit`` is imported from the ``src`` next to this script and the
 workloads are only read, never changed.
@@ -28,7 +30,8 @@ SEED = 1
 
 def _wrap_kernels(digest, counter):
     """Rebind both kernels in every loaded tatekit module to a wrapper
-    that feeds each input into ``digest`` before calling the kernel."""
+    that feeds each input into ``digest`` and counts the call and the
+    input's nonzero entries in ``counter`` before calling the kernel."""
     from tatekit import _backend
 
     originals = {id(fn): fn for fn in (_backend.smith_diagonal, _backend.hermite)}
@@ -37,6 +40,7 @@ def _wrap_kernels(digest, counter):
 
         def wrapper(rows, ncols, *rest, fn=fn):
             counter[0] += 1
+            counter[1] += sum(len(row) for row in rows)
             data = (fn.__name__, [list(row.items()) for row in rows], ncols)
             digest.update(repr(data).encode())
             return fn(rows, ncols, *rest)
@@ -50,16 +54,17 @@ def _wrap_kernels(digest, counter):
 
 
 def elim_digest(workload):
-    """Kernel call count and input digest of one pass of ``workload``."""
+    """Kernel call count, input nonzero count and input digest of one
+    pass of ``workload``."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tatebench")]
     import tatekit  # noqa: F401  (loads every module before wrapping)
     import workloads
 
-    digest, counter = hashlib.sha256(), [0]
+    digest, counter = hashlib.sha256(), [0, 0]
     _wrap_kernels(digest, counter)
     for op in workloads.build(workload, SEED):
         op.run()
-    return counter[0], digest.hexdigest()
+    return counter[0], counter[1], digest.hexdigest()
 
 
 def main():
@@ -69,8 +74,8 @@ def main():
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(1, maxtasksperchild=1) as pool:
         results = pool.map(elim_digest, WORKLOADS, chunksize=1)
-    for workload, (calls, sha) in zip(WORKLOADS, results):
-        print(f"{workload:8} calls {calls:5}  sha256 {sha}")
+    for workload, (calls, nnz, sha) in zip(WORKLOADS, results):
+        print(f"{workload:8} calls {calls:5}  nnz {nnz:8}  sha256 {sha}")
 
 
 if __name__ == "__main__":
