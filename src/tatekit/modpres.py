@@ -7,6 +7,8 @@ ring; homology modules are the only presented-module outputs, which is
 all the constructions here ever need.
 """
 
+from collections import Counter
+
 from . import exactlin
 from .errors import InvalidPresentation, NoSolution, WindowViolation
 from .exactlin import AbelianInvariants, IntMatrix, chain_diagonals, homology_invariants
@@ -104,6 +106,69 @@ class ModulePresentation:
             for _ in range(self.group.p):
                 power = a.mul(power)
             yield f"action {i + 1} does not have order dividing p", power.sub(ident)
+
+    def pruned(self):
+        """The same module on fewer generators, by Tietze moves.
+
+        While some relation column r has a coefficient u = +-1 on a
+        generator c, the relation gives e_c = -u * sum_{k != c} r_k e_k:
+        substitute that into the other relations, drop r and c, and
+        conjugate each action A to pi A iota, where pi: Z^gens -> Z^kept
+        is the substitution and iota the inclusion of the kept
+        generators.  pi is onto with kernel inside the relation lattice,
+        so the quotient and its G-action are unchanged; the new actions
+        may commute and have order p only modulo the new relations,
+        even when the old ones do so exactly.  Each move takes the unit
+        entry of least Markowitz cost (other entries in its column times
+        other relations on its generator), which keeps the fill low.
+
+        Returns ``self`` when no relation has a unit entry.
+        """
+        cols = [col for col in self.relations.sparse_columns() if col]
+        eliminated = []  # (c, pi(e_c) over the generators alive then)
+        while True:
+            uses = Counter(c for col in cols for c in col)
+            units = [
+                ((len(col) - 1) * (uses[c] - 1), k, c)
+                for k, col in enumerate(cols)
+                for c, v in col.items()
+                if abs(v) == 1
+            ]
+            if not units:
+                break
+            _, k, c = min(units)
+            pivot = cols.pop(k)
+            u = pivot.pop(c)
+            for col in cols:
+                f = u * col.pop(c, 0)
+                if not f:
+                    continue
+                for r, w in pivot.items():
+                    x = col.get(r, 0) - f * w
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
+            cols = [col for col in cols if col]
+            eliminated.append((c, {r: -u * w for r, w in pivot.items()}))
+        if not eliminated:
+            return self
+
+        dropped = {c for c, _ in eliminated}
+        kept = [i for i in range(self.gens) if i not in dropped]
+        n = len(kept)
+        # pi(e_c) reads only generators kept or eliminated after c.
+        pi = IntMatrix.zeros(n, self.gens)
+        for i, s in enumerate(kept):
+            pi.data[i][s] = 1
+        for c, expr in reversed(eliminated):
+            for row in pi.data:
+                row[c] = sum(w * row[r] for r, w in expr.items())
+        relations = IntMatrix.from_columns(
+            [[col.get(s, 0) for s in kept] for col in cols], n
+        )
+        actions = [pi.mul(a).submatrix(range(n), kept) for a in self.actions]
+        return ModulePresentation(self.group, n, relations, actions)
 
     def has_trivial_action(self):
         """True when every generator acts as the identity mod relations."""

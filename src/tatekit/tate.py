@@ -185,15 +185,24 @@ def _table(window, lattices, lo, hi):
 def tate_cohomology_range(group, module, lo, hi):
     """Table of Tate cohomology of ``group`` with coefficients in ``module``.
 
+    The presentation is first pruned by Tietze moves
+    (:meth:`ModulePresentation.pruned`), and the pruned one is read
+    whenever its actions are exact; a homology module on dozens of
+    generators often prunes to a handful and no relations, or to none.
     The lattice complex needs Z^gens to be a ZG-module.  When the
     action matrices commute and have order p only modulo the relations,
     M is covered by a free module instead and Ĥ^i(M) = Ĥ^{i+1}(Omega M).
+    Pruning can itself leave actions that are exact only modulo the
+    relations; then the given presentation is read as it stands.
     """
     if module.group != group:
         raise ValueError("module is presented over a different group")
     if lo > hi:
         raise ValueError("empty degree range")
     require_valid(module)
+    pruned = module.pruned()
+    if pruned is not module and pruned.acts_exactly():
+        module = pruned
     if module.gens == 0:
         return _trivial_table(lo, hi)
     if not module.acts_exactly():

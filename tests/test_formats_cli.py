@@ -20,7 +20,7 @@ from tatekit.formats import (
 )
 from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup
-from tatekit.modpres import homology_module, trivial_module
+from tatekit.modpres import homology_module, trivial_module, zero_module
 from tatekit.resolve import syzygy
 from tatekit.surgery import BrowderReport, dimension_rows
 
@@ -148,12 +148,16 @@ def test_complex_files_round_trip(c):
 @settings(max_examples=25)
 @given(_complexes)
 def test_module_files_round_trip(c):
-    # homology modules carry relations, unlike syzygies
+    # homology modules carry relations, unlike syzygies; their pruned
+    # forms and the zero module often have 0 generators or 0 relations
+    modules = [zero_module(c.group)]
     for j in c.degrees():
         m = homology_module(c, j)
+        modules += [m, m.pruned()]
+    for m in modules:
         text = render_module(m)
         m2 = parse_module(text, c.group)
-        assert render_module(m2) == text, j
+        assert render_module(m2) == text, m
         assert m2.gens == m.gens
         assert m2.relations.data == m.relations.data
         assert [a.data for a in m2.actions] == [a.data for a in m.actions]
@@ -229,6 +233,22 @@ def test_cli_tate_module_file_with_relations(tmp_path, capsys):
         "Ĥ^1  = Z/2 + Z/2        [exponent 2]\n"
         "Ĥ^2  = Z/2 + Z/2 + Z/2  [exponent 2]\n"
     )
+
+
+def test_cli_tate_module_file_pruned_to_trivial(tmp_path, capsys):
+    # Z on three generators identified by two unit relations; the swaps
+    # commute and square to 1 only modulo the relations
+    z = tmp_path / "z.mod"
+    z.write_text(
+        "gens 3\nrelations 2\n1 0\n-1 1\n0 -1\n"
+        "action 1\n0 1 0\n1 0 0\n0 0 1\n"
+        "action 2\n1 0 0\n0 0 1\n0 1 0\n"
+    )
+    args = ["tate", "--p", "2", "--r", "2", "--deg", "-3..3", "--module"]
+    assert cli.main(args + ["trivial"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(args + [str(z)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_cli_tate_handles_negative_ranges(capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tatekit.errors import InvalidPresentation
 from tatekit.exactlin import IntMatrix
-from tatekit.gallery import random_free_complex
+from tatekit.gallery import product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup, GroupRingMatrix
 from tatekit.modpres import (
     FreeChainComplex,
@@ -149,6 +149,45 @@ def test_homology_module_carries_the_action():
     assert m.invariants() == homology(t, 0)
     # H_0 = ZG/2; the generator still swaps the two basis lines
     assert m.actions[0] != IntMatrix.identity(m.gens)
+
+
+def test_pruned_browder_modules_of_a_three_sphere_product():
+    # generators/relations of H_1..H_7 before and after the Tietze moves
+    c = product_complex(2, [2, 2, 1])
+    before, after = [], []
+    for j in range(1, 8):
+        m = homology_module(c, j)
+        small = m.pruned()
+        assert validate(small) == [] and small.invariants() == m.invariants(), j
+        before.append((m.gens, m.relations.cols))
+        after.append((small.gens, small.relations.cols))
+    assert before == [(17, 16), (24, 24), (32, 30), (26, 24), (16, 16), (8, 7), (1, 0)]
+    assert after == [(1, 0), (0, 0), (2, 0), (2, 0), (0, 0), (1, 0), (1, 0)]
+
+
+def test_pruned_is_the_same_object_without_a_unit_relation():
+    g = ElementaryAbelianGroup(3, 2)
+    for m in (
+        trivial_module(g),
+        ModulePresentation(g, 1, IntMatrix([[3]])),
+        free_module_presentation(g, 1),
+        zero_module(g),
+    ):
+        assert m.pruned() is m
+
+
+def test_pruned_substitutes_a_unit_relation_into_the_actions():
+    # Z^2 / (e_0 - 2 e_1) with x -> -x over Z/2:
+    # e_0 = 2 e_1, so the module is Z on e_1 with the same action
+    g = ElementaryAbelianGroup(2, 1)
+    m = ModulePresentation(g, 2, IntMatrix([[1], [-2]]), [IntMatrix([[-1, 0], [0, -1]])])
+    small = m.pruned()
+    assert (small.gens, small.relations.cols) == (1, 0)
+    assert small.actions[0] == IntMatrix([[-1]])
+    # a unit entry in a later relation substitutes into the earlier one
+    m = ModulePresentation(g, 2, IntMatrix([[4, 1], [0, 3]]))
+    small = m.pruned()
+    assert small.relations == IntMatrix([[-12]]) and small.invariants() == m.invariants()
 
 
 def test_dual_complex_squares_to_zero_and_reflects_degrees():

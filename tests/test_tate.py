@@ -1,9 +1,11 @@
 import random
 from math import comb
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tatekit import tate
 from tatekit._backend import smith_diagonal
 from tatekit.errors import InfiniteLength, NotConcentrated
 from tatekit.exactlin import INFINITE, AbelianInvariants, IntMatrix
@@ -153,7 +155,11 @@ def test_actions_exact_only_modulo_relations():
 def test_inexact_actions_take_the_syzygy_fallback(pr, ranks, seed):
     # A_i + R X_i acts as A_i modulo the relations R, so the module and
     # its table stay the same, but on Z^gens the new actions need not
-    # commute or have order p, and the table is read off Omega M
+    # commute or have order p.  Pruning takes most of these to a
+    # presentation without relations, so they check that pruning a
+    # non-exact presentation keeps the table; Z/p^2 with every generator
+    # acting by 1 + p^2 has no unit relation to prune, and its table is
+    # read off Omega M
     g = ElementaryAbelianGroup(*pr)
     c = random_free_complex(g, ranks, seed)
     rng = random.Random(f"{pr}|{ranks}|{seed}")
@@ -176,6 +182,78 @@ def test_inexact_actions_take_the_syzygy_fallback(pr, ranks, seed):
     for m, perturbed in pairs:
         want = tate_cohomology_range(g, m, -2, 2)
         assert tate_cohomology_range(g, perturbed, -2, 2) == want
+    q = g.p * g.p
+    lifted = ModulePresentation(g, 1, IntMatrix([[q]]), [IntMatrix([[1 + q]])] * g.r)
+    assert lifted.pruned() is lifted and not lifted.acts_exactly()
+    want = tate_cohomology_range(g, cyclic_module(g, q), -2, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        steps = _count_resolution_steps(mp)
+        assert tate_cohomology_range(g, lifted, -2, 2) == want
+    assert steps == [lifted]
+
+
+def _count_resolution_steps(mp):
+    """Patch ``tate.resolution_step`` to record each module it covers."""
+    seen = []
+
+    def counted(module):
+        seen.append(module)
+        return resolution_step(module)
+
+    mp.setattr(tate, "resolution_step", counted)
+    return seen
+
+
+def test_pruned_presentation_is_read_only_when_exact(monkeypatch):
+    # H_0 here prunes from 8/8 to 3/3 generators/relations, and the
+    # pruned actions are exact only modulo the relations: the table is
+    # read off the given presentation, with no syzygy step
+    g = ElementaryAbelianGroup(2, 3)
+    m = homology_module(random_free_complex(g, [1, 2, 1], 0), 0)
+    small = m.pruned()
+    assert (m.gens, m.relations.cols) == (8, 8)
+    assert (small.gens, small.relations.cols) == (3, 3)
+    assert m.acts_exactly() and not small.acts_exactly()
+    steps = _count_resolution_steps(monkeypatch)
+    table = tate_cohomology_range(g, m, -2, 2)
+    assert steps == []
+    window = complete_resolution(g, -3, 3)
+    assert table == _table(window, _presentation_lattices(m), -2, 2)
+
+
+def _check_pruned_against_unpruned(m, lo, hi):
+    # Two paths to one table: tate_cohomology_range reads the pruned
+    # presentation when it acts exactly, the reference reads the cone
+    # over the relation lattice of the presentation as given
+    small = m.pruned()
+    assert validate(small) == []
+    assert small.invariants() == m.invariants()
+    assert small.gens <= m.gens
+    assert small.relations.cols <= m.relations.cols
+    assert m.acts_exactly()
+    window = complete_resolution(m.group, lo - 1, hi + 1)
+    want = _table(window, _presentation_lattices(m), lo, hi)
+    assert tate_cohomology_range(m.group, m, lo, hi) == want
+
+
+@pytest.mark.parametrize("pr", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)])
+@settings(max_examples=12)
+@given(
+    st.sampled_from([[1, 1], [2, 1], [1, 2, 1], [2, 2, 1], [1, 3, 2]]),
+    st.integers(0, 30),
+    st.integers(-2, 0),
+)
+def test_pruned_table_matches_the_unpruned_cone(pr, ranks, seed, lo):
+    c = random_free_complex(ElementaryAbelianGroup(*pr), ranks, seed)
+    for j in c.degrees():
+        _check_pruned_against_unpruned(homology_module(c, j), lo, lo + 2)
+
+
+def test_pruned_table_matches_the_unpruned_cone_on_the_gallery():
+    for p, ks in [(2, [1, 1]), (3, [1, 1]), (2, [2, 1]), (3, [2, 1]), (2, [2, 2, 1])]:
+        c = product_complex(p, ks)
+        for j in c.degrees():
+            _check_pruned_against_unpruned(homology_module(c, j), j - 1, j + 1)
 
 
 def _composite_is_zero(upper, lower):
