@@ -3,6 +3,12 @@
 Both kernels work on lists of ``{column: value}`` dicts with Python
 ints throughout, so coefficient growth is handled by arbitrary
 precision rather than ever overflowing.  They consume their input rows.
+
+``smith_diagonal`` spends nearly all its time on +-1 pivots, so its
+unit phase follows the pivots, not the entries: it queues rows, each
+at most once, and in each popped row pivots on the +-1 entry whose
+column has the fewest live rows, a local Markowitz choice that costs
+one pass over the row.
 """
 
 from collections import deque
@@ -82,6 +88,14 @@ def smith_diagonal(rows, ncols, unit_rows=None):
     dividing the next.  The length of the result is the rank.  Input
     rows are consumed.
 
+    The unit phase pivots on +-1 entries.  It queues rows, not entries,
+    each at most once, the shortest rows first; a row is queued again
+    only when a row operation gives it a new +-1 entry.  In a popped
+    live row it pivots on the +-1 entry whose column has the fewest
+    live rows (a local Markowitz choice, no heap), then clears that
+    column.  When no live row has a +-1 entry, the general phase pivots
+    on the smallest remaining entry, and the unit phase resumes.
+
     If ``unit_rows`` is a list, the row index of every +-1 pivot taken
     before the first general (non-unit) pivot is appended to it.  Until
     then every row operation adds a multiple of one of these rows, and
@@ -96,12 +110,10 @@ def smith_diagonal(rows, ncols, unit_rows=None):
             col_rows.setdefault(c, set()).add(i)
 
     row_alive = [True] * nrows
-    retired_cols = set()
-    units = deque()
-    for i in range(nrows):
-        for c, v in rows[i].items():
-            if v == 1 or v == -1:
-                units.append((i, c))
+    queue = deque(sorted((i for i in range(nrows) if rows[i]), key=lambda i: len(rows[i])))
+    queued = [False] * nrows
+    for i in queue:
+        queued[i] = True
 
     def axpy(r, src, coef):
         target = rows[r]
@@ -111,36 +123,67 @@ def smith_diagonal(rows, ncols, unit_rows=None):
                 if k not in target:
                     col_rows.setdefault(k, set()).add(r)
                 target[k] = new
-                if new == 1 or new == -1:
-                    units.append((r, k))
+                if (new == 1 or new == -1) and not queued[r]:
+                    queued[r] = True
+                    queue.append(r)
             elif k in target:
                 del target[k]
                 col_rows[k].discard(r)
 
-    def retire(i, c):
+    def retire(i):
         for k in rows[i]:
             col_rows[k].discard(i)
         row_alive[i] = False
-        retired_cols.add(c)
 
     ones = 0
     tail = []
     while True:
-        # Fast path: pivot on +-1 entries, which clear without fill in
-        # their own row.
-        while units:
-            i, c = units.popleft()
-            if not row_alive[i] or c in retired_cols:
+        # Unit phase: a +-1 pivot clears its column without fill in its
+        # own row.
+        while queue:
+            i = queue.popleft()
+            queued[i] = False
+            if not row_alive[i]:
                 continue
-            v = rows[i].get(c, 0)
-            if v != 1 and v != -1:
+            row = rows[i]
+            c, fewest = None, nrows + 1
+            for k, v in row.items():
+                if v == 1 or v == -1:
+                    n = len(col_rows[k])
+                    if n < fewest:
+                        c, fewest = k, n
+            if c is None:
                 continue
-            for r in sorted(col_rows[c] - {i}):
-                axpy(r, i, -rows[r][c] * v)
-            retire(i, c)
+            retire(i)
             ones += 1
             if unit_rows is not None:
                 unit_rows.append(i)
+            others = col_rows.pop(c)
+            if not others:
+                continue
+            # rows[r] -= rows[r][c] * v * rows[i] for every other row r
+            # of column c; with the pivot row scaled by v = +-1, the
+            # multiplier is -rows[r][c], and column c itself just drops.
+            v = row[c]
+            pivot = [(k, w * v) for k, w in row.items() if k != c]
+            for r in others:
+                target = rows[r]
+                a = -target.pop(c)
+                for k, w in pivot:
+                    old = target.get(k)
+                    if old is None:
+                        new = a * w
+                        col_rows[k].add(r)
+                    else:
+                        new = old + a * w
+                        if not new:
+                            del target[k]
+                            col_rows[k].discard(r)
+                            continue
+                    target[k] = new
+                    if (new == 1 or new == -1) and not queued[r]:
+                        queued[r] = True
+                        queue.append(r)
 
         # General phase: smallest remaining entry becomes the pivot.
         best = None
@@ -204,7 +247,7 @@ def smith_diagonal(rows, ncols, unit_rows=None):
                     break
             if violator is None:
                 tail.append(v)
-                retire(i, c)
+                retire(i)
                 break
             axpy(i, violator, 1)
 

@@ -367,12 +367,23 @@ def chain_diagonals(maps):
     Smith(B) = Smith(B with the columns y deleted).  The next map still
     kills B with those columns deleted, so the cancellation chains.  A
     zero map has no pivots, so it cancels nothing in the map after it.
+
+    When ``maps`` is a generator, each set of deleted columns is sent
+    into it before the map they belong to is drawn, so it may leave
+    them out; they are deleted here either way.
     """
-    cancelled = set()
-    for rows, ncols in maps:
-        for row in rows:
-            for k in cancelled.intersection(row):
-                del row[k]
+    maps = iter(maps)
+    draw = getattr(maps, "send", lambda _: next(maps))
+    cancelled = None
+    while True:
+        try:
+            rows, ncols = draw(cancelled)
+        except StopIteration:
+            return
+        if cancelled:
+            for row in rows:
+                for k in cancelled.intersection(row):
+                    del row[k]
         units = []
         yield _backend.smith_diagonal(rows, ncols, units)
         cancelled = set(units)

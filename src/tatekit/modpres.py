@@ -29,6 +29,7 @@ class ModulePresentation:
         self.actions = list(actions)
         self._relation_basis = None
         self._elt_actions = {}
+        self._elt_rows = {}
         self._ring_actions = {}
 
     def invariants(self):
@@ -63,22 +64,52 @@ class ModulePresentation:
             self._elt_actions[index] = cached
         return cached
 
+    def _element_rows(self, index):
+        """Sparse rows of ``act_element(index)``, composed from the sparse
+        rows of the generator actions in the same order; cached."""
+        cached = self._elt_rows.get(index)
+        if cached is None:
+            exps = list(self.group.exponents(index))
+            if not any(exps):
+                cached = [{i: 1} for i in range(self.gens)]
+            elif sum(exps) == 1:
+                cached = self.actions[exps.index(1)].sparse_rows()
+            else:
+                # A_j^e_j ... A_1^e_1 = A_j (A_j^(e_j - 1) ... A_1^e_1),
+                # j the last generator with e_j > 0.
+                j = max(k for k, e in enumerate(exps) if e)
+                exps[j] -= 1
+                rest = self._element_rows(self.group.index_of(exps))
+                gen = [0] * len(exps)
+                gen[j] = 1
+                cached = []
+                for arow in self._element_rows(self.group.index_of(gen)):
+                    row = {}
+                    for k, v in arow.items():
+                        for t, w in rest[k].items():
+                            row[t] = row.get(t, 0) + v * w
+                    cached.append({t: w for t, w in row.items() if w})
+            self._elt_rows[index] = cached
+        return cached
+
     def act_ring(self, element):
         """Sparse {col: value} rows of a group-ring element acting on
         Z^gens, keys ascending.  Cached per element and shared, so
         callers must not mutate them."""
         cached = self._ring_actions.get(element.coeffs)
         if cached is None:
-            cached = IntMatrix.zeros(self.gens, self.gens)
-            for idx, a in enumerate(element.coeffs):
-                if a:
-                    m = self.act_element(idx)
-                    for i in range(self.gens):
-                        row, mrow = cached.data[i], m.data[i]
-                        for j in range(self.gens):
-                            if mrow[j]:
-                                row[j] += a * mrow[j]
-            cached = cached.sparse_rows()
+            terms = [
+                (a, self._element_rows(idx))
+                for idx, a in enumerate(element.coeffs)
+                if a
+            ]
+            cached = []
+            for i in range(self.gens):
+                row = {}
+                for a, m in terms:
+                    for k, v in m[i].items():
+                        row[k] = row.get(k, 0) + a * v
+                cached.append({k: row[k] for k in sorted(row) if row[k]})
             self._ring_actions[element.coeffs] = cached
         return cached
 

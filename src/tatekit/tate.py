@@ -125,6 +125,10 @@ def _total_maps(window, lattices, lo, hi):
     lowest degree).  Tot^n is the sum of the Hom_G(F_{n+j}, C_j) that
     have F-degree inside ``window``, and delta^n = delta_0 - (-1)^n
     delta_1.
+
+    A set sent into the generator after delta^(n-1) names coordinates
+    of Tot^n that delta^n may leave out; ``chain_diagonals`` sends the
+    unit pivot rows of delta^(n-1), which it would delete anyway.
     """
 
     def offsets(n):
@@ -135,6 +139,7 @@ def _total_maps(window, lattices, lo, hi):
         return out
 
     src = offsets(lo - 1)
+    cancelled = set()
     for n in range(lo - 1, hi + 1):
         dst = offsets(n + 1)
         rows = [{} for _ in range(_dimension(window, lattices, n + 1))]
@@ -150,7 +155,9 @@ def _total_maps(window, lattices, lo, hi):
                     for rho, drow in enumerate(d):
                         row = rows[tbase + rho]
                         for sigma, v in drow.items():
-                            row[sbase + sigma] = v
+                            k = sbase + sigma
+                            if k not in cancelled:
+                                row[k] = v
             # delta_1: pre-compose with the resolution differential into
             # degree n+j+1; lands in the summand at j with sign -(-1)^n.
             df = window.differential(n + j + 1)
@@ -165,8 +172,10 @@ def _total_maps(window, lattices, lo, hi):
                     for i, arow in enumerate(act(elem)):
                         row = rows[tbase + i]
                         for t, v in arow.items():
-                            row[sbase + t] = sign * v
-        yield rows, _dimension(window, lattices, n)
+                            k = sbase + t
+                            if k not in cancelled:
+                                row[k] = sign * v
+        cancelled = (yield rows, _dimension(window, lattices, n)) or set()
         src = dst
 
 

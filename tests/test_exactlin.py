@@ -3,6 +3,8 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from tatekit import BACKEND, _backend
 from tatekit.errors import NoSolution, SublatticeViolation
@@ -23,7 +25,7 @@ from tatekit.exactlin import (
 )
 
 from tatekit.gallery import random_free_complex
-from tatekit.groupring import ElementaryAbelianGroup
+from tatekit.groupring import ElementaryAbelianGroup, GroupRingElement, GroupRingMatrix
 
 from oracles import oracle_cokernel, oracle_rank, oracle_smith_diagonal
 
@@ -103,6 +105,55 @@ def test_smith_diagonal_reports_unit_pivot_rows():
         b = mix.mul(_transpose(left))
         kept = [{k: v for k, v in row.items() if k not in units} for row in b.sparse_rows()]
         assert _backend.smith_diagonal(kept, b.cols) == smith_diagonal(b), (m.data, units)
+
+
+@st.composite
+def unit_heavy_matrices(draw):
+    """A sparse matrix of up to 60 x 60 with mostly +-1 entries: the
+    expansion of a random group-ring matrix with +-1 coefficients, or
+    entries in {0, +-1, +-2}, a few per row.  Returns it with a seeded
+    generator for further draws."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        g = ElementaryAbelianGroup(*draw(st.sampled_from([(2, 2), (3, 1), (2, 3)])))
+        cap = 60 // g.order
+        nrows, ncols = draw(st.integers(1, cap)), draw(st.integers(1, cap))
+        rows = [
+            {
+                j: GroupRingElement(
+                    g, [rng.choice((1, -1)) if rng.random() < 0.3 else 0 for _ in range(g.order)]
+                )
+                for j in range(ncols)
+                if rng.random() < 0.25
+            }
+            for _ in range(nrows)
+        ]
+        return GroupRingMatrix(g, rows, nrows, ncols).expand(), rng
+    nrows, ncols = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    data = [[0] * ncols for _ in range(nrows)]
+    for row in data:
+        for _ in range(rng.randint(0, 3)):
+            row[rng.randrange(ncols)] = rng.choice((1, -1, 1, -1, 2, -2))
+    return IntMatrix(data, nrows, ncols), rng
+
+
+@settings(max_examples=60)
+@given(unit_heavy_matrices())
+def test_smith_diagonal_matches_sympy_on_unit_heavy_matrices(drawn):
+    # pivot order matters here, unlike on the small dense oracle draws
+    m, rng = drawn
+    got, units = _kernel_units(m.data, m.cols)
+    want = [int(f) for f in invariant_factors(Matrix(m.data), domain=ZZ) if f]
+    assert got == want
+    assert len(set(units)) == len(units) <= len(got)
+    # any b with b m = 0 keeps its Smith diagonal without the columns at
+    # the reported rows
+    left = kernel_basis(_transpose(m))
+    if left.cols:
+        mix = IntMatrix([[rng.randint(-3, 3) for _ in range(left.cols)] for _ in range(3)])
+        b = mix.mul(_transpose(left))
+        kept = [{k: v for k, v in row.items() if k not in units} for row in b.sparse_rows()]
+        assert _backend.smith_diagonal(kept, b.cols) == smith_diagonal(b)
 
 
 @settings(max_examples=80)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tatekit.errors import InvalidPresentation
 from tatekit.exactlin import IntMatrix
 from tatekit.gallery import product_complex, random_free_complex
-from tatekit.groupring import ElementaryAbelianGroup, GroupRingMatrix
+from tatekit.groupring import ElementaryAbelianGroup, GroupRingElement, GroupRingMatrix
 from tatekit.modpres import (
     FreeChainComplex,
     ModulePresentation,
@@ -149,6 +149,30 @@ def test_homology_module_carries_the_action():
     assert m.invariants() == homology(t, 0)
     # H_0 = ZG/2; the generator still swaps the two basis lines
     assert m.actions[0] != IntMatrix.identity(m.gens)
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3)]), st.integers(0, 30))
+def test_act_ring_is_the_sum_of_element_actions(pr, seed):
+    # act_ring composes sparse rows, act_element multiplies dense
+    # matrices; random matrices as actions do not commute, so the
+    # composition order shows
+    g = ElementaryAbelianGroup(*pr)
+    c = random_free_complex(g, [1, 2, 1], seed)
+    rng = random.Random(seed)
+    actions = [
+        IntMatrix([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
+        for _ in range(g.r)
+    ]
+    loose = ModulePresentation(g, 3, actions=actions)
+    for m in (homology_module(c, 1), free_module_presentation(g, 2), loose):
+        coeffs = [rng.randint(-2, 2) for _ in range(g.order)]
+        want = IntMatrix.zeros(m.gens, m.gens)
+        for idx, a in enumerate(coeffs):
+            want = want.add(m.act_element(idx).scale(a))
+        got = m.act_ring(GroupRingElement(g, coeffs))
+        assert got == want.sparse_rows()
+        assert all(list(row) == sorted(row) for row in got)
 
 
 def test_pruned_browder_modules_of_a_three_sphere_product():

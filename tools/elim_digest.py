@@ -8,11 +8,15 @@ interpreter so the module-level caches start cold, with
 ``_backend.smith_diagonal`` and ``_backend.hermite`` wrapped at every
 binding in the ``tatekit`` modules.  It prints one line per workload:
 the number of kernel calls, the total number of nonzero entries over
-their inputs, and one SHA-256 over every input, each taken before the
+their inputs, one SHA-256 over every input, each taken before the
 kernel consumes it as the kernel name, the rows with their key order,
-and ``ncols``.  A refactor that leaves the elimination work alone
-prints the same lines before and after; when the digest changes, the
-nonzero count shows whether the kernels were handed more or less.
+and ``ncols``, and one SHA-256 over the diagonals ``smith_diagonal``
+returns, in call order.  A refactor that leaves the elimination work
+alone prints the same lines before and after; when the input digest
+changes, the nonzero count shows whether the kernels were handed more
+or less.  A change of pivot order legitimately moves the input digest
+of later kernel calls, but the diagonals are invariants of each map,
+so the output digest must not move.
 
 ``tatekit`` is imported from the ``src`` next to this script and the
 workloads are only read, never changed.
@@ -28,10 +32,11 @@ WORKLOADS = ("tate", "syzygy", "hyper", "surgery")
 SEED = 1
 
 
-def _wrap_kernels(digest, counter):
+def _wrap_kernels(digest, out_digest, counter):
     """Rebind both kernels in every loaded tatekit module to a wrapper
     that feeds each input into ``digest`` and counts the call and the
-    input's nonzero entries in ``counter`` before calling the kernel."""
+    input's nonzero entries in ``counter`` before calling the kernel,
+    and feeds each Smith diagonal into ``out_digest``."""
     from tatekit import _backend
 
     originals = {id(fn): fn for fn in (_backend.smith_diagonal, _backend.hermite)}
@@ -43,7 +48,10 @@ def _wrap_kernels(digest, counter):
             counter[1] += sum(len(row) for row in rows)
             data = (fn.__name__, [list(row.items()) for row in rows], ncols)
             digest.update(repr(data).encode())
-            return fn(rows, ncols, *rest)
+            result = fn(rows, ncols, *rest)
+            if fn.__name__ == "smith_diagonal":
+                out_digest.update(repr(result).encode())
+            return result
 
         wrappers[id(fn)] = wrapper
     for name, module in list(sys.modules.items()):
@@ -54,17 +62,17 @@ def _wrap_kernels(digest, counter):
 
 
 def elim_digest(workload):
-    """Kernel call count, input nonzero count and input digest of one
-    pass of ``workload``."""
+    """Kernel call count, input nonzero count, input digest and Smith
+    diagonal digest of one pass of ``workload``."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tatebench")]
     import tatekit  # noqa: F401  (loads every module before wrapping)
     import workloads
 
-    digest, counter = hashlib.sha256(), [0, 0]
-    _wrap_kernels(digest, counter)
+    digest, out_digest, counter = hashlib.sha256(), hashlib.sha256(), [0, 0]
+    _wrap_kernels(digest, out_digest, counter)
     for op in workloads.build(workload, SEED):
         op.run()
-    return counter[0], counter[1], digest.hexdigest()
+    return counter[0], counter[1], digest.hexdigest(), out_digest.hexdigest()
 
 
 def main():
@@ -74,8 +82,8 @@ def main():
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(1, maxtasksperchild=1) as pool:
         results = pool.map(elim_digest, WORKLOADS, chunksize=1)
-    for workload, (calls, nnz, sha) in zip(WORKLOADS, results):
-        print(f"{workload:8} calls {calls:5}  nnz {nnz:8}  sha256 {sha}")
+    for workload, (calls, nnz, sha, out) in zip(WORKLOADS, results):
+        print(f"{workload:8} calls {calls:5}  nnz {nnz:8}  sha256 {sha}  out {out}")
 
 
 if __name__ == "__main__":
