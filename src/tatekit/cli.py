@@ -106,7 +106,7 @@ def _cmd_gen(args):
     elif args.kind == "product":
         c = product_complex(args.p, _parse_int_list(args.ks, "--ks"))
     else:
-        group = ElementaryAbelianGroup(args.p, args.r)
+        group = ElementaryAbelianGroup(args.p, args.r, args.allow_large)
         c = random_free_complex(group, _parse_int_list(args.ranks, "--ranks"), args.seed)
     _emit(args, formats.render_complex(c), formats.complex_data(c))
     return 0
@@ -125,7 +125,7 @@ def _cmd_homology(args):
 
 
 def _cmd_tate(args):
-    group = ElementaryAbelianGroup(args.p, args.r)
+    group = ElementaryAbelianGroup(args.p, args.r, args.allow_large)
     module = _read_module(args.module, group)
     a, b = _parse_range(args.deg)
     table = tate_cohomology_range(group, module, a, b)
@@ -150,7 +150,7 @@ def _cmd_hyper(args):
 
 
 def _cmd_syzygy(args):
-    group = ElementaryAbelianGroup(args.p, args.r)
+    group = ElementaryAbelianGroup(args.p, args.r, args.allow_large)
     module = _read_module(args.module, group)
     result = syzygy(module, args.n)
     _emit(args, formats.render_module(result), formats.module_data(result))
@@ -200,7 +200,7 @@ def _cmd_rows(args):
 
 
 def _cmd_exponents(args):
-    group = ElementaryAbelianGroup(args.p, args.r)
+    group = ElementaryAbelianGroup(args.p, args.r, args.allow_large)
     module = _read_module(args.module, group)
     a, b = _parse_range(args.deg)
     table = exponent_profile(group, module, a, b)
@@ -215,6 +215,7 @@ def _cmd_exponents(args):
 def _add_group_flags(sub):
     sub.add_argument("--p", type=int, required=True, help="prime p")
     sub.add_argument("--r", type=int, required=True, help="rank r of (Z/p)^r")
+    sub.add_argument("--allow-large", action="store_true", help="lift the size budget")
 
 
 def build_parser():
@@ -316,7 +317,7 @@ def _merge_negative_values(argv):
 
     argparse reads a leading dash as an option prefix, so values like
     negative degrees or schedules starting at a negative source would
-    otherwise be rejected.  ``--json`` is the only flag without a value.
+    otherwise be rejected.  ``--json`` and ``--allow-large`` take no value.
     """
     out, i = [], 0
     while i < len(argv):
@@ -324,7 +325,7 @@ def _merge_negative_values(argv):
         nxt = argv[i + 1] if i + 1 < len(argv) else None
         if (
             tok.startswith("--")
-            and tok != "--json"
+            and tok not in ("--json", "--allow-large")
             and "=" not in tok
             and nxt is not None
             and re.match(r"^-\d", nxt)

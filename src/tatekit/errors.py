@@ -35,6 +35,10 @@ class InvalidPresentation(TatekitError):
         super().__init__("; ".join(self.problems))
 
 
+class ResourceLimit(TatekitError):
+    """An input would need more memory than the package allows itself."""
+
+
 class WindowViolation(TatekitError):
     """A degree was requested outside the validated range of a complex."""
 

@@ -1,8 +1,11 @@
 """Exact linear algebra over the integers.
 
 Everything here works with Python ints, so results are exact at any
-size.  Matrices are small dense objects; the heavy reductions go
-through the two sparse kernels of :mod:`tatekit._elim_py`:
+size.  An :class:`IntMatrix` keeps only its nonzero entries, one
+``{row: value}`` dict per column, which is the layout the Hermite
+kernel takes and returns, so bases and kernels pass straight through
+and every operation costs O(nnz).  The reductions go through the two
+sparse kernels of :mod:`tatekit._elim_py`:
 
 - ``hermite`` on the columns of the matrix: :func:`rank`,
   :func:`lattice_basis`, and, with each column tagged by its index,
@@ -15,8 +18,8 @@ through the two sparse kernels of :mod:`tatekit._elim_py`:
 :func:`homology_invariants` reads a homology group off the diagonals
 of the maps into and out of it; every invariant here is read that way.
 
-:func:`solve_in_lattice` needs no kernel: it back-substitutes into an
-echelon basis.
+:func:`solve_in_lattice` needs no kernel: it back-substitutes into the
+pivot columns of an echelon basis as the Hermite kernel returns them.
 """
 
 import math
@@ -28,14 +31,22 @@ INFINITE = math.inf
 
 
 class IntMatrix:
-    """A dense integer matrix with just enough algebra for the package.
+    """An integer matrix kept as sparse columns.
+
+    ``columns[j]`` is a ``{row: value}`` dict of the nonzero entries of
+    column j, the layout the Hermite kernel takes and returns, so every
+    operation here costs O(nnz).  ``IntMatrix(list_of_rows)`` builds one
+    from dense rows and :meth:`from_sparse` from column dicts.  Matrices
+    share their dicts, so callers must not change ``columns``; the
+    kernels get fresh copies from :meth:`sparse_rows` and
+    :meth:`sparse_columns`.  ``data`` is a dense copy, row by row.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> a.mul(IntMatrix.identity(2)) == a
     True
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, data, rows=None, cols=None):
         if rows is None:
@@ -44,111 +55,101 @@ class IntMatrix:
             cols = len(data[0]) if rows else 0
         self.rows = rows
         self.cols = cols
-        self.data = [list(r) for r in data]
-        for r in self.data:
-            if len(r) != cols:
+        self.columns = [{} for _ in range(cols)]
+        for i, row in enumerate(data):
+            if len(row) != cols:
                 raise ValueError("ragged matrix data")
+            for col, v in zip(self.columns, row):
+                if v:
+                    col[i] = v
+
+    @classmethod
+    def from_sparse(cls, columns, rows):
+        """The matrix with these ``{row: value}`` columns, nonzero values
+        only, taken over without a copy."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = len(columns)
+        m.columns = columns
+        return m
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
+        return cls.from_sparse([{} for _ in range(cols)], rows)
 
     @classmethod
     def identity(cls, n):
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return cls.from_sparse([{i: 1} for i in range(n)], n)
 
-    @classmethod
-    def from_columns(cls, columns, rows):
-        m = cls.zeros(rows, len(columns))
-        for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                m.data[i][j] = v
-        return m
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
+    @property
+    def data(self):
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                out[i][j] = v
+        return out
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out = IntMatrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a:
-                    brow = other.data[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b:
-                            orow[j] += a * b
-        return out
-
-    def add(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        out = []
+        for bcol in other.columns:
+            col = {}
+            for k, b in bcol.items():
+                for i, a in self.columns[k].items():
+                    col[i] = col.get(i, 0) + a * b
+            out.append({i: v for i, v in col.items() if v})
+        return IntMatrix.from_sparse(out, self.rows)
 
     def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, c):
-        return IntMatrix([[c * v for v in row] for row in self.data], self.rows, self.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in matrix difference")
+        out = [dict(col) for col in self.columns]
+        for col, bcol in zip(out, other.columns):
+            for i, v in bcol.items():
+                col[i] = col.get(i, 0) - v
+        out = [{i: v for i, v in col.items() if v} for col in out]
+        return IntMatrix.from_sparse(out, self.rows)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return IntMatrix(
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-            self.rows,
-            self.cols + other.cols,
-        )
+        return IntMatrix.from_sparse(self.columns + other.columns, self.rows)
 
     def submatrix(self, row_range, col_range):
-        return IntMatrix(
-            [[self.data[i][j] for j in col_range] for i in row_range],
-            len(row_range),
-            len(col_range),
-        )
+        cols = [self.columns[j] for j in col_range]
+        if row_range != range(self.rows):
+            index = {i: k for k, i in enumerate(row_range)}
+            cols = [{index[i]: v for i, v in c.items() if i in index} for c in cols]
+        return IntMatrix.from_sparse(cols, len(row_range))
 
     def is_zero(self):
-        return all(v == 0 for row in self.data for v in row)
+        return not any(self.columns)
 
     def sparse_rows(self):
-        """Fresh {col: value} dicts, safe to hand to the mutating core."""
-        return [
-            {j: v for j, v in enumerate(row) if v}
-            for row in self.data
-        ]
+        """Fresh {col: value} dicts, keys ascending, safe to hand to the
+        mutating core."""
+        rows = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                rows[i][j] = v
+        return rows
 
     def sparse_columns(self):
         """Fresh {row: value} dicts, one per column, for the mutating core."""
-        cols = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                if v:
-                    cols[j][i] = v
-        return cols
+        return [dict(col) for col in self.columns]
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.columns == other.columns
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(map(tuple, self.data))))
+        cols = tuple(frozenset(col.items()) for col in self.columns)
+        return hash((self.rows, self.cols, cols))
 
     def __repr__(self):
         return f"IntMatrix({self.data!r})"
@@ -251,35 +252,30 @@ def solve_preimage(a, b):
     if a.rows != b.rows:
         raise ValueError("shape mismatch between matrix and right-hand side")
     pivots, _ = _augmented_hermite(a)
-    rows = [row for _, row in pivots]
-    basis = IntMatrix.from_columns(
-        [[row.get(i, 0) for i in range(a.rows)] for row in rows], a.rows
-    )
-    transform = IntMatrix.from_columns(
-        [[row.get(a.rows + j, 0) for j in range(a.cols)] for row in rows], a.cols
-    )
-    return transform.mul(solve_in_lattice(basis, b))
+    m = a.rows
+    basis = [{i: v for i, v in row.items() if i < m} for _, row in pivots]
+    transform = [{i - m: v for i, v in row.items() if i >= m} for _, row in pivots]
+    coords = solve_in_lattice(IntMatrix.from_sparse(basis, m), b)
+    return IntMatrix.from_sparse(transform, a.cols).mul(coords)
 
 
 def kernel_basis(a):
     """Basis of the integer kernel lattice of ``a``, as matrix columns."""
     _, free = _augmented_hermite(a)
-    columns = [[row.get(a.rows + j, 0) for j in range(a.cols)] for row in free]
-    return IntMatrix.from_columns(columns, a.cols)
+    columns = [{i - a.rows: v for i, v in row.items()} for row in free]
+    return IntMatrix.from_sparse(columns, a.cols)
 
 
 def lattice_basis(a):
-    """Echelon basis of the lattice spanned by the columns of ``a``.
+    """Echelon basis of the lattice spanned by the columns of ``a``: the
+    pivot rows of the Hermite kernel, as it returns them.
 
     Column ``j`` of the result has its first nonzero entry positive and
     strictly below the first nonzero entry of column ``j - 1``, which is
     what :func:`solve_in_lattice` relies on.
     """
     pivots, _ = _backend.hermite(a.sparse_columns(), a.rows)
-    columns = []
-    for _, row in pivots:
-        columns.append([row.get(i, 0) for i in range(a.rows)])
-    return IntMatrix.from_columns(columns, a.rows)
+    return IntMatrix.from_sparse([row for _, row in pivots], a.rows)
 
 
 def solve_in_lattice(basis, targets):
@@ -287,37 +283,41 @@ def solve_in_lattice(basis, targets):
 
     Raises NoSolution naming the first failing column.  ``basis`` must
     come from :func:`lattice_basis` (leading entries strictly
-    descending by column).
+    descending by column).  Each target is back-substituted on the
+    basis columns in order, touching only nonzero entries.
     """
-    supports = []
-    leads = []
-    for j in range(basis.cols):
-        sup = [(i, basis.data[i][j]) for i in range(basis.rows) if basis.data[i][j]]
-        supports.append(sup)
-        leads.append(sup[0][0])
-    out = IntMatrix.zeros(basis.cols, targets.cols)
-    for j in range(targets.cols):
-        residual = targets.column(j)
-        for k in range(basis.cols):
-            lead = leads[k]
-            piv = supports[k][0][1]
-            w = residual[lead]
+    leads = [(min(col), col) for col in basis.columns]
+    out = []
+    for j, target in enumerate(targets.columns):
+        residual = dict(target)
+        coords = {}
+        for k, (lead, col) in enumerate(leads):
+            if not residual:
+                break
+            w = residual.get(lead)
+            if not w:
+                continue
+            piv = col[lead]
             if w % piv:
                 raise NoSolution(
                     f"column {j}: residue {w} at row {lead} not divisible by {piv}",
                     column=j,
                 )
             q = w // piv
-            if q:
-                out.data[k][j] = q
-                for i, v in supports[k]:
-                    residual[i] -= q * v
-        if any(residual):
+            coords[k] = q
+            for i, v in col.items():
+                r = residual.get(i, 0) - q * v
+                if r:
+                    residual[i] = r
+                else:
+                    del residual[i]
+        if residual:
             raise NoSolution(
                 f"column {j}: lies outside the lattice",
                 column=j,
             )
-    return out
+        out.append(coords)
+    return IntMatrix.from_sparse(out, basis.cols)
 
 
 def quotient_invariants(k, l):

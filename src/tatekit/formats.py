@@ -151,12 +151,10 @@ def render_module(module):
     q = module.relations.cols
     lines = [f"gens {g}", f"relations {q}"]
     if q:
-        for i in range(g):
-            lines.append(" ".join(str(v) for v in module.relations.data[i]))
+        lines.extend(" ".join(map(str, row)) for row in module.relations.data)
     for a_idx, mat in enumerate(module.actions, start=1):
         lines.append(f"action {a_idx}")
-        for i in range(g):
-            lines.append(" ".join(str(v) for v in mat.data[i]))
+        lines.extend(" ".join(map(str, row)) for row in mat.data)
     return "\n".join(lines) + "\n"
 
 
@@ -225,8 +223,8 @@ def parse_module(text, group):
 def module_data(module):
     return {
         "gens": module.gens,
-        "relations": [list(r) for r in module.relations.data],
-        "actions": [[list(r) for r in m.data] for m in module.actions],
+        "relations": module.relations.data,
+        "actions": [m.data for m in module.actions],
     }
 
 

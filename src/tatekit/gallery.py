@@ -64,12 +64,8 @@ def random_free_complex(group, ranks, seed):
             prev = IntMatrix.zeros(ka * n, kb * n)
             continue
         lattice = kernel_basis(prev)
-        coefs = IntMatrix.zeros(lattice.cols, kb)
-        for a in range(lattice.cols):
-            row = coefs.data[a]
-            for b in range(kb):
-                row[b] = rng.choice((-1, 0, 0, 1))
-        cols = lattice.mul(coefs)
+        coefs = [[rng.choice((-1, 0, 0, 1)) for _ in range(kb)] for _ in lattice.columns]
+        cols = lattice.mul(IntMatrix(coefs, lattice.cols, kb))
         d = decode_columns(group, cols, ka)
         diffs[i] = d
         prev = d.expand()

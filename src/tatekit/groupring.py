@@ -10,13 +10,15 @@ A ``GroupRingMatrix`` keeps only its nonzero entries, one
 O(nnz).  ``GroupRingMatrix.sparse_rows`` turns a ring matrix into the
 sparse rows of an integer matrix through the left regular
 representation, one |G| x |G| block per entry, and is the only code
-that writes that expansion; ``expand`` is its dense form.  The
-identity-basis columns of the expansion carry the ring data:
-``encode_columns`` writes them and ``decode_columns`` reads them back,
-which is how every module-level computation round-trips.  ``act_rows``
-applies a group generator to ZG^k as a permutation of rows.
+that writes that expansion; ``expand`` is the same expansion as an
+``IntMatrix`` of sparse columns.  The identity-basis columns of the
+expansion carry the ring data: ``encode_columns`` writes them and
+``decode_columns`` reads them back, which is how every module-level
+computation round-trips.  ``act_rows`` applies a group generator to
+ZG^k as a permutation of rows.
 """
 
+from .errors import ResourceLimit
 from .exactlin import IntMatrix
 
 
@@ -31,10 +33,21 @@ def _is_prime(n):
     return True
 
 
-class ElementaryAbelianGroup:
-    """The group (Z/p)^r with its fixed element order."""
+# Entries of the largest table a group allocates, its |G| x |G|
+# multiplication table; 2^22 admits (Z/2)^11, (Z/3)^6 and (Z/5)^4.
+TABLE_BUDGET = 1 << 22
 
-    def __init__(self, p, r):
+
+class ElementaryAbelianGroup:
+    """The group (Z/p)^r with its fixed element order.
+
+    Ring elements hold |G| coefficients and the multiplication table
+    |G|^2 entries, so a group whose table would exceed ``TABLE_BUDGET``
+    raises ResourceLimit before anything is allocated, unless
+    ``allow_large`` is set.
+    """
+
+    def __init__(self, p, r, allow_large=False):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if r < 1:
@@ -42,6 +55,13 @@ class ElementaryAbelianGroup:
         self.p = p
         self.r = r
         self.order = p**r
+        if self.order**2 > TABLE_BUDGET and not allow_large:
+            raise ResourceLimit(
+                f"(Z/{p})^{r}: |G| = {self.order}, so a ring element holds {self.order} "
+                f"coefficients and the multiplication table {self.order**2} entries, "
+                f"over the budget of {TABLE_BUDGET}; allow_large=True (--allow-large) "
+                "lifts it"
+            )
         self._mul_table = None
         self._inv_table = None
 
@@ -310,15 +330,15 @@ class GroupRingMatrix:
         return rows
 
     def expand(self):
-        """Integer matrix of the map on underlying Z-modules, cached on
-        the matrix; its nonzero entries are those of :meth:`sparse_rows`."""
+        """Integer matrix of the map on underlying Z-modules, the sparse
+        columns of :meth:`sparse_rows`, cached on the matrix."""
         if self._expanded is None:
             n = self.group.order
-            out = IntMatrix.zeros(self.rows * n, self.cols * n)
-            for dense, row in zip(out.data, self.sparse_rows()):
+            cols = [{} for _ in range(self.cols * n)]
+            for i, row in enumerate(self.sparse_rows()):
                 for c, v in row.items():
-                    dense[c] = v
-            self._expanded = out
+                    cols[c][i] = v
+            self._expanded = IntMatrix.from_sparse(cols, self.rows * n)
         return self._expanded
 
     def __eq__(self, other):
@@ -338,12 +358,14 @@ def encode_columns(ring_matrix):
     """Identity-basis columns of the expansion of a group-ring matrix:
     column c of the result stacks the coefficients of column c."""
     n = ring_matrix.group.order
-    out = IntMatrix.zeros(ring_matrix.rows * n, ring_matrix.cols)
+    cols = [{} for _ in range(ring_matrix.cols)]
     for b, row in enumerate(ring_matrix.entries):
         for c, e in row.items():
+            col = cols[c]
             for h, v in enumerate(e.coeffs):
-                out.data[b * n + h][c] = v
-    return out
+                if v:
+                    col[b * n + h] = v
+    return IntMatrix.from_sparse(cols, ring_matrix.rows * n)
 
 
 def decode_columns(group, mat, row_blocks):
@@ -356,16 +378,12 @@ def decode_columns(group, mat, row_blocks):
     n = group.order
     if mat.rows != row_blocks * n:
         raise ValueError("row count is not a multiple of the group order")
-    rows = []
-    for b in range(row_blocks):
-        block = mat.data[b * n : (b + 1) * n]
-        rows.append(
-            {
-                c: GroupRingElement(group, col)
-                for c, col in enumerate(zip(*block))
-                if any(col)
-            }
-        )
+    rows = [{} for _ in range(row_blocks)]
+    for c, col in enumerate(mat.columns):
+        for i, v in col.items():
+            b, h = divmod(i, n)
+            (rows[b].get(c) or rows[b].setdefault(c, [0] * n))[h] = v
+    rows = [{c: GroupRingElement(group, x) for c, x in row.items()} for row in rows]
     return GroupRingMatrix(group, rows, row_blocks, mat.cols)
 
 
@@ -382,8 +400,7 @@ def act_rows(group, i, mat):
     if mat.rows % n:
         raise ValueError("row count is not a multiple of the group order")
     shift = group.mul_table()[group.p ** (group.r - i)]
-    data = [None] * mat.rows
-    for b in range(0, mat.rows, n):
-        for h in range(n):
-            data[b + shift[h]] = mat.data[b + h]
-    return IntMatrix(data, mat.rows, mat.cols)
+    cols = [
+        {k - k % n + shift[k % n]: v for k, v in col.items()} for col in mat.columns
+    ]
+    return IntMatrix.from_sparse(cols, mat.rows)

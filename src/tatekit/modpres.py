@@ -29,7 +29,6 @@ class ModulePresentation:
         self.actions = list(actions)
         self._relation_basis = None
         self._elt_actions = {}
-        self._elt_rows = {}
         self._ring_actions = {}
 
     def invariants(self):
@@ -53,43 +52,21 @@ class ModulePresentation:
         return None
 
     def act_element(self, index):
-        """Action matrix of the group element at ``index``."""
+        """Action matrix of the group element at ``index``: with
+        exponents e, A_r^e_r ... A_1^e_1; cached."""
         cached = self._elt_actions.get(index)
-        if cached is None:
-            exps = self.group.exponents(index)
-            cached = IntMatrix.identity(self.gens)
-            for a, e in zip(self.actions, exps):
-                for _ in range(e):
-                    cached = a.mul(cached)
-            self._elt_actions[index] = cached
-        return cached
-
-    def _element_rows(self, index):
-        """Sparse rows of ``act_element(index)``, composed from the sparse
-        rows of the generator actions in the same order; cached."""
-        cached = self._elt_rows.get(index)
         if cached is None:
             exps = list(self.group.exponents(index))
             if not any(exps):
-                cached = [{i: 1} for i in range(self.gens)]
-            elif sum(exps) == 1:
-                cached = self.actions[exps.index(1)].sparse_rows()
+                cached = IntMatrix.identity(self.gens)
             else:
                 # A_j^e_j ... A_1^e_1 = A_j (A_j^(e_j - 1) ... A_1^e_1),
                 # j the last generator with e_j > 0.
                 j = max(k for k, e in enumerate(exps) if e)
                 exps[j] -= 1
-                rest = self._element_rows(self.group.index_of(exps))
-                gen = [0] * len(exps)
-                gen[j] = 1
-                cached = []
-                for arow in self._element_rows(self.group.index_of(gen)):
-                    row = {}
-                    for k, v in arow.items():
-                        for t, w in rest[k].items():
-                            row[t] = row.get(t, 0) + v * w
-                    cached.append({t: w for t, w in row.items() if w})
-            self._elt_rows[index] = cached
+                rest = self.act_element(self.group.index_of(exps))
+                cached = self.actions[j].mul(rest)
+            self._elt_actions[index] = cached
         return cached
 
     def act_ring(self, element):
@@ -99,17 +76,16 @@ class ModulePresentation:
         cached = self._ring_actions.get(element.coeffs)
         if cached is None:
             terms = [
-                (a, self._element_rows(idx))
+                (a, self.act_element(idx).columns)
                 for idx, a in enumerate(element.coeffs)
                 if a
             ]
-            cached = []
-            for i in range(self.gens):
-                row = {}
-                for a, m in terms:
-                    for k, v in m[i].items():
-                        row[k] = row.get(k, 0) + a * v
-                cached.append({k: row[k] for k in sorted(row) if row[k]})
+            rows = [{} for _ in range(self.gens)]
+            for j in range(self.gens):
+                for a, cols in terms:
+                    for i, v in cols[j].items():
+                        rows[i][j] = rows[i].get(j, 0) + a * v
+            cached = [{k: v for k, v in row.items() if v} for row in rows]
             self._ring_actions[element.coeffs] = cached
         return cached
 
@@ -188,17 +164,18 @@ class ModulePresentation:
         dropped = {c for c, _ in eliminated}
         kept = [i for i in range(self.gens) if i not in dropped]
         n = len(kept)
-        # pi(e_c) reads only generators kept or eliminated after c.
+        # Column c of pi is pi(e_c); it reads only generators kept or
+        # eliminated after c.
         pi = IntMatrix.zeros(n, self.gens)
         for i, s in enumerate(kept):
-            pi.data[i][s] = 1
+            pi.columns[s] = {i: 1}
         for c, expr in reversed(eliminated):
-            for row in pi.data:
-                row[c] = sum(w * row[r] for r, w in expr.items())
-        relations = IntMatrix.from_columns(
-            [[col.get(s, 0) for s in kept] for col in cols], n
+            pi.columns[c] = pi.mul(IntMatrix.from_sparse([expr], self.gens)).columns[0]
+        index = {s: i for i, s in enumerate(kept)}
+        relations = IntMatrix.from_sparse(
+            [{index[s]: v for s, v in col.items()} for col in cols], n
         )
-        actions = [pi.mul(a).submatrix(range(n), kept) for a in self.actions]
+        actions = [pi.mul(a.submatrix(range(self.gens), kept)) for a in self.actions]
         return ModulePresentation(self.group, n, relations, actions)
 
     def has_trivial_action(self):
@@ -286,7 +263,10 @@ class FreeChainComplex:
     degree i-1.  ``d o d = 0`` is checked in the group ring on
     construction.  A complex carved out of an infinite resolution
     carries ``valid_range`` and only answers homology questions
-    strictly inside it.
+    strictly inside it.  ``_certified_exact`` is set only by
+    ``resolve.complete_resolution``, whose windows it has certified
+    exact strictly inside ``valid_range``; ``valid_range`` alone proves
+    nothing, so it is never read as that flag.
     """
 
     def __init__(self, group, ranks, diffs, valid_range=None, check=True):
@@ -297,6 +277,7 @@ class FreeChainComplex:
         self.ranks = {i: k for i, k in ranks.items() if k}
         self.diffs = {}
         self.valid_range = valid_range
+        self._certified_exact = False
         self._diags = None
         for i, d in diffs.items():
             if d is None or d.is_zero():
@@ -346,13 +327,15 @@ class FreeChainComplex:
 
     def shifted(self, s):
         vr = self.valid_range
-        return FreeChainComplex(
+        out = FreeChainComplex(
             self.group,
             {i + s: k for i, k in self.ranks.items()},
             {i + s: d for i, d in self.diffs.items()},
             valid_range=(vr[0] + s, vr[1] + s) if vr else None,
             check=False,
         )
+        out._certified_exact = self._certified_exact
+        return out
 
     def _check_window(self, n):
         if self.valid_range is not None:
@@ -391,11 +374,12 @@ def homology(complex_, n):
 
     Uses that the ambient module is free: the torsion of the quotient
     is read off the Smith diagonal of the incoming differential, and
-    the free rank from the two ranks.
+    the free rank from the two ranks.  Inside a certified window of
+    the complete resolution it is 0 without any reduction.
     """
     complex_._check_window(n)
     k = complex_.rank(n)
-    if k == 0:
+    if k == 0 or complex_._certified_exact:
         return AbelianInvariants()
     diag = complex_._diagonals()
     into, outof = diag.get(n + 1, ()), diag.get(n, ())

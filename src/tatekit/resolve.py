@@ -170,7 +170,8 @@ def complete_resolution(group, lo, hi):
     """Degrees lo..hi of the complete resolution of Z.
 
     Every degree strictly inside the window is certified before the
-    window is handed out; homology at its edges raises WindowViolation.
+    window is handed out, so ``homology`` answers 0 there without
+    reducing; homology at its edges raises WindowViolation.
     The Smith work of a call is the positive half over the twins of
     the degrees it certifies, reduced top-down.  Windows share the
     cached differentials, so callers must not mutate them.
@@ -180,9 +181,11 @@ def complete_resolution(group, lo, hi):
     _certify(group, lo, hi)
     ranks = {n: _rank(group, n) for n in range(lo, hi + 1)}
     diffs = {n: _differential(group, n) for n in range(lo + 1, hi + 1)}
-    return FreeChainComplex(
+    window = FreeChainComplex(
         group, ranks, diffs, valid_range=(lo, hi), check=False
     )
+    window._certified_exact = True
+    return window
 
 
 class ResolutionStep:
@@ -227,19 +230,17 @@ def resolution_step(module):
     span = module.relation_basis()
     for c in range(k):
         if span.cols:
-            unit = IntMatrix.zeros(k, 1)
-            unit.data[c][0] = 1
             try:
-                solve_in_lattice(span, unit)
+                solve_in_lattice(span, IntMatrix.from_sparse([{c: 1}], k))
                 continue
             except NoSolution:
                 pass
-        orbit = [module.act_element(h).column(c) for h in range(n)]
+        orbit = [module.act_element(h).columns[c] for h in range(n)]
         chosen.append(c)
         columns.extend(orbit)
-        span = lattice_basis(span.hstack(IntMatrix.from_columns(orbit, k)))
+        span = lattice_basis(span.hstack(IntMatrix.from_sparse(orbit, k)))
     s = len(chosen)
-    cover = IntMatrix.from_columns(columns, k)
+    cover = IntMatrix.from_sparse(columns, k)
     if module.relations.cols == 0:
         raw = kernel_basis(cover)
     else:

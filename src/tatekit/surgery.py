@@ -171,12 +171,7 @@ def _verify_ses(complex_, cone, n, top_basis):
 
     # alpha: classes of C-cycles, zero-padded on the F-summand, inside
     # the cycle lattice of the cone.
-    padded = IntMatrix.zeros(rd, zc.cols)
-    for a in range(rc):
-        row = zc.data[a]
-        dst = padded.data[a]
-        for b in range(zc.cols):
-            dst[b] = row[b]
+    padded = IntMatrix.from_sparse(zc.columns, rd)
     # beta: the F-part of each cone cycle written in the syzygy basis.
     proj = zd.submatrix(range(rc, rd), range(zd.cols))
     try:

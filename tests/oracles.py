@@ -8,12 +8,22 @@ exception is the tensor oracle: ``tensor_complex`` is the generic
 tensor product of free complexes, with a block layout and Koszul
 signs, and ``oracle_product_complex`` folds it over hand-written lens
 complexes.  The library builds products from the closed form of the
-complete resolution instead, so each checks the other.  Slow and
-simple on purpose.
+complete resolution instead, so each checks the other.
+
+``DenseIntMatrix`` and the ``dense_*`` functions are the library's
+integer matrices and lattice solvers as they were before matrices kept
+sparse columns: dense row lists, with the same elimination kernels.
+``oracle_random_free_complex`` is ``random_free_complex`` written on
+them.  The sparse code is checked against them.  Slow and simple on
+purpose.
 """
 
+import random
 from fractions import Fraction
 
+from tatekit import _elim_py
+from tatekit.errors import NoSolution, SublatticeViolation
+from tatekit.exactlin import homology_invariants
 from tatekit.groupring import (
     ElementaryAbelianGroup,
     GroupRingElement,
@@ -21,6 +31,251 @@ from tatekit.groupring import (
     norm_element,
 )
 from tatekit.modpres import FreeChainComplex
+
+
+class DenseIntMatrix:
+    """A dense integer matrix: the package's ``IntMatrix`` before it
+    kept sparse columns, kept as the reference that the sparse one is
+    checked against.
+
+    >>> a = DenseIntMatrix([[1, 2], [3, 4]])
+    >>> a.mul(DenseIntMatrix.identity(2)) == a
+    True
+    """
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, data, rows=None, cols=None):
+        if rows is None:
+            rows = len(data)
+        if cols is None:
+            cols = len(data[0]) if rows else 0
+        self.rows = rows
+        self.cols = cols
+        self.data = [list(r) for r in data]
+        for r in self.data:
+            if len(r) != cols:
+                raise ValueError("ragged matrix data")
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls([[0] * cols for _ in range(rows)], rows, cols)
+
+    @classmethod
+    def identity(cls, n):
+        m = cls.zeros(n, n)
+        for i in range(n):
+            m.data[i][i] = 1
+        return m
+
+    @classmethod
+    def from_columns(cls, columns, rows):
+        m = cls.zeros(rows, len(columns))
+        for j, col in enumerate(columns):
+            for i, v in enumerate(col):
+                m.data[i][j] = v
+        return m
+
+    def column(self, j):
+        return [self.data[i][j] for i in range(self.rows)]
+
+    def mul(self, other):
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        out = DenseIntMatrix.zeros(self.rows, other.cols)
+        for i in range(self.rows):
+            arow = self.data[i]
+            orow = out.data[i]
+            for k in range(self.cols):
+                a = arow[k]
+                if a:
+                    brow = other.data[k]
+                    for j in range(other.cols):
+                        b = brow[j]
+                        if b:
+                            orow[j] += a * b
+        return out
+
+    def add(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in matrix sum")
+        return DenseIntMatrix(
+            [
+                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
+                for i in range(self.rows)
+            ]
+        )
+
+    def sub(self, other):
+        return self.add(other.scale(-1))
+
+    def scale(self, c):
+        return DenseIntMatrix([[c * v for v in row] for row in self.data], self.rows, self.cols)
+
+    def hstack(self, other):
+        if self.rows != other.rows:
+            raise ValueError("row mismatch in hstack")
+        return DenseIntMatrix(
+            [self.data[i] + other.data[i] for i in range(self.rows)],
+            self.rows,
+            self.cols + other.cols,
+        )
+
+    def submatrix(self, row_range, col_range):
+        return DenseIntMatrix(
+            [[self.data[i][j] for j in col_range] for i in row_range],
+            len(row_range),
+            len(col_range),
+        )
+
+    def is_zero(self):
+        return all(v == 0 for row in self.data for v in row)
+
+    def sparse_rows(self):
+        """Fresh {col: value} dicts, safe to hand to the mutating core."""
+        return [
+            {j: v for j, v in enumerate(row) if v}
+            for row in self.data
+        ]
+
+    def sparse_columns(self):
+        """Fresh {row: value} dicts, one per column, for the mutating core."""
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, v in enumerate(row):
+                if v:
+                    cols[j][i] = v
+        return cols
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DenseIntMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.data == other.data
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(map(tuple, self.data))))
+
+    def __repr__(self):
+        return f"DenseIntMatrix({self.data!r})"
+
+
+def dense_smith_diagonal(a):
+    """Positive diagonal of the Smith form (ones included; length = rank)."""
+    return _elim_py.smith_diagonal(a.sparse_rows(), a.cols)
+
+
+def dense_augmented_hermite(a):
+    """Hermite of the columns of ``a``, column ``j`` tagged with 1 at
+    ``a.rows + j``, so each reduced row carries its coordinates in the
+    columns of ``a``."""
+    rows = a.sparse_columns()
+    for j, row in enumerate(rows):
+        row[a.rows + j] = 1
+    return _elim_py.hermite(rows, a.rows)
+
+
+def dense_solve_preimage(a, b):
+    """Some integer solution ``x`` of ``a * x == b``, or NoSolution.
+
+    ``b`` may have several columns; they are solved together and
+    NoSolution names the first that fails.  When the system is
+    underdetermined any valid solution may be returned.
+    """
+    if a.rows != b.rows:
+        raise ValueError("shape mismatch between matrix and right-hand side")
+    pivots, _ = dense_augmented_hermite(a)
+    rows = [row for _, row in pivots]
+    basis = DenseIntMatrix.from_columns(
+        [[row.get(i, 0) for i in range(a.rows)] for row in rows], a.rows
+    )
+    transform = DenseIntMatrix.from_columns(
+        [[row.get(a.rows + j, 0) for j in range(a.cols)] for row in rows], a.cols
+    )
+    return transform.mul(dense_solve_in_lattice(basis, b))
+
+
+def dense_kernel_basis(a):
+    """Basis of the integer kernel lattice of ``a``, as matrix columns."""
+    _, free = dense_augmented_hermite(a)
+    columns = [[row.get(a.rows + j, 0) for j in range(a.cols)] for row in free]
+    return DenseIntMatrix.from_columns(columns, a.cols)
+
+
+def dense_lattice_basis(a):
+    """Echelon basis of the lattice spanned by the columns of ``a``.
+
+    Column ``j`` of the result has its first nonzero entry positive and
+    strictly below the first nonzero entry of column ``j - 1``, which is
+    what :func:`dense_solve_in_lattice` relies on.
+    """
+    pivots, _ = _elim_py.hermite(a.sparse_columns(), a.rows)
+    columns = []
+    for _, row in pivots:
+        columns.append([row.get(i, 0) for i in range(a.rows)])
+    return DenseIntMatrix.from_columns(columns, a.rows)
+
+
+def dense_solve_in_lattice(basis, targets):
+    """Coordinates of ``targets`` columns in an echelon ``basis``.
+
+    Raises NoSolution naming the first failing column.  ``basis`` must
+    come from :func:`dense_lattice_basis` (leading entries strictly
+    descending by column).
+    """
+    supports = []
+    leads = []
+    for j in range(basis.cols):
+        sup = [(i, basis.data[i][j]) for i in range(basis.rows) if basis.data[i][j]]
+        supports.append(sup)
+        leads.append(sup[0][0])
+    out = DenseIntMatrix.zeros(basis.cols, targets.cols)
+    for j in range(targets.cols):
+        residual = targets.column(j)
+        for k in range(basis.cols):
+            lead = leads[k]
+            piv = supports[k][0][1]
+            w = residual[lead]
+            if w % piv:
+                raise NoSolution(
+                    f"column {j}: residue {w} at row {lead} not divisible by {piv}",
+                    column=j,
+                )
+            q = w // piv
+            if q:
+                out.data[k][j] = q
+                for i, v in supports[k]:
+                    residual[i] -= q * v
+        if any(residual):
+            raise NoSolution(
+                f"column {j}: lies outside the lattice",
+                column=j,
+            )
+    return out
+
+
+def dense_quotient_invariants(k, l):
+    """Invariants of span(k) / span(l) for integer column spans.
+
+    The columns of ``l`` must lie in the lattice spanned by the columns
+    of ``k``; otherwise SublatticeViolation names the first offender.
+    Both arguments may be spanning sets rather than bases.
+    """
+    if k.rows != l.rows:
+        raise ValueError("ambient rank mismatch between the two spans")
+    basis = dense_lattice_basis(k)
+    try:
+        coords = dense_solve_in_lattice(basis, l)
+    except NoSolution as exc:
+        raise SublatticeViolation(str(exc), column=exc.column) from exc
+    return homology_invariants(basis.cols, dense_smith_diagonal(coords), ())
+
+
+def dense_cokernel_invariants(a):
+    """Invariants of Z^rows / column-span(a)."""
+    return homology_invariants(a.rows, dense_smith_diagonal(a), ())
 
 
 def oracle_smith_diagonal(mat):
@@ -259,3 +514,38 @@ def tensor_complex(c, d):
         diffs[n] = GroupRingMatrix(group, rows, ranks[n - 1], ranks[n])
 
     return FreeChainComplex(group, ranks, diffs)
+
+
+def oracle_random_free_complex(group, ranks, seed):
+    """``gallery.random_free_complex`` on dense matrices: the same draws
+    in the same order, so the same complex entry for entry."""
+    ranks = list(ranks)
+    rng = random.Random(f"{group.p}.{group.r}|{ranks}|{seed}")
+    n = group.order
+    rank_map = {i: k for i, k in enumerate(ranks)}
+    diffs = {}
+    prev = DenseIntMatrix.zeros(0, rank_map.get(0, 0) * n)
+    for i in range(1, len(ranks)):
+        ka = rank_map.get(i - 1, 0)
+        kb = rank_map.get(i, 0)
+        if ka == 0 or kb == 0:
+            prev = DenseIntMatrix.zeros(ka * n, kb * n)
+            continue
+        lattice = dense_kernel_basis(prev)
+        coefs = DenseIntMatrix.zeros(lattice.cols, kb)
+        for a in range(lattice.cols):
+            row = coefs.data[a]
+            for b in range(kb):
+                row[b] = rng.choice((-1, 0, 0, 1))
+        cols = lattice.mul(coefs)
+        rows = [{} for _ in range(ka)]
+        for c in range(kb):
+            col = cols.column(c)
+            for b in range(ka):
+                coeffs = col[b * n : (b + 1) * n]
+                if any(coeffs):
+                    rows[b][c] = GroupRingElement(group, coeffs)
+        d = GroupRingMatrix(group, rows, ka, kb)
+        diffs[i] = d
+        prev = DenseIntMatrix(oracle_expand(d), ka * n, kb * n)
+    return FreeChainComplex(group, rank_map, diffs)

@@ -27,7 +27,18 @@ from tatekit.exactlin import (
 from tatekit.gallery import random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup, GroupRingElement, GroupRingMatrix
 
-from oracles import oracle_cokernel, oracle_rank, oracle_smith_diagonal
+from oracles import (
+    DenseIntMatrix,
+    dense_cokernel_invariants,
+    dense_kernel_basis,
+    dense_lattice_basis,
+    dense_quotient_invariants,
+    dense_solve_in_lattice,
+    dense_solve_preimage,
+    oracle_cokernel,
+    oracle_rank,
+    oracle_smith_diagonal,
+)
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5, density=0.7):
@@ -257,7 +268,7 @@ def preimage_problems(draw):
             columns.append([sum(v * w for v, w in zip(row, x)) for row in a.data])
         else:
             columns.append([draw(entry) for _ in range(rows)])
-    return a, IntMatrix.from_columns(columns, rows)
+    return a, IntMatrix([list(r) for r in zip(*columns)], rows, len(columns))
 
 
 def in_column_lattice(a, col):
@@ -272,7 +283,7 @@ def in_column_lattice(a, col):
 @given(preimage_problems())
 def test_solve_preimage_agrees_with_smith_membership(problem):
     a, b = problem
-    outside = [j for j in range(b.cols) if not in_column_lattice(a, b.column(j))]
+    outside = [j for j, col in enumerate(zip(*b.data)) if not in_column_lattice(a, col)]
     try:
         x = solve_preimage(a, b)
     except NoSolution as exc:
@@ -365,3 +376,106 @@ def test_lattice_basis_is_echelon_and_spans():
         # and vice versa: basis columns lie in the original column lattice
         if basis.cols:
             assert quotient_invariants(basis, basis).is_trivial()
+
+
+# Cross-path checks: the sparse-column IntMatrix against the dense
+# reference in tests/oracles.py, on shapes with no rows, no columns and
+# all-zero columns.
+
+
+@st.composite
+def int_matrices(draw, rows=None, cols=None):
+    """Dense row data and shape of a small integer matrix, some columns
+    forced to zero."""
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    zero = draw(st.sets(st.integers(0, 4))) if cols else set()
+    entry = st.integers(-4, 4)
+    data = [[0 if j in zero else draw(entry) for j in range(cols)] for _ in range(rows)]
+    return data, rows, cols
+
+
+def _both(m):
+    return IntMatrix(*m), DenseIntMatrix(*m)
+
+
+def _same(sparse, dense):
+    return (sparse.rows, sparse.cols, sparse.data) == (dense.rows, dense.cols, dense.data)
+
+
+def _outcome(fn, *args):
+    """The result of ``fn``, or the column its NoSolution or
+    SublatticeViolation names."""
+    try:
+        return "ok", fn(*args)
+    except (NoSolution, SublatticeViolation) as exc:
+        return type(exc).__name__, exc.column
+
+
+def _same_outcome(sparse, dense):
+    if sparse[0] != dense[0]:
+        return False
+    if sparse[0] != "ok":
+        return sparse[1] == dense[1]
+    if isinstance(sparse[1], AbelianInvariants):
+        return sparse[1] == dense[1]
+    return _same(sparse[1], dense[1])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_sparse_matrix_algebra_matches_dense(data):
+    a = data.draw(int_matrices())
+    rows, inner = a[1], a[2]
+    b = data.draw(int_matrices(rows=inner))
+    c = data.draw(int_matrices(rows=rows))
+    d = data.draw(int_matrices(rows=rows, cols=inner))
+    sa, da = _both(a)
+    sb, db = _both(b)
+    sc, dc = _both(c)
+    sd, dd = _both(d)
+    assert _same(sa, da)
+    assert _same(sa.mul(sb), da.mul(db))
+    assert _same(sa.hstack(sc), da.hstack(dc))
+    # The dense ``sub`` reads its shape off its rows, so with no rows it
+    # loses the column count; the entries still agree.
+    diff = sa.sub(sd)
+    assert (diff.rows, diff.cols, diff.data) == (rows, inner, da.sub(dd).data)
+    cols = data.draw(st.lists(st.integers(0, inner - 1), min_size=1, max_size=4)) if inner else []
+    for lo in range(rows + 1):
+        for hi in range(lo, rows + 1):
+            assert _same(sa.submatrix(range(lo, hi), cols), da.submatrix(range(lo, hi), cols))
+    assert sa.sparse_rows() == da.sparse_rows()
+    assert sa.sparse_columns() == da.sparse_columns()
+    assert sa.is_zero() == da.is_zero()
+    if rows and inner:
+        view = sa.data
+        view[0][0] += 1
+        assert sa.data != view  # ``data`` is a copy
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_sparse_lattice_solvers_match_dense(data):
+    a = data.draw(int_matrices())
+    rows, cols = a[1], a[2]
+    sa, da = _both(a)
+    assert _same(lattice_basis(sa), dense_lattice_basis(da))
+    assert _same(kernel_basis(sa), dense_kernel_basis(da))
+    assert cokernel_invariants(sa) == dense_cokernel_invariants(da)
+    # right-hand sides: images a * x, free draws, or both
+    x = data.draw(int_matrices(rows=cols))
+    free = data.draw(int_matrices(rows=rows))
+    image = sa.mul(IntMatrix(*x))
+    targets = (image.hstack(IntMatrix(*free)).data, rows, image.cols + free[2])
+    ts, td = _both(targets)
+    pairs = [
+        (solve_in_lattice, dense_solve_in_lattice, lattice_basis(sa), dense_lattice_basis(da)),
+        (solve_preimage, dense_solve_preimage, sa, da),
+        (quotient_invariants, dense_quotient_invariants, sa, da),
+    ]
+    for sparse_fn, dense_fn, s_left, d_left in pairs:
+        got = _outcome(sparse_fn, s_left, ts)
+        assert _same_outcome(got, _outcome(dense_fn, d_left, td)), sparse_fn.__name__
+    got = _outcome(quotient_invariants, ts, sa)
+    assert _same_outcome(got, _outcome(dense_quotient_invariants, td, da))

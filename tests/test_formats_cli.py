@@ -1,6 +1,7 @@
 """File-format round trips and end-to-end runs of the command line."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +346,19 @@ def test_cli_exponents(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "H^2" in out and "exponent 2" in out
+
+
+def test_cli_refuses_a_group_over_the_size_budget(capsys):
+    start = time.perf_counter()
+    assert cli.main(["tate", "--p", "2", "--r", "24", "--module", "trivial",
+                     "--deg", "0..0"]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "(Z/2)^24" in err and "16777216" in err and "--allow-large" in err
+    # the override is accepted, also before a negative degree range
+    assert cli.main(["tate", "--p", "2", "--r", "1", "--module", "trivial",
+                     "--allow-large", "--deg", "-1..0"]) == 0
+    assert "Ĥ^0  = Z/2" in capsys.readouterr().out
 
 
 def test_cli_error_exits(tmp_path, capsys):

@@ -3,7 +3,7 @@ from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup, norm_element
 from tatekit.modpres import homology
 
-from oracles import oracle_homology, oracle_product_complex
+from oracles import oracle_homology, oracle_product_complex, oracle_random_free_complex
 
 
 def test_lens_complex_shape():
@@ -96,6 +96,21 @@ def test_random_complex_is_deterministic():
     assert render_complex(a) == render_complex(b)
     c = random_free_complex(g, [2, 3, 2], 8)
     assert render_complex(a) != render_complex(c)
+
+
+def test_random_complex_matches_the_dense_oracle_entry_for_entry():
+    # the hyper workload's seeded draws are benchmark inputs: the sparse
+    # construction must make the dense one's rng.choice calls in order
+    draws = [((2, 2), [2, 3, 2]), ((3, 1), [2, 3, 3, 1]), ((2, 3), [1, 2, 1]),
+             ((5, 1), [3, 3, 2])]
+    for (p, r), ranks in draws:
+        g = ElementaryAbelianGroup(p, r)
+        for seed in range(11):
+            got = random_free_complex(g, ranks, seed)
+            want = oracle_random_free_complex(g, ranks, seed)
+            assert got.ranks == want.ranks and set(got.diffs) == set(want.diffs)
+            for i, d in want.diffs.items():
+                assert got.diffs[i].entries == d.entries, (p, r, ranks, seed, i)
 
 
 def test_random_complex_differentials_compose_to_zero():

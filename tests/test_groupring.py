@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tatekit.errors import ResourceLimit, TatekitError
 from tatekit.exactlin import IntMatrix
 from tatekit.groupring import (
+    TABLE_BUDGET,
     ElementaryAbelianGroup,
     GroupRingElement,
     GroupRingMatrix,
@@ -325,3 +327,20 @@ def test_encode_columns_of_a_product_and_round_trip(pr, data):
     d = data.draw(sparse_ring_matrix(g, k1, k2))
     assert encode_columns(f.mul(d)) == f.expand().mul(encode_columns(d))
     assert decode_columns(g, encode_columns(d), k1) == d
+
+
+def test_groups_over_the_table_budget_are_refused_before_allocating():
+    with pytest.raises(ResourceLimit) as exc:
+        ElementaryAbelianGroup(2, 24)
+    msg = str(exc.value)
+    assert "(Z/2)^24" in msg and "16777216" in msg and str(2**48) in msg
+    assert isinstance(exc.value, TatekitError)
+    big = ElementaryAbelianGroup(2, 24, allow_large=True)
+    assert big.order == 2**24 and big._mul_table is None
+    # the rank sweep up to (Z/2)^10 and every group of the tests and the
+    # benchmark fit; so do the largest at each small prime
+    for p, r in [(2, 10), (2, 11), (3, 6), (5, 4), (7, 3)]:
+        assert ElementaryAbelianGroup(p, r).order**2 <= TABLE_BUDGET
+    for p, r in [(2, 12), (3, 7), (5, 5), (7, 4)]:
+        with pytest.raises(ResourceLimit):
+            ElementaryAbelianGroup(p, r)

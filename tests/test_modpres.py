@@ -21,7 +21,7 @@ from tatekit.modpres import (
     zero_module,
 )
 
-from oracles import oracle_homology, tensor_complex
+from oracles import DenseIntMatrix, oracle_homology, tensor_complex
 
 
 def two_periodic_circle(p):
@@ -167,9 +167,10 @@ def test_act_ring_is_the_sum_of_element_actions(pr, seed):
     loose = ModulePresentation(g, 3, actions=actions)
     for m in (homology_module(c, 1), free_module_presentation(g, 2), loose):
         coeffs = [rng.randint(-2, 2) for _ in range(g.order)]
-        want = IntMatrix.zeros(m.gens, m.gens)
+        want = DenseIntMatrix.zeros(m.gens, m.gens)
         for idx, a in enumerate(coeffs):
-            want = want.add(m.act_element(idx).scale(a))
+            act = DenseIntMatrix(m.act_element(idx).data, m.gens, m.gens)
+            want = want.add(act.scale(a))
         got = m.act_ring(GroupRingElement(g, coeffs))
         assert got == want.sparse_rows()
         assert all(list(row) == sorted(row) for row in got)

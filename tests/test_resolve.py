@@ -12,6 +12,7 @@ from tatekit.exactlin import (
     lattice_basis,
     solve_in_lattice,
 )
+from tatekit.gallery import product_complex
 from tatekit.groupring import ElementaryAbelianGroup, GroupRingMatrix, full_norm
 from tatekit.modpres import (
     FreeChainComplex,
@@ -86,6 +87,32 @@ def test_complete_resolution_is_exact_in_the_window_interior():
         w = complete_resolution(g, -3, 3)
         for i in range(-2, 3):
             assert homology(w, i).is_trivial(), (p, r, i)
+
+
+def test_certified_window_answers_homology_without_reducing(monkeypatch):
+    # complete_resolution has certified every interior degree, so its
+    # windows, shifted or not, reduce nothing there; a complex built by
+    # hand on the same differentials and valid_range is reduced in full
+    calls = []
+    for name in ("smith_diagonal", "hermite"):
+        real = getattr(_backend, name)
+        monkeypatch.setattr(_backend, name, lambda *a, real=real: calls.append(1) or real(*a))
+    for p, r, k in [(2, 3, 6), (3, 2, 4), (2, 1, 5)]:
+        g = ElementaryAbelianGroup(p, r)
+        w = complete_resolution(g, -k, k)
+        calls.clear()
+        got = [homology(w, n) for n in range(1 - k, k)]
+        got_shifted = [homology(w.shifted(2), n + 2) for n in range(1 - k, k)]
+        assert calls == [], (p, r)
+        full = FreeChainComplex(g, w.ranks, w.diffs, valid_range=w.valid_range, check=False)
+        want = [homology(full, n) for n in range(1 - k, k)]
+        assert calls, "the hand-built window is reduced"
+        assert got == got_shifted == want
+        assert all(h.is_trivial() for h in want), (p, r)
+    # valid_range alone proves nothing: the torus keeps its H_1 = Z^2
+    torus = product_complex(2, [1, 1])
+    framed = FreeChainComplex(torus.group, torus.ranks, torus.diffs, valid_range=(-1, 3))
+    assert homology(framed, 1).free_rank == 2
 
 
 def test_complete_resolution_zeroth_differential_factorization():
@@ -217,8 +244,8 @@ def _all_generators_kernel(module):
     """
     group = module.group
     k, n = module.gens, group.order
-    columns = [module.act_element(h).column(c) for c in range(k) for h in range(n)]
-    cover = IntMatrix.from_columns(columns, k)
+    columns = [module.act_element(h).columns[c] for c in range(k) for h in range(n)]
+    cover = IntMatrix.from_sparse(columns, k)
     full = kernel_basis(cover.hstack(module.relations))
     basis = lattice_basis(full.submatrix(range(k * n), range(full.cols)))
     actions = []

@@ -269,7 +269,7 @@ def test_filtration_requires_stable_witnesses():
 
 
 def _scaled(basis):
-    return basis.scale(2)
+    return IntMatrix([[2 * v for v in row] for row in basis.data], basis.rows, basis.cols)
 
 
 def _last_dropped(basis):

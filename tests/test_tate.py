@@ -171,10 +171,11 @@ def test_inexact_actions_take_the_syzygy_fallback(pr, ranks, seed):
             continue
         actions = []
         for a in m.actions:
+            # a - rels (-x) = a + rels x
             x = IntMatrix(
-                [[rng.choice((-1, 0, 0, 1)) for _ in range(m.gens)] for _ in range(rels.cols)]
+                [[-rng.choice((-1, 0, 0, 1)) for _ in range(m.gens)] for _ in range(rels.cols)]
             )
-            actions.append(a.add(rels.mul(x)))
+            actions.append(a.sub(rels.mul(x)))
         perturbed = ModulePresentation(g, m.gens, rels, actions)
         assert validate(perturbed) == []
         pairs.append((m, perturbed))
