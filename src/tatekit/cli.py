@@ -75,9 +75,9 @@ def _parse_schedule(text):
     return steps
 
 
-def _read_complex(path):
+def _read_complex(path, allow_large):
     with open(path, "r", encoding="utf-8") as fh:
-        return formats.parse_complex(fh.read())
+        return formats.parse_complex(fh.read(), allow_large)
 
 
 def _read_module(spec, group):
@@ -102,9 +102,9 @@ def _write_complex(path, complex_):
 
 def _cmd_gen(args):
     if args.kind == "lens":
-        c = lens_complex(args.p, args.k)
+        c = lens_complex(args.p, args.k, args.allow_large)
     elif args.kind == "product":
-        c = product_complex(args.p, _parse_int_list(args.ks, "--ks"))
+        c = product_complex(args.p, _parse_int_list(args.ks, "--ks"), args.allow_large)
     else:
         group = ElementaryAbelianGroup(args.p, args.r, args.allow_large)
         c = random_free_complex(group, _parse_int_list(args.ranks, "--ranks"), args.seed)
@@ -113,7 +113,7 @@ def _cmd_gen(args):
 
 
 def _cmd_homology(args):
-    c = _read_complex(args.infile)
+    c = _read_complex(args.infile, args.allow_large)
     a, b = _parse_range(args.deg)
     pairs = [(i, homology(c, i)) for i in range(a, b + 1)]
     _emit(
@@ -138,7 +138,7 @@ def _cmd_tate(args):
 
 
 def _cmd_hyper(args):
-    c = _read_complex(args.infile)
+    c = _read_complex(args.infile, args.allow_large)
     a, b = _parse_range(args.deg)
     table = tate_hypercohomology_range(c.group, c, a, b)
     _emit(
@@ -158,7 +158,7 @@ def _cmd_syzygy(args):
 
 
 def _cmd_glue(args):
-    c = _read_complex(args.infile)
+    c = _read_complex(args.infile, args.allow_large)
     cone, cert = glue(c, args.m, args.n)
     if args.out:
         _write_complex(args.out, cone)
@@ -167,7 +167,7 @@ def _cmd_glue(args):
 
 
 def _cmd_gluerows(args):
-    c = _read_complex(args.infile)
+    c = _read_complex(args.infile, args.allow_large)
     schedule = _parse_schedule(args.schedule)
     final, certs = glue_rows(c, schedule)
     if args.out:
@@ -184,7 +184,7 @@ def _cmd_gluerows(args):
 
 
 def _cmd_browder(args):
-    c = _read_complex(args.infile)
+    c = _read_complex(args.infile, args.allow_large)
     report = browder_check(c)
     _emit(args, formats.render_browder(report), formats.browder_data(report))
     return 0 if report.divides else 3
@@ -215,7 +215,6 @@ def _cmd_exponents(args):
 def _add_group_flags(sub):
     sub.add_argument("--p", type=int, required=True, help="prime p")
     sub.add_argument("--r", type=int, required=True, help="rank r of (Z/p)^r")
-    sub.add_argument("--allow-large", action="store_true", help="lift the size budget")
 
 
 def build_parser():
@@ -223,6 +222,7 @@ def build_parser():
     common.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
+    common.add_argument("--allow-large", action="store_true", help="lift the size budget")
 
     parser = argparse.ArgumentParser(
         prog="tatekit",

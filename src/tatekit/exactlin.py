@@ -37,9 +37,9 @@ class IntMatrix:
     column j, the layout the Hermite kernel takes and returns, so every
     operation here costs O(nnz).  ``IntMatrix(list_of_rows)`` builds one
     from dense rows and :meth:`from_sparse` from column dicts.  Matrices
-    share their dicts, so callers must not change ``columns``; the
-    kernels get fresh copies from :meth:`sparse_rows` and
-    :meth:`sparse_columns`.  ``data`` is a dense copy, row by row.
+    share their dicts, so only the code that built a matrix, while it is
+    fresh, writes into ``columns``; the kernels get fresh copies from
+    :meth:`sparse_rows` and :meth:`sparse_columns`.  ``data`` is a dense copy.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> a.mul(IntMatrix.identity(2)) == a
@@ -66,11 +66,11 @@ class IntMatrix:
     @classmethod
     def from_sparse(cls, columns, rows):
         """The matrix with these ``{row: value}`` columns, nonzero values
-        only, taken over without a copy."""
+        only; it copies the list but shares the dicts."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = len(columns)
-        m.columns = columns
+        m.columns = list(columns)
         return m
 
     @classmethod

@@ -78,14 +78,14 @@ def render_complex(complex_):
     return "\n".join(lines) + "\n"
 
 
-def parse_complex(text):
+def parse_complex(text, allow_large=False):
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty complex file")
     head = lines[0].split()
     if len(head) != 3 or head[0] != "group":
         raise ValueError(f"expected 'group p r' header, got {lines[0]!r}")
-    group = ElementaryAbelianGroup(*_ints(head[1:], "group"))
+    group = ElementaryAbelianGroup(*_ints(head[1:], "group"), allow_large=allow_large)
     n = group.order
     ranks = {}
     diffs = {}

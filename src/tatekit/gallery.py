@@ -16,13 +16,13 @@ from .modpres import FreeChainComplex
 from .resolve import _closed_form, _multi_indices
 
 
-def lens_complex(p, k):
+def lens_complex(p, k, allow_large=False):
     """Free Z/p complex on the sphere S^(2k-1): rank 1 in degrees
     0..2k-1, alternating g-1 and norm differentials."""
-    return product_complex(p, [k])
+    return product_complex(p, [k], allow_large)
 
 
-def product_complex(p, k_list):
+def product_complex(p, k_list, allow_large=False):
     """Free (Z/p)^r complex on a product of odd spheres
     S^(2k_1-1) x ... x S^(2k_r-1), the tensor product of lens complexes.
 
@@ -33,7 +33,7 @@ def product_complex(p, k_list):
         raise ValueError("need at least one factor")
     if any(k < 1 for k in k_list):
         raise ValueError("need k >= 1")
-    group = ElementaryAbelianGroup(p, len(k_list))
+    group = ElementaryAbelianGroup(p, len(k_list), allow_large)
     caps = tuple(2 * k - 1 for k in k_list)
     top = sum(caps)
     ranks = {n: len(_multi_indices(caps, n)) for n in range(top + 1)}

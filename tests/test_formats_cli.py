@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tatekit import cli
-from tatekit.errors import InvalidPresentation
+from tatekit.errors import InvalidPresentation, ResourceLimit
 from tatekit.exactlin import AbelianInvariants
 from tatekit.formats import (
     complex_data,
@@ -359,6 +359,25 @@ def test_cli_refuses_a_group_over_the_size_budget(capsys):
     assert cli.main(["tate", "--p", "2", "--r", "1", "--module", "trivial",
                      "--allow-large", "--deg", "-1..0"]) == 0
     assert "Ĥ^0  = Z/2" in capsys.readouterr().out
+
+
+def test_cli_reads_back_an_over_budget_complex_with_the_override(tmp_path, capsys):
+    assert cli.main(["gen", "random", "--allow-large", "--p", "2", "--r", "12",
+                     "--ranks", "1"]) == 0
+    big = tmp_path / "big.cx"
+    big.write_text(capsys.readouterr().out)
+    assert cli.main(["homology", "--in", str(big), "--deg", "0..0"]) == 2
+    assert "(Z/2)^12" in capsys.readouterr().err
+    assert cli.main(["homology", "--in", str(big), "--deg", "0..0",
+                     "--allow-large"]) == 0
+    assert "H_0 = Z^4096" in capsys.readouterr().out
+    with pytest.raises(ResourceLimit):
+        parse_complex(big.read_text())
+    assert parse_complex(big.read_text(), allow_large=True).group.order == 4096
+    # the generated complexes take the override too
+    assert cli.main(["gen", "lens", "--p", "2053", "--k", "1"]) == 2
+    assert "(Z/2053)^1" in capsys.readouterr().err
+    assert lens_complex(2053, 1, allow_large=True).rank(1) == 1
 
 
 def test_cli_error_exits(tmp_path, capsys):

@@ -154,9 +154,9 @@ def test_homology_module_carries_the_action():
 @settings(max_examples=20)
 @given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3)]), st.integers(0, 30))
 def test_act_ring_is_the_sum_of_element_actions(pr, seed):
-    # act_ring composes sparse rows, act_element multiplies dense
-    # matrices; random matrices as actions do not commute, so the
-    # composition order shows
+    # the reference multiplies the generator actions as dense matrices,
+    # A_r^e_r ... A_1^e_1, without going through act_element; random
+    # matrices as actions do not commute, so the composition order shows
     g = ElementaryAbelianGroup(*pr)
     c = random_free_complex(g, [1, 2, 1], seed)
     rng = random.Random(seed)
@@ -168,8 +168,12 @@ def test_act_ring_is_the_sum_of_element_actions(pr, seed):
     for m in (homology_module(c, 1), free_module_presentation(g, 2), loose):
         coeffs = [rng.randint(-2, 2) for _ in range(g.order)]
         want = DenseIntMatrix.zeros(m.gens, m.gens)
+        gens = [DenseIntMatrix(a.data, m.gens, m.gens) for a in m.actions]
         for idx, a in enumerate(coeffs):
-            act = DenseIntMatrix(m.act_element(idx).data, m.gens, m.gens)
+            act = DenseIntMatrix.identity(m.gens)
+            for gen, e in zip(gens, g.exponents(idx)):
+                for _ in range(e):
+                    act = gen.mul(act)
             want = want.add(act.scale(a))
         got = m.act_ring(GroupRingElement(g, coeffs))
         assert got == want.sparse_rows()

@@ -1,13 +1,13 @@
 """Scaling sweep over complex size and syzygy index, into BENCH_sweep.json.
 
-    python3 tools/sweep.py [--out BENCH_sweep.json] [--repeat 3]
+    python3 tools/sweep.py [--out BENCH_sweep.json]
 
 The points are ``browder_check`` of ``product_complex(2, ks)`` for ks in
 [2,2,1], [2,2,2] and [2,2,2,2] (products of 3-spheres and a circle over
 (Z/2)^3 and (Z/2)^4), and ``syzygy(Z, n)`` over (Z/2)^2 for n = 1..6.
-Each run of a point is a fresh interpreter with the ``src`` next to this
-script first on ``PYTHONPATH``, so the module-level caches start cold;
-it times the call alone, after the import and the input set-up, with
+Each of the ``REPEAT`` runs of a point is a fresh interpreter with the
+``src`` next to this script first on ``PYTHONPATH``, so the module-level
+caches start cold; it times the call alone, after the import and the input set-up, with
 ``time.perf_counter``.  The output records every run, its median, and
 the answer (the verdict, or the syzygy's generator count), so sweeps of
 two trees can be compared point by point.  The times are raw wall-clock
@@ -28,6 +28,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BROWDER = ([2, 2, 1], [2, 2, 2], [2, 2, 2, 2])
 SYZYGY = range(1, 7)
 TIMEOUT_S = 900
+REPEAT = 3
 
 
 def points():
@@ -68,18 +69,15 @@ def cold_run(kind, arg):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_sweep.json"))
-    parser.add_argument("--repeat", type=int, default=3, help="cold runs per point")
     parser.add_argument("--point", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.point:
         seconds, answer = run_point(args.point[0], json.loads(args.point[1]))
         print(json.dumps({"seconds": seconds, "answer": answer}))
         return 0
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     results = []
     for name, kind, arg in points():
-        runs = [cold_run(kind, arg) for _ in range(args.repeat)]
+        runs = [cold_run(kind, arg) for _ in range(REPEAT)]
         answers = {json.dumps(r["answer"], sort_keys=True) for r in runs}
         if len(answers) != 1:
             raise SystemExit(f"{name}: runs disagree: {sorted(answers)}")
@@ -98,7 +96,7 @@ def main(argv=None):
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
         },
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "points": results,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
