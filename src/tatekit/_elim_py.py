@@ -8,10 +8,15 @@ precision rather than ever overflowing.  They consume their input rows.
 unit phase follows the pivots, not the entries: it queues rows, each
 at most once, and in each popped row pivots on the +-1 entry whose
 column has the fewest live rows, a local Markowitz choice that costs
-one pass over the row.
+one pass over the row.  Before its general phase it divides out the
+content, the gcd of the live entries, since Smith(gA) = g Smith(A)
+(Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001): a Tate
+coboundary with trivial coefficients has entries 0 and +-p only, and
+divided by p it is all unit pivots.
 """
 
 from collections import deque
+from math import gcd
 
 
 def _negate_row(row):
@@ -93,15 +98,21 @@ def smith_diagonal(rows, ncols, unit_rows=None):
     only when a row operation gives it a new +-1 entry.  In a popped
     live row it pivots on the +-1 entry whose column has the fewest
     live rows (a local Markowitz choice, no heap), then clears that
-    column.  When no live row has a +-1 entry, the general phase pivots
-    on the smallest remaining entry, and the unit phase resumes.
+    column.  When no live row has a +-1 entry, the live rows form a
+    direct summand.  If the gcd g of their entries (read until it is 1)
+    exceeds 1, they are divided by g, a running scale is multiplied by
+    g, and the unit phase resumes on them; every later pivot v is
+    recorded as scale * v.  Otherwise the general phase pivots on the
+    smallest remaining entry, and the unit phase resumes.
 
     If ``unit_rows`` is a list, the row index of every +-1 pivot taken
-    before the first general (non-unit) pivot is appended to it.  Until
-    then every row operation adds a multiple of one of these rows, and
-    each of their pivot columns is left +-1 at its row and 0 elsewhere;
-    ``exactlin.chain_diagonals``, the only caller that asks for them,
-    relies on both to shrink the next map of a chain.
+    before the first content division or general (non-unit) pivot is
+    appended to it.  Until then every row operation adds a multiple of
+    one of these rows, and each of their pivot columns is left +-1 at
+    its row and 0 elsewhere; ``exactlin.chain_diagonals``, the only
+    caller that asks for them, relies on both to shrink the next map of
+    a chain.  A pivot that is +-1 only after a division is +-g in the
+    input and is not reported.
     """
     nrows = len(rows)
     col_rows = {}
@@ -135,8 +146,9 @@ def smith_diagonal(rows, ncols, unit_rows=None):
             col_rows[k].discard(i)
         row_alive[i] = False
 
-    ones = 0
+    ones = 0  # unit pivots at the current scale
     tail = []
+    scale = 1
     while True:
         # Unit phase: a +-1 pivot clears its column without fill in its
         # own row.
@@ -196,10 +208,28 @@ def smith_diagonal(rows, ncols, unit_rows=None):
                     best = key
         if best is None:
             break
-        _, i, c = best
-        # From here on rows are combined with non-unit pivot rows, so
-        # later unit pivots are not recorded.
+        # From here on rows are combined with non-unit pivot rows, or
+        # divided, so later unit pivots are not recorded.
         unit_rows = None
+        g, i, c = best
+        live = [r for r in range(nrows) if row_alive[r] and rows[r]]
+        for r in live:
+            if g == 1:
+                break
+            g = gcd(g, *rows[r].values())
+        if g > 1:
+            # Smith(gA) = g Smith(A): divide the content out of the live
+            # rows, which form a direct summand, and resume the unit phase.
+            tail += [scale] * ones
+            ones = 0
+            scale *= g
+            for r in live:
+                row = rows[r]
+                for k in row:
+                    row[k] //= g
+                queued[r] = True
+            queue.extend(live)
+            continue
 
         while True:
             live = col_rows[c]
@@ -246,9 +276,11 @@ def smith_diagonal(rows, ncols, unit_rows=None):
                 if violator is not None:
                     break
             if violator is None:
-                tail.append(v)
+                tail.append(scale * v)
                 retire(i)
                 break
             axpy(i, violator, 1)
 
-    return [1] * ones + tail
+    # Each recorded pivot divides every later one, so sorting puts the
+    # units of each scale in their place in the chain.
+    return sorted(tail + [scale] * ones)

@@ -10,9 +10,9 @@ A ``GroupRingMatrix`` keeps only its nonzero entries, one
 O(nnz).  ``GroupRingMatrix.sparse_rows`` turns a ring matrix into the
 sparse rows of an integer matrix through the left regular
 representation, one |G| x |G| block per entry, and is the only code
-that writes that expansion; ``expand`` is the same expansion as an
-``IntMatrix`` of sparse columns.  The identity-basis columns of the
-expansion carry the ring data: ``encode_columns`` writes them and
+that writes that expansion; ``sparse_columns`` transposes it, and
+``expand`` is those columns as an ``IntMatrix``.  The identity-basis
+columns of the expansion carry the ring data: ``encode_columns`` writes them and
 ``decode_columns`` reads them back, which is how every module-level
 computation round-trips.  ``act_rows`` applies a group generator to
 ZG^k as a permutation of rows.
@@ -288,13 +288,26 @@ class GroupRingMatrix:
     def mul(self, other):
         if self.group != other.group or self.cols != other.rows:
             raise ValueError("shape or group mismatch in ring product")
+        # A closed-form d_n has at most 4r distinct entries, so each
+        # product a * b is formed once, as its nonzero terms, and summed
+        # into one coefficient list per output entry.
+        n = self.group.order
+        products = {}
         rows = []
         for a_row in self.entries:
             out = {}
             for k, a in a_row.items():
                 for j, b in other.entries[k].items():
-                    out[j] = out[j] + a * b if j in out else a * b
-            rows.append(out)
+                    terms = products.get((a, b))
+                    if terms is None:
+                        terms = [(h, v) for h, v in enumerate((a * b).coeffs) if v]
+                        products[a, b] = terms
+                    acc = out.get(j)
+                    if acc is None:
+                        acc = out[j] = [0] * n
+                    for h, v in terms:
+                        acc[h] += v
+            rows.append({j: GroupRingElement(self.group, acc) for j, acc in out.items()})
         return GroupRingMatrix(self.group, rows, self.rows, other.cols)
 
     def antipode_transpose(self):
@@ -329,16 +342,24 @@ class GroupRingMatrix:
                         row[base + shift[h]] = v
         return rows
 
+    def sparse_columns(self, skip=()):
+        """Fresh {row: value} columns of :meth:`sparse_rows`, the rows of
+        the transposed expansion, without the rows in ``skip``."""
+        rows = self.sparse_rows()
+        cols = [{} for _ in range(self.cols * self.group.order)]
+        for i, row in enumerate(rows):
+            rows[i] = None  # freed as it is read
+            if i not in skip:
+                for c, v in row.items():
+                    cols[c][i] = v
+        return cols
+
     def expand(self):
         """Integer matrix of the map on underlying Z-modules, the sparse
         columns of :meth:`sparse_rows`, cached on the matrix."""
         if self._expanded is None:
-            n = self.group.order
-            cols = [{} for _ in range(self.cols * n)]
-            for i, row in enumerate(self.sparse_rows()):
-                for c, v in row.items():
-                    cols[c][i] = v
-            self._expanded = IntMatrix.from_sparse(cols, self.rows * n)
+            rows = self.rows * self.group.order
+            self._expanded = IntMatrix.from_sparse(self.sparse_columns(), rows)
         return self._expanded
 
     def __eq__(self, other):

@@ -14,12 +14,14 @@ The degree is the unit of work: each d_n is built once per group, and
 each degree n is certified once per group, by d_n d_(n+1) = 0 and then
 H_n = 0, read off Smith diagonals.  Only the positive half is reduced:
 the expansion of d_(-n) is the transpose of that of d_n, so the two
-share a diagonal.  The positive half is reduced top-down as one chain
-of ``exactlin.chain_diagonals``, each d_n with the columns at the unit
-pivot rows of d_(n+1) deleted, which keeps its diagonal once
-d_n d_(n+1) = 0 is known; so every d o d check of a pass runs before
-its chain.  A window [lo, hi] is a complex over those degrees whose
-interior lo < n < hi is certified.
+share a diagonal.  The positive half is reduced smallest map first, as
+one chain of ``exactlin.chain_diagonals`` over the transposed
+expansions: each d_n^T with the columns at the unit pivot rows of
+d_(n-1)^T deleted, which keeps its diagonal once d_(n-1) d_n = 0 is
+known, since Smith(A^T) = Smith(A) and (d_(n-1) d_n)^T = 0.  So the
+largest map arrives last, with the most columns cancelled, and every
+d o d check of a pass runs before its chain.  A window [lo, hi] is a
+complex over those degrees whose interior lo < n < hi is certified.
 """
 
 from functools import cache
@@ -120,15 +122,26 @@ def _twin(n):
     return n if n >= 0 else -n - 1
 
 
+def _transposes(group, degrees):
+    """The transposed expansion of each d_m, m in ``degrees``, as the
+    sparse rows ``chain_diagonals`` draws.  The columns it sends back as
+    cancelled are rows of the next d_m, which are left out."""
+    cancelled = ()
+    for m in degrees:
+        d = _differential(group, m)
+        cancelled = (yield d.sparse_columns(cancelled), d.rows * group.order) or ()
+
+
 def _certify(group, lo, hi):
     """Certify each uncertified degree strictly inside [lo, hi]: raise
     ValueError naming the degree unless d_n d_(n+1) = 0 in the group
     ring and H_n = 0.
 
-    Every d o d check runs first, in descending order of twin.  Then one
-    chain reduces d_m from m = t + 1 down to m = b, t and b the largest
-    and smallest twin of the degrees to certify, each d_m with the
-    columns at the unit pivot rows of d_(m+1) deleted.  That needs
+    Every d o d check runs first, in descending order of twin, on the
+    actual group-ring matrices.  Then one chain reduces the transposed
+    expansion of d_m from m = b up to m = t + 1, t and b the largest and
+    smallest twin of the degrees to certify, each with the columns at
+    the unit pivot rows of the one before deleted.  That needs
     d_m d_(m+1) = 0 for each b <= m <= t.  The interior of a window is
     contiguous, and so are its twins, so each such m is the twin of an
     interior degree n, d o d checked in this pass or certified before.
@@ -147,12 +160,8 @@ def _certify(group, lo, hi):
             raise ValueError(
                 f"complete resolution at degree {n}: d o d != 0 in the group ring"
             )
-    degrees = range(_twin(todo[0]) + 1, _twin(todo[-1]) - 1, -1)
-    maps = (
-        (_differential(group, m).sparse_rows(), _rank(group, m) * group.order)
-        for m in degrees
-    )
-    diagonal = dict(zip(degrees, chain_diagonals(maps)))
+    degrees = range(_twin(todo[-1]), _twin(todo[0]) + 2)
+    diagonal = dict(zip(degrees, chain_diagonals(_transposes(group, degrees))))
     for n in todo:
         m = _twin(n)
         into, outof = diagonal[m + 1], diagonal[m]
@@ -173,7 +182,7 @@ def complete_resolution(group, lo, hi):
     window is handed out, so ``homology`` answers 0 there without
     reducing; homology at its edges raises WindowViolation.
     The Smith work of a call is the positive half over the twins of
-    the degrees it certifies, reduced top-down.  Windows share the
+    the degrees it certifies, reduced smallest map first.  Windows share the
     cached differentials, so callers must not mutate them.
     """
     if lo > hi:

@@ -100,6 +100,9 @@ def test_smith_diagonal_reports_unit_pivot_rows():
     # this matrix from the left and has diagonal [1], but [2] without
     # column 2
     assert _kernel_units([[2, 3], [3, 2], [2, 2]], 2) == ([1, 1], [])
+    # the +-1 entries of [[1, 1], [1, 2]] appear only once the content 2
+    # is divided out, and are +-2 in the input, so none is reported
+    assert _kernel_units([[2, 2], [2, 4]], 2) == ([2, 2], [])
     rng = random.Random(101)
     for _ in range(150):
         m = rand_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
@@ -165,6 +168,31 @@ def test_smith_diagonal_matches_sympy_on_unit_heavy_matrices(drawn):
         b = mix.mul(_transpose(left))
         kept = [{k: v for k, v in row.items() if k not in units} for row in b.sparse_rows()]
         assert _backend.smith_diagonal(kept, b.cols) == smith_diagonal(b)
+
+
+def _block_diagonal(a, b):
+    return IntMatrix(
+        [row + [0] * b.cols for row in a.data] + [[0] * a.cols + row for row in b.data],
+        a.rows + b.rows,
+        a.cols + b.cols,
+    )
+
+
+@settings(max_examples=60)
+@given(unit_heavy_matrices(), unit_heavy_matrices(), st.sampled_from([2, 3, 4, 6]))
+def test_smith_diagonal_divides_out_the_content(first, second, k):
+    # Smith(kA) = k Smith(A), with no unit pivot to report; diag(2A, 3B)
+    # has content 1, so the general phase runs on a mix of both
+    a, b = first[0], second[0]
+    scaled, units = _kernel_units([[k * v for v in row] for row in a.data], a.cols)
+    assert scaled == [k * v for v in smith_diagonal(a)]
+    assert units == []
+    mix = _block_diagonal(
+        IntMatrix([[2 * v for v in row] for row in a.data], a.rows, a.cols),
+        IntMatrix([[3 * v for v in row] for row in b.data], b.rows, b.cols),
+    )
+    want = [int(f) for f in invariant_factors(Matrix(mix.data), domain=ZZ) if f]
+    assert smith_diagonal(mix) == want
 
 
 @settings(max_examples=80)

@@ -432,6 +432,29 @@ def test_certificate_catches_a_doubled_differential(
         complete_resolution(g, lo, hi)
 
 
+def test_certificate_reduces_the_smallest_map_first(cold_resolve, monkeypatch):
+    # the chain of (Z/2)^4 on [-7, 7] reads the transposed expansions of
+    # d_0, ..., d_7 in that order, so the largest map, d_7, arrives last,
+    # with the columns at the unit pivot rows of d_6 already deleted
+    g = ElementaryAbelianGroup(2, 4)
+    real = _backend.smith_diagonal
+    calls = []
+
+    def spy(rows, ncols, unit_rows=None):
+        calls.append((len(rows), ncols, set().union(*rows)))
+        return real(rows, ncols, unit_rows)
+
+    monkeypatch.setattr(_backend, "smith_diagonal", spy)
+    complete_resolution(g, -7, 7)
+    n = g.order
+    shapes = [(rows, ncols) for rows, ncols, _ in calls]
+    assert shapes == [(resolve._rank(g, m) * n, resolve._rank(g, m - 1) * n) for m in range(8)]
+    sizes = [rows * ncols for rows, ncols in shapes]
+    assert sizes == sorted(sizes)
+    full = sum(1 for row in resolve._differential(g, 7).sparse_rows() if row)
+    assert len(calls[-1][2]) < full
+
+
 @pytest.mark.parametrize("n, lo, hi, degree", [(3, -1, 6, 3), (-3, -6, 0, -4)])
 def test_d_o_d_check_runs_before_any_cancelled_diagonal(
     n, lo, hi, degree, cold_resolve, monkeypatch

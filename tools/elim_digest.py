@@ -10,13 +10,15 @@ binding in the ``tatekit`` modules.  It prints one line per workload:
 the number of kernel calls, the total number of nonzero entries over
 their inputs, one SHA-256 over every input, each taken before the
 kernel consumes it as the kernel name, the rows with their key order,
-and ``ncols``, and one SHA-256 over the diagonals ``smith_diagonal``
-returns, in call order.  A refactor that leaves the elimination work
-alone prints the same lines before and after; when the input digest
-changes, the nonzero count shows whether the kernels were handed more
-or less.  A change of pivot order legitimately moves the input digest
-of later kernel calls, but the diagonals are invariants of each map,
-so the output digest must not move.
+and ``ncols``, and two SHA-256 over the diagonals ``smith_diagonal``
+returns: ``out`` in call order, ``sorted`` over the list of per-call
+diagonals sorted.  A refactor that leaves the elimination work alone
+prints the same lines before and after; when the input digest changes,
+the nonzero count shows whether the kernels were handed more or less.
+A change of pivot order legitimately moves the input digest of later
+kernel calls, and a chain read in the other direction (its maps
+transposed) moves the call order and so ``out``, but the diagonals are
+invariants of each map, so the ``sorted`` digest must not move.
 
 ``tatekit`` is imported from the ``src`` next to this script and the
 workloads are only read, never changed.
@@ -32,11 +34,12 @@ WORKLOADS = ("tate", "syzygy", "hyper", "surgery")
 SEED = 1
 
 
-def _wrap_kernels(digest, out_digest, counter):
+def _wrap_kernels(digest, out_digest, diagonals, counter):
     """Rebind both kernels in every loaded tatekit module to a wrapper
     that feeds each input into ``digest`` and counts the call and the
     input's nonzero entries in ``counter`` before calling the kernel,
-    and feeds each Smith diagonal into ``out_digest``."""
+    and feeds each Smith diagonal into ``out_digest`` and appends it to
+    ``diagonals``."""
     from tatekit import _backend
 
     originals = {id(fn): fn for fn in (_backend.smith_diagonal, _backend.hermite)}
@@ -51,6 +54,7 @@ def _wrap_kernels(digest, out_digest, counter):
             result = fn(rows, ncols, *rest)
             if fn.__name__ == "smith_diagonal":
                 out_digest.update(repr(result).encode())
+                diagonals.append(list(result))
             return result
 
         wrappers[id(fn)] = wrapper
@@ -62,17 +66,19 @@ def _wrap_kernels(digest, out_digest, counter):
 
 
 def elim_digest(workload):
-    """Kernel call count, input nonzero count, input digest and Smith
-    diagonal digest of one pass of ``workload``."""
+    """Kernel call count, input nonzero count, input digest and the
+    call-order and sorted Smith diagonal digests of one pass of
+    ``workload``."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tatebench")]
     import tatekit  # noqa: F401  (loads every module before wrapping)
     import workloads
 
-    digest, out_digest, counter = hashlib.sha256(), hashlib.sha256(), [0, 0]
-    _wrap_kernels(digest, out_digest, counter)
+    digest, out_digest, diagonals, counter = hashlib.sha256(), hashlib.sha256(), [], [0, 0]
+    _wrap_kernels(digest, out_digest, diagonals, counter)
     for op in workloads.build(workload, SEED):
         op.run()
-    return counter[0], counter[1], digest.hexdigest(), out_digest.hexdigest()
+    order_free = hashlib.sha256(repr(sorted(diagonals)).encode()).hexdigest()
+    return counter[0], counter[1], digest.hexdigest(), out_digest.hexdigest(), order_free
 
 
 def main():
@@ -82,8 +88,11 @@ def main():
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(1, maxtasksperchild=1) as pool:
         results = pool.map(elim_digest, WORKLOADS, chunksize=1)
-    for workload, (calls, nnz, sha, out) in zip(WORKLOADS, results):
-        print(f"{workload:8} calls {calls:5}  nnz {nnz:8}  sha256 {sha}  out {out}")
+    for workload, (calls, nnz, sha, out, order_free) in zip(WORKLOADS, results):
+        print(
+            f"{workload:8} calls {calls:5}  nnz {nnz:8}  sha256 {sha}  out {out}"
+            f"  sorted {order_free}"
+        )
 
 
 if __name__ == "__main__":

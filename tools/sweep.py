@@ -1,16 +1,18 @@
-"""Scaling sweep over complex size and syzygy index, into BENCH_sweep.json.
+"""Scaling sweep over complex size, syzygy index and rank, into BENCH_sweep.json.
 
     python3 tools/sweep.py [--out BENCH_sweep.json]
 
 The points are ``browder_check`` of ``product_complex(2, ks)`` for ks in
 [2,2,1], [2,2,2] and [2,2,2,2] (products of 3-spheres and a circle over
-(Z/2)^3 and (Z/2)^4), and ``syzygy(Z, n)`` over (Z/2)^2 for n = 1..6.
+(Z/2)^3 and (Z/2)^4), ``syzygy(Z, n)`` over (Z/2)^2 for n = 1..6, and the
+Tate table of Z on [-2, 2] over (Z/2)^r for r = 5..9, whose cost is
+certifying the complete resolution.
 Each of the ``REPEAT`` runs of a point is a fresh interpreter with the
 ``src`` next to this script first on ``PYTHONPATH``, so the module-level
 caches start cold; it times the call alone, after the import and the input set-up, with
 ``time.perf_counter``.  The output records every run, its median, and
-the answer (the verdict, or the syzygy's generator count), so sweeps of
-two trees can be compared point by point.  The times are raw wall-clock
+the answer (the verdict, the syzygy's generator count, or the table's
+invariants), so sweeps of two trees can be compared point by point.  The times are raw wall-clock
 seconds of this host, which the file names; compare only runs taken on
 one host, on trees in the same ``__pycache__`` state.
 """
@@ -27,6 +29,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BROWDER = ([2, 2, 1], [2, 2, 2], [2, 2, 2, 2])
 SYZYGY = range(1, 7)
+RANKS = range(5, 10)
+TATE_RANGE = (-2, 2)
 TIMEOUT_S = 900
 REPEAT = 3
 
@@ -35,6 +39,7 @@ def points():
     """(name, kind, argument) of every sweep point, in run order."""
     out = [(f"browder product(2,{ks})", "browder", ks) for ks in BROWDER]
     out += [(f"syzygy (Z/2)^2 n={n}", "syzygy", n) for n in SYZYGY]
+    out += [(f"tate Z (Z/2)^{r} {list(TATE_RANGE)}", "tate", r) for r in RANKS]
     return out
 
 
@@ -48,6 +53,13 @@ def run_point(kind, arg):
         report = T.browder_check(c)
         seconds = time.perf_counter() - start
         return seconds, {"product": report.product, "divides": report.divides}
+    if kind == "tate":
+        g = T.ElementaryAbelianGroup(2, arg)
+        z = T.trivial_module(g)
+        start = time.perf_counter()
+        table = T.tate_cohomology_range(g, z, *TATE_RANGE)
+        seconds = time.perf_counter() - start
+        return seconds, {"invariants": [str(v) for v in table.invariants]}
     z = T.trivial_module(T.ElementaryAbelianGroup(2, 2))
     start = time.perf_counter()
     module = T.syzygy(z, arg)
