@@ -349,7 +349,7 @@ def homology_invariants(dim, into, outof):
     return AbelianInvariants.from_diagonal(into, dim - len(into) - len(outof))
 
 
-def chain_diagonals(maps):
+def chain_diagonals(maps, units=None):
     """Smith diagonal of each sparse map ``(rows, ncols)`` of a chain,
     in order; each map must compose to zero with the one before it, and
     its rows are consumed.
@@ -371,9 +371,14 @@ def chain_diagonals(maps):
     When ``maps`` is a generator, each set of deleted columns is sent
     into it before the map they belong to is drawn, so it may leave
     them out; they are deleted here either way.
+
+    ``units``, when a list, is left holding the unit pivot rows of the
+    last map reduced.  A later chain that starts at the map after it
+    resumes this one by leaving those columns out of its first map.
     """
     maps = iter(maps)
     draw = getattr(maps, "send", lambda _: next(maps))
+    units = [] if units is None else units
     cancelled = None
     while True:
         try:
@@ -384,6 +389,6 @@ def chain_diagonals(maps):
             for row in rows:
                 for k in cancelled.intersection(row):
                     del row[k]
-        units = []
+        units.clear()
         yield _backend.smith_diagonal(rows, ncols, units)
         cancelled = set(units)

@@ -20,8 +20,10 @@ expansions: each d_n^T with the columns at the unit pivot rows of
 d_(n-1)^T deleted, which keeps its diagonal once d_(n-1) d_n = 0 is
 known, since Smith(A^T) = Smith(A) and (d_(n-1) d_n)^T = 0.  So the
 largest map arrives last, with the most columns cancelled, and every
-d o d check of a pass runs before its chain.  A window [lo, hi] is a
-complex over those degrees whose interior lo < n < hi is certified.
+d o d check of a pass runs before its chain.  A pass that starts where
+the last one ended resumes its chain, so sliding windows reduce each
+map once.  A window [lo, hi] is a complex over those degrees whose
+interior lo < n < hi is certified.
 """
 
 from functools import cache
@@ -110,10 +112,21 @@ def _differential(group, n):
     return _differential(group, -n).antipode_transpose()
 
 
+class _Certified(set):
+    """The degrees of one group certified exact so far, and ``top``, the
+    last map of the last certificate chain as (twin, diagonal, unit
+    pivot rows), or None before the first chain."""
+
+    __slots__ = ("top",)
+
+    def __init__(self):
+        super().__init__()
+        self.top = None
+
+
 @cache
 def _certified(group):
-    """The degrees certified exact so far."""
-    return set()
+    return _Certified()
 
 
 def _twin(n):
@@ -122,11 +135,11 @@ def _twin(n):
     return n if n >= 0 else -n - 1
 
 
-def _transposes(group, degrees):
+def _transposes(group, degrees, cancelled=()):
     """The transposed expansion of each d_m, m in ``degrees``, as the
     sparse rows ``chain_diagonals`` draws.  The columns it sends back as
-    cancelled are rows of the next d_m, which are left out."""
-    cancelled = ()
+    cancelled are rows of the next d_m, which are left out, and so are
+    the rows in ``cancelled`` of the first."""
     for m in degrees:
         d = _differential(group, m)
         cancelled = (yield d.sparse_columns(cancelled), d.rows * group.order) or ()
@@ -149,6 +162,12 @@ def _certify(group, lo, hi):
     product is the antipode-transpose of d_m d_(m+1), so it licenses
     the same cancellation.  A negative degree reads its twin's
     diagonals, since d_(-m) is built as the antipode-transpose of d_m.
+
+    When the last chain of the group ended at d_b, this one resumes it:
+    d_b's diagonal is kept, and d_(b+1) is drawn with the columns at
+    d_b's kept unit pivot rows deleted, as the last chain would have
+    drawn it.  So windows that slide or grow upward reduce each
+    transposed d_m once.
     """
     exact = _certified(group)
     todo = [n for n in range(lo + 1, hi) if n not in exact]
@@ -160,8 +179,15 @@ def _certify(group, lo, hi):
             raise ValueError(
                 f"complete resolution at degree {n}: d o d != 0 in the group ring"
             )
-    degrees = range(_twin(todo[-1]), _twin(todo[0]) + 2)
-    diagonal = dict(zip(degrees, chain_diagonals(_transposes(group, degrees))))
+    b, t = _twin(todo[-1]), _twin(todo[0])
+    diagonal, cancelled = {}, ()
+    if exact.top is not None and exact.top[0] == b:
+        _, diagonal[b], cancelled = exact.top
+        b += 1
+    degrees, units = range(b, t + 2), []
+    chain = chain_diagonals(_transposes(group, degrees, cancelled), units)
+    diagonal.update(zip(degrees, chain))
+    exact.top = (t + 1, diagonal[t + 1], set(units))
     for n in todo:
         m = _twin(n)
         into, outof = diagonal[m + 1], diagonal[m]
@@ -182,7 +208,8 @@ def complete_resolution(group, lo, hi):
     window is handed out, so ``homology`` answers 0 there without
     reducing; homology at its edges raises WindowViolation.
     The Smith work of a call is the positive half over the twins of
-    the degrees it certifies, reduced smallest map first.  Windows share the
+    the degrees it certifies, reduced smallest map first, less the map
+    at which it resumes the group's last chain.  Windows share the
     cached differentials, so callers must not mutate them.
     """
     if lo > hi:

@@ -12,7 +12,11 @@ complex L --B--> Z^gens in degrees 1 and 0, B a basis of the relation
 lattice.  Every total complex is free abelian, so every table is read
 off Smith diagonals and ranks.
 
-The codifferentials delta^{lo-1}, ..., delta^hi form one chain for
+Ĥ*(G; C) is killed by |G| (Brown, *Cohomology of Groups*, ch. VI), so
+it has free rank 0 in every degree.  So ker delta^n is the saturation
+of im delta^(n-1), and Ĥ^n is the torsion of coker delta^(n-1): the
+top degree of a table needs no delta^hi, and no Tot^(hi+1).  The
+codifferentials delta^{lo-1}, ..., delta^(hi-1) form one chain for
 ``exactlin.chain_diagonals``, which reduces each only on the
 coordinates that the unit pivots of the one before it left alive.
 """
@@ -117,7 +121,7 @@ def _dimension(window, lattices, n):
 
 def _total_maps(window, lattices, lo, hi):
     """Sparse rows and source dimension of each delta^n : Tot^n ->
-    Tot^{n+1} for n in [lo - 1, hi], ascending.
+    Tot^{n+1} for n in [lo - 1, hi - 1], ascending.
 
     ``lattices`` maps each degree j of C, ascending, to ``(dim, act,
     d)``: the Z-rank of C_j, the sparse rows of a ring element acting
@@ -140,7 +144,7 @@ def _total_maps(window, lattices, lo, hi):
 
     src = offsets(lo - 1)
     cancelled = set()
-    for n in range(lo - 1, hi + 1):
+    for n in range(lo - 1, hi):
         dst = offsets(n + 1)
         rows = [{} for _ in range(_dimension(window, lattices, n + 1))]
         sign = -1 if n % 2 == 0 else 1
@@ -180,14 +184,25 @@ def _total_maps(window, lattices, lo, hi):
 
 
 def _table(window, lattices, lo, hi):
-    """Invariants from the ranks and Smith diagonals of Tot Hom_G(F, C)."""
+    """Invariants from the ranks and Smith diagonals of Tot Hom_G(F, C).
+
+    Ĥ^hi is the torsion of coker delta^(hi-1).  That rests on Ĥ* having
+    free rank 0, which each degree below hi checks: raise ValueError
+    naming the degree if it does not hold.
+    """
     diags = list(chain_diagonals(_total_maps(window, lattices, lo, hi)))
-    invs = [
-        homology_invariants(
+    invs = []
+    for n in range(lo, hi):
+        h = homology_invariants(
             _dimension(window, lattices, n), diags[n - lo], diags[n - lo + 1]
         )
-        for n in range(lo, hi + 1)
-    ]
+        if h.free_rank:
+            raise ValueError(
+                f"Tate table at degree {n}: free rank {h.free_rank}, "
+                "but |G| kills Tate cohomology"
+            )
+        invs.append(h)
+    invs.append(AbelianInvariants.from_diagonal(diags[-1]))
     return CohomologyTable(lo, hi, invs)
 
 
@@ -218,12 +233,12 @@ def tate_cohomology_range(group, module, lo, hi):
         omega = resolution_step(module).kernel
         shifted = tate_cohomology_range(group, omega, lo + 1, hi + 1)
         return CohomologyTable(lo, hi, shifted.invariants)
-    # Tot^{hi+1} loses Hom(F_{hi+2}, L), which lies outside the window.
-    # The rank of delta^hi, all the table reads of it, stays: where the
-    # rest of delta^hi vanishes, B a = +-delta b, so B delta_L a =
-    # delta B a = 0, and delta_L a = 0 because B is injective.
-    window = complete_resolution(group, lo - 1, hi + 1)
-    return _table(window, _presentation_lattices(module), lo, hi)
+    # The table reads delta^(lo-1), ..., delta^(hi-1) and no delta^hi,
+    # since |G| kills Ĥ^hi: Tot^hi holds Hom(F_{hi+j}, C_j) for the top
+    # lattice degree j, 1 when there are relations and 0 otherwise.
+    lattices = _presentation_lattices(module)
+    window = complete_resolution(group, lo - 1, hi + max(lattices))
+    return _table(window, lattices, lo, hi)
 
 
 def tate_cohomology(group, module, i):
@@ -243,9 +258,7 @@ def tate_hypercohomology_range(group, complex_, lo, hi):
         )
     if complex_.is_empty():
         return _trivial_table(lo, hi)
-    window = complete_resolution(
-        group, lo - 1 + complex_.lo, hi + 1 + complex_.hi
-    )
+    window = complete_resolution(group, lo - 1 + complex_.lo, hi + complex_.hi)
     return _table(window, _free_lattices(complex_), lo, hi)
 
 

@@ -219,6 +219,33 @@ def test_chain_diagonals_match_oracle_on_free_complexes(pr, ranks, seed, zero, d
     assert got == [oracle_smith_diagonal(m.data) for m in chain]
 
 
+@settings(max_examples=40)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    st.lists(st.integers(0, 3), min_size=3, max_size=5),
+    st.integers(0, 30),
+    st.integers(1, 3),
+)
+def test_chain_resumed_from_its_last_unit_rows_reads_the_same_diagonals(
+    pr, ranks, seed, cut
+):
+    # a chain cut after its first ``cut`` maps hands back the unit rows
+    # of the last one; deleting those columns from the next map and
+    # reducing the rest as a new chain reads every diagonal unchanged
+    c = random_free_complex(ElementaryAbelianGroup(*pr), ranks, seed)
+    chain = [c.expanded(i) for i in range(len(ranks) - 1, 0, -1)]
+    cut = min(cut, len(chain) - 1)
+    units = []
+    head = list(chain_diagonals(((m.sparse_rows(), m.cols) for m in chain[:cut]), units))
+    rest = [(m.sparse_rows(), m.cols) for m in chain[cut:]]
+    for row in rest[0][0]:
+        for k in set(units).intersection(row):
+            del row[k]
+    assert head + list(chain_diagonals(rest)) == [
+        oracle_smith_diagonal(m.data) for m in chain
+    ]
+
+
 def test_elimination_core_is_the_pure_module():
     # tatebench/child.py:108 reads BACKEND; tatebench/tracer.py:24,180 wraps these
     assert BACKEND == "pure"

@@ -455,6 +455,39 @@ def test_certificate_reduces_the_smallest_map_first(cold_resolve, monkeypatch):
     assert len(calls[-1][2]) < full
 
 
+@pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (3, 2)])
+def test_sliding_windows_resume_the_chain_and_reduce_each_map_once(
+    p, r, cold_resolve, monkeypatch
+):
+    # the sliding windows [n - 1, n + 1] certify one degree each; each pass
+    # resumes the chain at the map where the last one ended, so the
+    # transposed d_0, ..., d_7 are reduced once each, in order, with the
+    # inputs and diagonals of one fresh chain over the same maps
+    g = ElementaryAbelianGroup(p, r)
+    real = _backend.smith_diagonal
+    calls = []
+
+    def spy(rows, ncols, unit_rows=None):
+        nnz = sum(len(row) for row in rows)
+        calls.append((len(rows), ncols, nnz, tuple(real(rows, ncols, unit_rows))))
+        return list(calls[-1][3])
+
+    monkeypatch.setattr(_backend, "smith_diagonal", spy)
+    for n in range(7):
+        complete_resolution(g, n - 1, n + 1)
+    sliding = list(calls)
+    n = g.order
+    assert [call[:2] for call in sliding] == [
+        (resolve._rank(g, m) * n, resolve._rank(g, m - 1) * n) for m in range(8)
+    ]
+    _clear_resolve_caches()
+    calls.clear()
+    complete_resolution(g, -1, 7)
+    assert calls == sliding
+    fresh = [tuple(_fresh_smith(resolve._differential(g, m))) for m in range(8)]
+    assert [call[3] for call in sliding] == fresh
+
+
 @pytest.mark.parametrize("n, lo, hi, degree", [(3, -1, 6, 3), (-3, -6, 0, -4)])
 def test_d_o_d_check_runs_before_any_cancelled_diagonal(
     n, lo, hi, degree, cold_resolve, monkeypatch

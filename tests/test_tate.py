@@ -322,9 +322,10 @@ def test_dimension_shift_and_periodicity(pr, ranks, seed, n):
 
 
 def _full_table(window, lattices, lo, hi):
-    """Reference for ``_table``: every delta^n reduced whole."""
+    """Reference for ``_table``: every delta^n reduced whole, delta^hi
+    too, so the top degree is read off two ranks as well."""
     dims, diag = {}, {}
-    maps = _total_maps(window, lattices, lo, hi)
+    maps = _total_maps(window, lattices, lo, hi + 1)
     for n, (rows, dim) in zip(range(lo - 1, hi + 1), maps):
         dims[n] = dim
         diag[n] = smith_diagonal(rows, dim)
@@ -363,6 +364,61 @@ def test_cancelled_table_matches_full_reduction(pr, ranks, seed, n):
         window = complete_resolution(g, lo - 1, hi + 1)
         lattices = _presentation_lattices(m)
         assert _table(window, lattices, lo, hi) == _full_table(window, lattices, lo, hi)
+
+
+def test_table_rejects_a_free_rank_below_the_top_degree():
+    # |G| kills Ĥ*, so a free rank inside a table is a bug, not an
+    # answer; with d_1 replaced by the zero map, Hom(F, ZG) keeps a free
+    # rank of |G| - 1 at degree 0, and the table names that degree
+    g = ElementaryAbelianGroup(2, 2)
+    lattices = _free_lattices(FreeChainComplex(g, {0: 1}, {}))
+    window = complete_resolution(g, -3, 2)
+    assert all(h.is_trivial() for h in _table(window, lattices, -2, 2).invariants)
+    diffs = dict(window.diffs)
+    diffs[1] = GroupRingMatrix.zero(g, window.rank(0), window.rank(1))
+    broken = FreeChainComplex(g, window.ranks, diffs, valid_range=(-3, 2), check=False)
+    with pytest.raises(ValueError, match="degree 0: free rank 3"):
+        _table(broken, lattices, -2, 2)
+
+
+def _check_top_degree(table_of, lo, hi):
+    # Ĥ^hi is read as the torsion of coker delta^(hi-1) at the top of
+    # [lo, hi], and off the ranks of delta^(hi-1) and delta^hi inside
+    # [lo, hi + 1]
+    top, wider = table_of(lo, hi), table_of(lo, hi + 1)
+    assert (top.lo, top.hi) == (lo, hi)
+    assert top.invariants == wider.invariants[:-1], (lo, hi)
+
+
+def test_top_degree_matches_the_same_degree_read_inside_a_wider_table():
+    for p, ks in [(2, [1, 1]), (3, [1, 1]), (2, [2, 1]), (3, [2, 1]), (2, [2, 2, 1])]:
+        c = product_complex(p, ks)
+        for j in c.degrees():
+            m = homology_module(c, j)
+            for lo, hi in [(j - 1, j + 1), (j, j)]:
+                _check_top_degree(lambda a, b: tate_cohomology_range(c.group, m, a, b), lo, hi)
+    for pr, ranks in [((2, 2), [2, 3, 2]), ((3, 1), [2, 3, 3, 1]), ((2, 3), [1, 2, 1])]:
+        g = ElementaryAbelianGroup(*pr)
+        for seed in range(3):
+            c = random_free_complex(g, ranks, seed)
+            for lo, hi in [(-2, 1), (0, 0), (-1, -1)]:
+                _check_top_degree(lambda a, b: tate_hypercohomology_range(g, c, a, b), lo, hi)
+            for d in range(len(ranks)):
+                m = homology_module(c, d)
+                _check_top_degree(lambda a, b: tate_cohomology_range(g, m, a, b), -2, 1)
+    for pr, n in [((2, 2), 3), ((3, 1), 2), ((2, 3), 2)]:
+        g = ElementaryAbelianGroup(*pr)
+        omega = syzygy(trivial_module(g), n)
+        for lo, hi in [(-2, 2), (1, 1)]:
+            _check_top_degree(lambda a, b: tate_cohomology_range(g, omega, a, b), lo, hi)
+    for pr in [(2, 1), (3, 1), (2, 2)]:
+        g = ElementaryAbelianGroup(*pr)
+        q = g.p * g.p
+        # actions exact only modulo the relations: read through Omega M
+        lifted = ModulePresentation(g, 1, IntMatrix([[q]]), [IntMatrix([[1 + q]])] * g.r)
+        assert not lifted.acts_exactly()
+        for lo, hi in [(-2, 2), (0, 0)]:
+            _check_top_degree(lambda a, b: tate_cohomology_range(g, lifted, a, b), lo, hi)
 
 
 def test_free_module_has_trivial_tate_cohomology():

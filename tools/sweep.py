@@ -1,12 +1,15 @@
-"""Scaling sweep over complex size, syzygy index and rank, into BENCH_sweep.json.
+"""Scaling sweep over complex size, syzygy index, rank and degree window
+width, into BENCH_sweep.json.
 
     python3 tools/sweep.py [--out BENCH_sweep.json]
 
 The points are ``browder_check`` of ``product_complex(2, ks)`` for ks in
 [2,2,1], [2,2,2] and [2,2,2,2] (products of 3-spheres and a circle over
-(Z/2)^3 and (Z/2)^4), ``syzygy(Z, n)`` over (Z/2)^2 for n = 1..6, and the
+(Z/2)^3 and (Z/2)^4), ``syzygy(Z, n)`` over (Z/2)^2 for n = 1..6, the
 Tate table of Z on [-2, 2] over (Z/2)^r for r = 5..9, whose cost is
-certifying the complete resolution.
+certifying the complete resolution, and the hypercohomology table of
+``product_complex(2, [2,2,1])`` on [-w, w] for w = 1..4, whose cost is
+the totalization's elimination.
 Each of the ``REPEAT`` runs of a point is a fresh interpreter with the
 ``src`` next to this script first on ``PYTHONPATH``, so the module-level
 caches start cold; it times the call alone, after the import and the input set-up, with
@@ -31,6 +34,8 @@ BROWDER = ([2, 2, 1], [2, 2, 2], [2, 2, 2, 2])
 SYZYGY = range(1, 7)
 RANKS = range(5, 10)
 TATE_RANGE = (-2, 2)
+HYPER = [2, 2, 1]
+WIDTHS = range(1, 5)
 TIMEOUT_S = 900
 REPEAT = 3
 
@@ -40,6 +45,7 @@ def points():
     out = [(f"browder product(2,{ks})", "browder", ks) for ks in BROWDER]
     out += [(f"syzygy (Z/2)^2 n={n}", "syzygy", n) for n in SYZYGY]
     out += [(f"tate Z (Z/2)^{r} {list(TATE_RANGE)}", "tate", r) for r in RANKS]
+    out += [(f"hyper product(2,{HYPER}) [-{w}, {w}]", "hyper", w) for w in WIDTHS]
     return out
 
 
@@ -58,6 +64,12 @@ def run_point(kind, arg):
         z = T.trivial_module(g)
         start = time.perf_counter()
         table = T.tate_cohomology_range(g, z, *TATE_RANGE)
+        seconds = time.perf_counter() - start
+        return seconds, {"invariants": [str(v) for v in table.invariants]}
+    if kind == "hyper":
+        c = T.product_complex(2, HYPER)
+        start = time.perf_counter()
+        table = T.tate_hypercohomology_range(c.group, c, -arg, arg)
         seconds = time.perf_counter() - start
         return seconds, {"invariants": [str(v) for v in table.invariants]}
     z = T.trivial_module(T.ElementaryAbelianGroup(2, 2))
