@@ -4,18 +4,24 @@ Both kernels work on lists of ``{column: value}`` dicts with Python
 ints throughout, so coefficient growth is handled by arbitrary
 precision rather than ever overflowing.  They consume their input rows.
 
-``smith_diagonal`` spends nearly all its time on +-1 pivots, so its
-unit phase follows the pivots, not the entries: it queues rows, each
-at most once, and in each popped row pivots on the +-1 entry whose
-column has the fewest live rows, a local Markowitz choice that costs
-one pass over the row.  Before its general phase it divides out the
-content, the gcd of the live entries, since Smith(gA) = g Smith(A)
-(Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001): a Tate
-coboundary with trivial coefficients has entries 0 and +-p only, and
-divided by p it is all unit pivots.
+``smith_diagonal`` spends nearly all its time on +-1 pivots.  It
+first peels: a +-1 that is, or becomes, the only live entry of its row
+is a pivot whose column clears with no fill and no row operation on
+what is left, the free-face collapse of reduction pairs
+(Kaczynski, Mrozek & Slusarek 1998; Mrozek & Batko, "Coreduction
+homology algorithm", Discrete Comput. Geom. 41, 2009).  Once a chain
+has cancelled the previous map's unit pivots, most maps are nearly all
+such collapses.  The unit phase that follows takes the pivots, not the
+entries: it queues rows, each at most once, and in each popped row
+pivots on the +-1 entry whose column has the fewest live rows, a local
+Markowitz choice that costs one pass over the row.  Before its general
+phase it divides out the content, the gcd of the live entries, since
+Smith(gA) = g Smith(A) (Dumas, Saunders & Villard, J. Symbolic Comput.
+32, 2001): a Tate coboundary with trivial coefficients has entries 0
+and +-p only, and divided by p it is all unit pivots.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 from math import gcd
 
 
@@ -85,6 +91,50 @@ def _axpy(rows, col_rows, r, src, coef, ncols):
                 col_rows[k].discard(r)
 
 
+def _peel(rows):
+    """The peel phase of :func:`smith_diagonal`: pivot on every +-1 that
+    is, or becomes, the only live entry of its row, and return the rows
+    so peeled, in pivot order.
+
+    Such a pivot's column is cleared by adding multiples of its row,
+    which is zero off the pivot in the live columns, so the column just
+    dies: each row keeps the count of its live entries and the sum of
+    their columns, which names the last one when the count reaches 1.
+    At the end the peeled rows are emptied and the others lose their
+    dead columns, once.
+    """
+    # Rows whose one entry is +-1; the first map of a chain often has none.
+    stack = [i for i, row in enumerate(rows) if len(row) == 1 and abs(sum(row.values())) == 1]
+    if not stack:
+        return []
+    count = [len(row) for row in rows]
+    colsum = [sum(row) for row in rows]
+    col_rows = defaultdict(list)
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows[c].append(i)
+    peeled = []
+    while stack:
+        i = stack.pop()
+        if count[i] != 1:
+            continue  # its last live column was peeled meanwhile
+        c = colsum[i]
+        count[i] = 0
+        peeled.append(i)
+        for r in col_rows.pop(c):
+            n = count[r] - 1
+            if n < 0:
+                continue  # r is i
+            count[r] = n
+            colsum[r] -= c
+            if n == 1 and rows[r][colsum[r]] in (1, -1):
+                stack.append(r)
+    for i, row in enumerate(rows):
+        if count[i] != len(row):
+            rows[i] = {k: v for k, v in row.items() if k in col_rows} if count[i] else {}
+    return peeled
+
+
 def smith_diagonal(rows, ncols, unit_rows=None):
     """Elementary divisors of a sparse integer matrix.
 
@@ -93,27 +143,37 @@ def smith_diagonal(rows, ncols, unit_rows=None):
     dividing the next.  The length of the result is the rank.  Input
     rows are consumed.
 
-    The unit phase pivots on +-1 entries.  It queues rows, not entries,
-    each at most once, the shortest rows first; a row is queued again
-    only when a row operation gives it a new +-1 entry.  In a popped
-    live row it pivots on the +-1 entry whose column has the fewest
-    live rows (a local Markowitz choice, no heap), then clears that
-    column.  When no live row has a +-1 entry, the live rows form a
-    direct summand.  If the gcd g of their entries (read until it is 1)
-    exceeds 1, they are divided by g, a running scale is multiplied by
-    g, and the unit phase resumes on them; every later pivot v is
-    recorded as scale * v.  Otherwise the general phase pivots on the
-    smallest remaining entry, and the unit phase resumes.
+    The peel phase (:func:`_peel`) comes first: it pivots on each +-1
+    that is, or becomes, the only live entry of its row, which clears
+    its column with no fill, and leaves the other rows without the
+    peeled columns.  The unit phase then pivots on the +-1 entries of
+    what is left.  It queues rows, not entries, each at most once, the
+    shortest rows first; a row is queued again only when a row
+    operation gives it a new +-1 entry.  In a popped live row it pivots
+    on the +-1 entry whose column has the fewest live rows (a local
+    Markowitz choice, no heap), then clears that column.  When no live
+    row has a +-1 entry, the live rows form a direct summand.  If the
+    gcd g of their entries (read until it is 1) exceeds 1, they are
+    divided by g, a running scale is multiplied by g, and the unit
+    phase resumes on them; every later pivot v is recorded as
+    scale * v.  Otherwise the general phase pivots on the smallest
+    remaining entry, and the unit phase resumes.
 
     If ``unit_rows`` is a list, the row index of every +-1 pivot taken
     before the first content division or general (non-unit) pivot is
-    appended to it.  Until then every row operation adds a multiple of
-    one of these rows, and each of their pivot columns is left +-1 at
-    its row and 0 elsewhere; ``exactlin.chain_diagonals``, the only
-    caller that asks for them, relies on both to shrink the next map of
-    a chain.  A pivot that is +-1 only after a division is +-g in the
-    input and is not reported.
+    appended to it, the peeled rows first.  Until then every row
+    operation adds a multiple of one of these rows, and each of their
+    pivot columns is left +-1 at its row and 0 elsewhere.  For a peeled
+    row those row operations are implied, not made: they would only
+    zero its column, since the earlier peels leave the row zero off its
+    pivot.  ``exactlin.chain_diagonals``, the only caller that asks for
+    them, relies on both to shrink the next map of a chain.  A pivot
+    that is +-1 only after a division is +-g in the input and is not
+    reported.
     """
+    peeled = _peel(rows)
+    if unit_rows is not None:
+        unit_rows += peeled
     nrows = len(rows)
     col_rows = {}
     for i, row in enumerate(rows):
@@ -146,7 +206,7 @@ def smith_diagonal(rows, ncols, unit_rows=None):
             col_rows[k].discard(i)
         row_alive[i] = False
 
-    ones = 0  # unit pivots at the current scale
+    ones = len(peeled)  # unit pivots at the current scale
     tail = []
     scale = 1
     while True:

@@ -283,21 +283,25 @@ def solve_in_lattice(basis, targets):
 
     Raises NoSolution naming the first failing column.  ``basis`` must
     come from :func:`lattice_basis` (leading entries strictly
-    descending by column).  Each target is back-substituted on the
-    basis columns in order, touching only nonzero entries.
+    descending by column).  Each target is back-substituted by reading
+    its residual's smallest row, which must be the lead of a basis
+    column, through a lead -> column map, so only the columns used are
+    visited, touching only nonzero entries.
     """
-    leads = [(min(col), col) for col in basis.columns]
+    by_lead = {min(col): (k, col) for k, col in enumerate(basis.columns)}
     out = []
     for j, target in enumerate(targets.columns):
         residual = dict(target)
         coords = {}
-        for k, (lead, col) in enumerate(leads):
-            if not residual:
-                break
-            w = residual.get(lead)
-            if not w:
-                continue
-            piv = col[lead]
+        while residual:
+            lead = min(residual)
+            if lead not in by_lead:
+                raise NoSolution(
+                    f"column {j}: lies outside the lattice",
+                    column=j,
+                )
+            k, col = by_lead[lead]
+            w, piv = residual[lead], col[lead]
             if w % piv:
                 raise NoSolution(
                     f"column {j}: residue {w} at row {lead} not divisible by {piv}",
@@ -311,11 +315,6 @@ def solve_in_lattice(basis, targets):
                     residual[i] = r
                 else:
                     del residual[i]
-        if residual:
-            raise NoSolution(
-                f"column {j}: lies outside the lattice",
-                column=j,
-            )
         out.append(coords)
     return IntMatrix.from_sparse(out, basis.cols)
 
@@ -349,7 +348,7 @@ def homology_invariants(dim, into, outof):
     return AbelianInvariants.from_diagonal(into, dim - len(into) - len(outof))
 
 
-def chain_diagonals(maps, units=None):
+def chain_diagonals(maps, units=None, live=False):
     """Smith diagonal of each sparse map ``(rows, ncols)`` of a chain,
     in order; each map must compose to zero with the one before it, and
     its rows are consumed.
@@ -360,7 +359,7 @@ def chain_diagonals(maps, units=None):
     Write A for the previous map and B for this one, so BA = 0.  A row
     operation "row r += c row y" on A is the column operation "col y -=
     c col r" on B.  With P the product of the row operations of A's
-    unit phase, all of which add a unit pivot row y (see
+    peel and unit phases, all of which add a unit pivot row y (see
     ``_elim_py.smith_diagonal``), B P^-1 differs from B only in those
     columns y.  The pivot column of y in PA is +-1 at row y and 0
     elsewhere, so (B P^-1)(PA) = 0 makes column y of B P^-1 zero, and
@@ -368,16 +367,18 @@ def chain_diagonals(maps, units=None):
     kills B with those columns deleted, so the cancellation chains.  A
     zero map has no pivots, so it cancels nothing in the map after it.
 
-    When ``maps`` is a generator, each set of deleted columns is sent
-    into it before the map they belong to is drawn, so it may leave
-    them out; they are deleted here either way.
+    With ``live`` set, ``maps`` is a generator that is sent each set of
+    deleted columns before the map they belong to is drawn, and leaves
+    them out; ``tate._total_maps`` and ``resolve._transposes`` do.
+    Since Smith(B) is the same with or without them, a generator that
+    kept them would only be slower.  Otherwise they are deleted here.
 
     ``units``, when a list, is left holding the unit pivot rows of the
     last map reduced.  A later chain that starts at the map after it
     resumes this one by leaving those columns out of its first map.
     """
     maps = iter(maps)
-    draw = getattr(maps, "send", lambda _: next(maps))
+    draw = maps.send if live else lambda _: next(maps)
     units = [] if units is None else units
     cancelled = None
     while True:
@@ -385,7 +386,7 @@ def chain_diagonals(maps, units=None):
             rows, ncols = draw(cancelled)
         except StopIteration:
             return
-        if cancelled:
+        if cancelled and not live:
             for row in rows:
                 for k in cancelled.intersection(row):
                     del row[k]

@@ -69,10 +69,10 @@ class ModulePresentation:
             self._elt_actions[index] = cached
         return cached
 
-    def act_ring(self, element):
-        """Sparse {col: value} rows of a group-ring element acting on
-        Z^gens, keys ascending.  Cached per element and shared, so
-        callers must not mutate them."""
+    def act_columns(self, element):
+        """Sparse {row: value} columns of a group-ring element acting on
+        Z^gens, the sum of the ``columns`` of its element actions.
+        Cached per element and shared, so callers must not mutate them."""
         cached = self._ring_actions.get(element.coeffs)
         if cached is None:
             terms = [
@@ -80,14 +80,24 @@ class ModulePresentation:
                 for idx, a in enumerate(element.coeffs)
                 if a
             ]
-            rows = [{} for _ in range(self.gens)]
+            cached = []
             for j in range(self.gens):
+                col = {}
                 for a, cols in terms:
                     for i, v in cols[j].items():
-                        rows[i][j] = rows[i].get(j, 0) + a * v
-            cached = [{k: v for k, v in row.items() if v} for row in rows]
+                        col[i] = col.get(i, 0) + a * v
+                cached.append({i: v for i, v in col.items() if v})
             self._ring_actions[element.coeffs] = cached
         return cached
+
+    def act_ring(self, element):
+        """Fresh sparse {col: value} rows of a group-ring element acting
+        on Z^gens, keys ascending."""
+        rows = [{} for _ in range(self.gens)]
+        for j, col in enumerate(self.act_columns(element)):
+            for i, v in col.items():
+                rows[i][j] = v
+        return rows
 
     def acts_exactly(self):
         """Whether the actions of a valid presentation commute and have
@@ -352,6 +362,13 @@ class FreeChainComplex:
             return [{} for _ in range(self.rank(i - 1) * self.group.order)]
         return d.sparse_rows()
 
+    def sparse_columns(self, i):
+        """Fresh sparse columns of expand(d_i), all empty when d_i is absent."""
+        d = self.diffs.get(i)
+        if d is None:
+            return [{} for _ in range(self.rank(i) * self.group.order)]
+        return d.sparse_columns()
+
     def _diagonals(self):
         """Smith diagonal of expand(d_i) for lo < i <= hi, from one
         top-down chain of ``exactlin.chain_diagonals`` on first use.  A
@@ -398,12 +415,22 @@ def _homology_data(complex_, n):
     if k == 0:
         return IntMatrix.zeros(0, 0), zero_module(group)
     cycles = exactlin.kernel_basis(complex_.expanded(n))
+    # One solve, so one Hermite form of the cycles, for the boundaries
+    # and the r action targets side by side; the cycles are a basis, so
+    # each column's solution is the one it would get alone.
     boundaries = complex_.expanded(n + 1)
-    solve = exactlin.solve_preimage
-    relations = exactlin.lattice_basis(solve(cycles, boundaries))
-    gens = range(1, group.r + 1)
-    actions = [solve(cycles, act_rows(group, i, cycles)) for i in gens]
-    module = ModulePresentation(group, cycles.cols, relations, actions)
+    targets = boundaries
+    for i in range(1, group.r + 1):
+        targets = targets.hstack(act_rows(group, i, cycles))
+    solved = exactlin.solve_preimage(cycles, targets)
+
+    def block(start, width):
+        return solved.submatrix(range(solved.rows), range(start, start + width))
+
+    gens, nb = cycles.cols, boundaries.cols
+    relations = exactlin.lattice_basis(block(0, nb))
+    actions = [block(nb + i * gens, gens) for i in range(group.r)]
+    module = ModulePresentation(group, gens, relations, actions)
     return cycles, module
 
 

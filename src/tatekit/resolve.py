@@ -185,7 +185,7 @@ def _certify(group, lo, hi):
         _, diagonal[b], cancelled = exact.top
         b += 1
     degrees, units = range(b, t + 2), []
-    chain = chain_diagonals(_transposes(group, degrees, cancelled), units)
+    chain = chain_diagonals(_transposes(group, degrees, cancelled), units, live=True)
     diagonal.update(zip(degrees, chain))
     exact.top = (t + 1, diagonal[t + 1], set(units))
     for n in todo:

@@ -88,7 +88,7 @@ def _presentation_lattices(module):
     """M = Z^gens / L as the lattice complex L --B--> Z^gens in degrees 1
     and 0, with B the relation basis and L acted on by the X_i with
     B X_i = A_i B."""
-    lattices = {0: (module.gens, module.act_ring, None)}
+    lattices = {0: (module.gens, module.act_columns, None)}
     basis = module.relation_basis()
     if basis.cols:
         lattice = ModulePresentation(
@@ -96,7 +96,7 @@ def _presentation_lattices(module):
             basis.cols,
             actions=[solve_in_lattice(basis, a.mul(basis)) for a in module.actions],
         )
-        lattices[1] = (basis.cols, lattice.act_ring, basis.sparse_rows())
+        lattices[1] = (basis.cols, lattice.act_columns, basis.columns)
     return lattices
 
 
@@ -108,9 +108,9 @@ def _free_lattices(complex_):
     for j in complex_.degrees():
         k = complex_.rank(j)
         act = functools.cache(
-            lambda x, k=k: GroupRingMatrix.scalar(group, k, x).sparse_rows()
+            lambda x, k=k: GroupRingMatrix.scalar(group, k, x).sparse_columns()
         )
-        lattices[j] = (k * group.order, act, complex_.sparse_rows(j))
+        lattices[j] = (k * group.order, act, complex_.sparse_columns(j))
     return lattices
 
 
@@ -124,15 +124,18 @@ def _total_maps(window, lattices, lo, hi):
     Tot^{n+1} for n in [lo - 1, hi - 1], ascending.
 
     ``lattices`` maps each degree j of C, ascending, to ``(dim, act,
-    d)``: the Z-rank of C_j, the sparse rows of a ring element acting
-    on it, and the sparse rows of d_j : C_j -> C_{j-1} (unread in the
-    lowest degree).  Tot^n is the sum of the Hom_G(F_{n+j}, C_j) that
-    have F-degree inside ``window``, and delta^n = delta_0 - (-1)^n
-    delta_1.
+    d)``: the Z-rank of C_j, the sparse {row: value} columns of a ring
+    element acting on it, and the sparse columns of d_j : C_j -> C_{j-1}
+    (unread in the lowest degree).  Tot^n is the sum of the
+    Hom_G(F_{n+j}, C_j) that have F-degree inside ``window``, and
+    delta^n = delta_0 - (-1)^n delta_1.
 
     A set sent into the generator after delta^(n-1) names coordinates
-    of Tot^n that delta^n may leave out; ``chain_diagonals`` sends the
-    unit pivot rows of delta^(n-1), which it would delete anyway.
+    of Tot^n that delta^n leaves out; ``chain_diagonals`` sends the
+    unit pivot rows of delta^(n-1).  delta^n is written column by
+    column over the other coordinates only, ascending, so each row gets
+    its keys in ascending order and no entry of a left-out column is
+    made.
     """
 
     def offsets(n):
@@ -149,36 +152,27 @@ def _total_maps(window, lattices, lo, hi):
         rows = [{} for _ in range(_dimension(window, lattices, n + 1))]
         sign = -1 if n % 2 == 0 else 1
         for j, (dim, act, d) in lattices.items():
-            kf = window.rank(n + j)
-            # delta_0: post-compose with d_j, one copy per generator of
-            # F_{n+j}; lands in the summand at j-1.
-            if j - 1 in lattices:
-                tdim = lattices[j - 1][0]
-                for f in range(kf):
-                    tbase, sbase = dst[j - 1] + f * tdim, src[j] + f * dim
-                    for rho, drow in enumerate(d):
-                        row = rows[tbase + rho]
-                        for sigma, v in drow.items():
-                            k = sbase + sigma
-                            if k not in cancelled:
-                                row[k] = v
-            # delta_1: pre-compose with the resolution differential into
-            # degree n+j+1; lands in the summand at j with sign -(-1)^n.
+            # delta_1 pre-composes with the resolution differential into
+            # degree n+j+1 and lands in the summand at j with sign
+            # -(-1)^n; delta_0 post-composes with d_j, one copy per
+            # generator of F_{n+j}, and lands in the summand at j-1.
             df = window.differential(n + j + 1)
-            if df is None:
-                continue
-            # Rows of df in ascending b, so each row of delta^n gets its
-            # keys in ascending order within the summand.
-            for b, drow in enumerate(df.entries):
-                sbase = src[j] + b * dim
-                for f2, elem in drow.items():
-                    tbase = dst[j] + f2 * dim
-                    for i, arow in enumerate(act(elem)):
-                        row = rows[tbase + i]
-                        for t, v in arow.items():
-                            k = sbase + t
-                            if k not in cancelled:
-                                row[k] = sign * v
+            ups = df.entries if df is not None else [{}] * window.rank(n + j)
+            down = j - 1 in lattices
+            tdim = lattices[j - 1][0] if down else 0
+            for b, drow in enumerate(ups):
+                base, dbase = src[j] + b * dim, dst.get(j - 1, 0) + b * tdim
+                terms = [(dst[j] + f2 * dim, act(elem)) for f2, elem in drow.items()]
+                for t in range(dim):
+                    k = base + t
+                    if k in cancelled:
+                        continue
+                    for tbase, cols in terms:
+                        for i, v in cols[t].items():
+                            rows[tbase + i][k] = sign * v
+                    if down:
+                        for rho, v in d[t].items():
+                            rows[dbase + rho][k] = v
         cancelled = (yield rows, _dimension(window, lattices, n)) or set()
         src = dst
 
@@ -190,7 +184,7 @@ def _table(window, lattices, lo, hi):
     free rank 0, which each degree below hi checks: raise ValueError
     naming the degree if it does not hold.
     """
-    diags = list(chain_diagonals(_total_maps(window, lattices, lo, hi)))
+    diags = list(chain_diagonals(_total_maps(window, lattices, lo, hi), live=True))
     invs = []
     for n in range(lo, hi):
         h = homology_invariants(

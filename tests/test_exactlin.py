@@ -1,12 +1,13 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from tatekit import BACKEND, _backend
+from tatekit import BACKEND, _backend, _elim_py
 from tatekit.errors import NoSolution, SublatticeViolation
 from tatekit.exactlin import (
     INFINITE,
@@ -26,6 +27,7 @@ from tatekit.exactlin import (
 
 from tatekit.gallery import random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup, GroupRingElement, GroupRingMatrix
+from tatekit.resolve import complete_resolution
 
 from oracles import (
     DenseIntMatrix,
@@ -244,6 +246,125 @@ def test_chain_resumed_from_its_last_unit_rows_reads_the_same_diagonals(
     assert head + list(chain_diagonals(rest)) == [
         oracle_smith_diagonal(m.data) for m in chain
     ]
+
+
+@st.composite
+def peelable_matrices(draw):
+    """A matrix built to peel, with rows and columns shuffled: a
+    unit-triangular cascade (row i has +-1 at cascade column i and
+    entries only in cascade columns before it, so each row is a
+    singleton once the ones before it are peeled), general rows with
+    any entries in the cascade columns and a general block, scaled by a
+    content k, in the others, and rows whose only entry is +-2.
+    Returns the matrix, the cascade columns, the +-2 rows and a seeded
+    generator for further draws."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    m = draw(st.integers(0, 25))
+    gr, gc = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    twos = draw(st.integers(0, 3)) if gc else 0
+    k = draw(st.sampled_from([1, 1, 2, 3]))
+    nrows, ncols = m + gr + twos, m + gc
+    rperm, cperm = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+    data = [[0] * ncols for _ in range(nrows)]
+    for i in range(m):
+        row = data[rperm[i]]
+        row[cperm[i]] = rng.choice((1, -1))
+        for j in range(i):
+            if rng.random() < 0.3:
+                row[cperm[j]] = rng.randint(-3, 3)
+    for i in range(m, m + gr):
+        row = data[rperm[i]]
+        for j in range(m):
+            if rng.random() < 0.3:
+                row[cperm[j]] = rng.randint(-3, 3)
+        for j in range(m, ncols):
+            if rng.random() < 0.6:
+                row[cperm[j]] = k * rng.randint(-4, 4)
+    for i in range(m + gr, nrows):
+        data[rperm[i]][cperm[rng.randrange(m, ncols)]] = rng.choice((2, -2))
+    cascade, doubled = set(cperm[:m]), set(rperm[m + gr :])
+    return IntMatrix(data, nrows, ncols), cascade, doubled, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(peelable_matrices())
+def test_peel_phase_keeps_the_smith_diagonal(drawn):
+    # the peel clears every cascade column, each by one pivot of a
+    # cascade or general row, peels no +-2 singleton, and reports its
+    # rows first among the unit rows; the diagonal is sympy's
+    m, cascade, doubled, rng = drawn
+    got, units = _kernel_units(m.data, m.cols)
+    want = [int(f) for f in invariant_factors(Matrix(m.data), domain=ZZ) if f]
+    assert got == want
+    rows = m.sparse_rows()
+    peeled = _elim_py._peel(rows)
+    assert len(peeled) >= len(cascade)
+    assert not any(cascade.intersection(row) for row in rows)
+    assert not doubled & set(peeled)
+    assert units[: len(peeled)] == peeled
+    # any b with b m = 0 keeps its Smith diagonal without the columns at
+    # the reported rows
+    left = kernel_basis(_transpose(m))
+    if left.cols:
+        mix = IntMatrix([[rng.randint(-3, 3) for _ in range(left.cols)] for _ in range(3)])
+        b = mix.mul(_transpose(left))
+        kept = [{k: v for k, v in row.items() if k not in units} for row in b.sparse_rows()]
+        assert _backend.smith_diagonal(kept, b.cols) == smith_diagonal(b)
+
+
+def test_peel_leaves_non_unit_singletons_and_drops_dead_columns():
+    # [[1, 0], [5, 2], [0, 2]]: row 0 peels column 0, which leaves rows
+    # 1 and 2 as the +-2 singletons {1: 2}, never peeled
+    rows = IntMatrix([[1, 0], [5, 2], [0, 2]]).sparse_rows()
+    assert _elim_py._peel(rows) == [0]
+    assert rows == [{}, {1: 2}, {1: 2}]
+    assert _kernel_units([[1, 0], [5, 2], [0, 2]], 2) == ([1, 2], [0])
+    # a cascade peels whole, in order
+    assert _kernel_units([[1, 0, 0], [3, -1, 0], [2, 7, 1]], 3) == ([1, 1, 1], [0, 1, 2])
+
+
+def _live_chain(maps, finished):
+    """The sparse rows of each integer matrix in ``maps`` without the
+    columns sent back into it, as ``chain_diagonals(..., live=True)``
+    draws them; appends to ``finished`` whether the peel alone reduces
+    each map so drawn."""
+    cancelled = None
+    for m in maps:
+        rows = [{k: v for k, v in row.items() if k not in (cancelled or ())}
+                for row in m.sparse_rows()]
+        probe = [dict(row) for row in rows]
+        finished.append(len(_elim_py._peel(probe)) == len(oracle_smith_diagonal(m.data))
+                        and not any(probe))
+        cancelled = yield rows, m.cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    st.lists(st.integers(1, 3), min_size=3, max_size=5),
+    st.integers(0, 30),
+)
+def test_peeled_unit_rows_keep_chain_diagonals_on_free_complexes(pr, ranks, seed):
+    # the peel's unit rows cancel columns of the next map, which a live
+    # generator leaves out; every diagonal is still that of the whole map
+    c = random_free_complex(ElementaryAbelianGroup(*pr), ranks, seed)
+    chain = [c.expanded(i) for i in range(len(ranks) - 1, 0, -1)]
+    got = list(chain_diagonals(_live_chain(chain, []), live=True))
+    assert got == [oracle_smith_diagonal(m.data) for m in chain]
+
+
+@pytest.mark.parametrize("p, r, top", [(2, 1, 6), (3, 1, 5), (2, 2, 5), (2, 3, 3)])
+def test_peeled_unit_rows_keep_chain_diagonals_on_resolution_windows(p, r, top):
+    # the transposed d_1, ..., d_top of the complete resolution, read
+    # smallest first as the certificate reads them; past the first map
+    # the peel finishes some maps alone
+    g = ElementaryAbelianGroup(p, r)
+    window = complete_resolution(g, -1, top + 1)
+    chain = [_transpose(window.expanded(n)) for n in range(1, top + 1)]
+    finished = []
+    got = list(chain_diagonals(_live_chain(chain, finished), live=True))
+    assert got == [smith_diagonal(m) for m in chain]
+    assert any(finished[1:])
 
 
 def test_elimination_core_is_the_pure_module():

@@ -351,7 +351,7 @@ def test_cancelled_table_matches_full_reduction(pr, ranks, seed, n):
     c = random_free_complex(g, ranks, seed)
     window = complete_resolution(g, -3 + c.lo, 3 + c.hi)
     lattices = _free_lattices(c)
-    dense = {j: (dim, act, c.expanded(j).sparse_rows())
+    dense = {j: (dim, act, c.expanded(j).sparse_columns())
              for j, (dim, act, _) in lattices.items()}
     assert _table(window, lattices, -2, 2) == _full_table(window, dense, -2, 2)
     q = g.p * g.p
@@ -364,6 +364,56 @@ def test_cancelled_table_matches_full_reduction(pr, ranks, seed, n):
         window = complete_resolution(g, lo - 1, hi + 1)
         lattices = _presentation_lattices(m)
         assert _table(window, lattices, lo, hi) == _full_table(window, lattices, lo, hi)
+
+
+def _drawn_maps(window, lattices, lo, hi, pick):
+    """The maps of ``_total_maps`` with the set ``pick(rows, dim)`` of
+    each map's target coordinates sent back before the next is drawn,
+    each map paired with the set sent before it."""
+    maps = _total_maps(window, lattices, lo, hi)
+    out, sent = [], None
+    while True:
+        try:
+            rows, dim = maps.send(sent)
+        except StopIteration:
+            return out
+        out.append((rows, sent or set()))
+        sent = pick(rows, dim)
+
+
+def test_total_maps_write_no_entry_in_a_cancelled_column():
+    # a sent set of Tot^n coordinates is left out of delta^n: no key in
+    # it is written, every other entry is the full map's, and each row
+    # keeps its keys ascending; on a hyper table and on a module table
+    # with relations, with random sets and with the unit rows the chain
+    # itself would send
+    g = ElementaryAbelianGroup(2, 2)
+    c = random_free_complex(g, [2, 3, 2], 0)
+    m = homology_module(product_complex(2, [1, 1]), 1)
+    assert m.relations.cols and m.acts_exactly()
+    cases = [
+        (complete_resolution(g, -3 + c.lo, 2 + c.hi), _free_lattices(c)),
+        (complete_resolution(m.group, -3, 3), _presentation_lattices(m)),
+    ]
+    rng = random.Random(5)
+
+    def units(rows, dim):
+        out = []
+        smith_diagonal([dict(row) for row in rows], dim, out)
+        return set(out)
+
+    def some(rows, dim):
+        return {i for i in range(len(rows)) if rng.random() < 0.4}
+
+    for window, lattices in cases:
+        full = _drawn_maps(window, lattices, -2, 2, lambda rows, dim: set())
+        for pick in (units, some):
+            drawn = _drawn_maps(window, lattices, -2, 2, pick)
+            assert any(sent for _, sent in drawn)
+            for (rows, sent), (whole, _) in zip(drawn, full):
+                assert not any(sent.intersection(row) for row in rows)
+                assert rows == [{k: v for k, v in row.items() if k not in sent} for row in whole]
+                assert all(list(row) == sorted(row) for row in rows)
 
 
 def test_table_rejects_a_free_rank_below_the_top_degree():

@@ -5,7 +5,11 @@ width, into BENCH_sweep.json.
 
 The points are ``browder_check`` of ``product_complex(2, ks)`` for ks in
 [2,2,1], [2,2,2] and [2,2,2,2] (products of 3-spheres and a circle over
-(Z/2)^3 and (Z/2)^4), ``syzygy(Z, n)`` over (Z/2)^2 for n = 1..6, the
+(Z/2)^3 and (Z/2)^4), the paper's rank-3 pipeline
+(``product_complex(2, [3,2,2])`` glued by
+``dimension_rows(3, [5,3,3]).schedule()``, then ``browder_check``; the
+sweep stops unless the product is 8, it divides, and every gluing
+certificate is ok), ``syzygy(Z, n)`` over (Z/2)^2 for n = 1..6, the
 Tate table of Z on [-2, 2] over (Z/2)^r for r = 5..9, whose cost is
 certifying the complete resolution, and the hypercohomology table of
 ``product_complex(2, [2,2,1])`` on [-w, w] for w = 1..4, whose cost is
@@ -31,6 +35,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BROWDER = ([2, 2, 1], [2, 2, 2], [2, 2, 2, 2])
+PIPELINE = ([3, 2, 2], [5, 3, 3])
+PIPELINE_ANSWER = {"product": 8, "divides": True, "certificates_ok": True}
 SYZYGY = range(1, 7)
 RANKS = range(5, 10)
 TATE_RANGE = (-2, 2)
@@ -43,6 +49,8 @@ REPEAT = 3
 def points():
     """(name, kind, argument) of every sweep point, in run order."""
     out = [(f"browder product(2,{ks})", "browder", ks) for ks in BROWDER]
+    ks, ns = PIPELINE
+    out.append((f"pipeline product(2,{ks}) rows {ns}", "pipeline", PIPELINE))
     out += [(f"syzygy (Z/2)^2 n={n}", "syzygy", n) for n in SYZYGY]
     out += [(f"tate Z (Z/2)^{r} {list(TATE_RANGE)}", "tate", r) for r in RANKS]
     out += [(f"hyper product(2,{HYPER}) [-{w}, {w}]", "hyper", w) for w in WIDTHS]
@@ -59,6 +67,16 @@ def run_point(kind, arg):
         report = T.browder_check(c)
         seconds = time.perf_counter() - start
         return seconds, {"product": report.product, "divides": report.divides}
+    if kind == "pipeline":
+        ks, ns = arg
+        c = T.product_complex(2, ks)
+        start = time.perf_counter()
+        glued, certs = T.glue_rows(c, T.dimension_rows(len(ns), ns).schedule())
+        report = T.browder_check(glued)
+        seconds = time.perf_counter() - start
+        ok = all(cert.ok for cert in certs)
+        return seconds, {"product": report.product, "divides": report.divides,
+                         "certificates_ok": ok}
     if kind == "tate":
         g = T.ElementaryAbelianGroup(2, arg)
         z = T.trivial_module(g)
@@ -105,6 +123,8 @@ def main(argv=None):
         answers = {json.dumps(r["answer"], sort_keys=True) for r in runs}
         if len(answers) != 1:
             raise SystemExit(f"{name}: runs disagree: {sorted(answers)}")
+        if kind == "pipeline" and runs[0]["answer"] != PIPELINE_ANSWER:
+            raise SystemExit(f"{name}: got {runs[0]['answer']}, want {PIPELINE_ANSWER}")
         seconds = [r["seconds"] for r in runs]
         results.append({
             "name": name,
