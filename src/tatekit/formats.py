@@ -3,8 +3,10 @@
 The complex and module text formats are canonical: ``render(parse(render(x)))``
 reproduces ``render(x)`` byte for byte.  Group-ring coefficients are written
 as integer arrays of length p^r in the fixed lexicographic element order used
-throughout the package.  Every report renderer has a ``*_data`` twin that
-returns plain dict/list structures suitable for ``json.dumps``.
+throughout the package; ring elements keep only their nonzero terms, and are
+converted to and from these arrays here alone.  Every report renderer has a
+``*_data`` twin that returns plain dict/list structures suitable for
+``json.dumps``.
 """
 
 from .exactlin import INFINITE, IntMatrix
@@ -56,8 +58,15 @@ def _content_lines(text):
 def _dense_rows(d):
     """Every entry of a group-ring matrix as a coefficient list, zeros
     included, row by row."""
-    zero = d.group.zero()
-    return [[list(row.get(c, zero).coeffs) for c in range(d.cols)] for row in d.entries]
+    n = d.group.order
+    out = []
+    for row in d.entries:
+        dense = [[0] * n for _ in range(d.cols)]
+        for c, e in row.items():
+            for h, v in e.terms:
+                dense[c][h] = v
+        out.append(dense)
+    return out
 
 
 def render_complex(complex_):
@@ -122,7 +131,7 @@ def parse_complex(text, allow_large=False):
                             f"coefficient line {pos + 1} has {len(vals)} entries, "
                             f"expected {n}"
                         )
-                    rows[b][c] = GroupRingElement(group, vals)
+                    rows[b][c] = GroupRingElement(group, dict(enumerate(vals)))
                     pos += 1
             diffs[i] = GroupRingMatrix(group, rows, ka, kb)
             idx = pos

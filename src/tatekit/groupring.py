@@ -2,17 +2,21 @@
 
 Group elements are exponent vectors of length r with entries mod p,
 ordered lexicographically; the element with exponents (e_1, ..., e_r)
-sits at index e_1*p^(r-1) + ... + e_r.  A ring element is the dense
-tuple of its integer coefficients in that order.
+sits at index e_1*p^(r-1) + ... + e_r.  A ring element keeps only its
+terms, the (index, coefficient) pairs with nonzero coefficient, indices
+ascending.  Products work on indices: the product of the elements at
+i and j is at i XOR j for p = 2, and at the digitwise sum mod p of i
+and j in base p otherwise, so no ring operation allocates |G| entries.
 
 A ``GroupRingMatrix`` keeps only its nonzero entries, one
 ``{col: element}`` dict per row, so products, duals and expansions cost
 O(nnz).  ``GroupRingMatrix.sparse_rows`` turns a ring matrix into the
 sparse rows of an integer matrix through the left regular
-representation, one |G| x |G| block per entry, and is the only code
-that writes that expansion; ``sparse_columns`` transposes it, and
-``expand`` is those columns as an ``IntMatrix``.  The identity-basis
-columns of the expansion carry the ring data: ``encode_columns`` writes them and
+representation, one |G| x |G| block per entry, read off one translation
+row h -> g h per term g, and is the only code that writes that
+expansion; ``sparse_columns`` transposes it, and ``expand`` is those
+columns as an ``IntMatrix``.  The identity-basis columns of the
+expansion carry the ring data: ``encode_columns`` writes them and
 ``decode_columns`` reads them back, which is how every module-level
 computation round-trips.  ``act_rows`` applies a group generator to
 ZG^k as a permutation of rows.
@@ -33,16 +37,30 @@ def _is_prime(n):
     return True
 
 
-# Entries of the largest table a group allocates, its |G| x |G|
-# multiplication table; 2^22 admits (Z/2)^11, (Z/3)^6 and (Z/5)^4.
+# Entries of the largest block one ring element expands to: a dense
+# element, such as the full norm d_0, expands to |G| x |G| entries, and
+# its translation rows, cached on the group, hold as many.  2^22 admits
+# (Z/2)^11, (Z/3)^6 and (Z/5)^4.
 TABLE_BUDGET = 1 << 22
+
+
+def _digit_sum(p, i, j):
+    """Index of the product of the elements at i and j: their base-p
+    digits added mod p."""
+    k, w = 0, 1
+    while i or j:
+        i, a = divmod(i, p)
+        j, b = divmod(j, p)
+        k += (a + b) % p * w
+        w *= p
+    return k
 
 
 class ElementaryAbelianGroup:
     """The group (Z/p)^r with its fixed element order.
 
-    Ring elements hold |G| coefficients and the multiplication table
-    |G|^2 entries, so a group whose table would exceed ``TABLE_BUDGET``
+    Expanding a dense ring element, such as the full norm d_0, writes
+    a |G| x |G| block, so a group whose |G|^2 exceeds ``TABLE_BUDGET``
     raises ResourceLimit before anything is allocated, unless
     ``allow_large`` is set.
     """
@@ -57,13 +75,11 @@ class ElementaryAbelianGroup:
         self.order = p**r
         if self.order**2 > TABLE_BUDGET and not allow_large:
             raise ResourceLimit(
-                f"(Z/{p})^{r}: |G| = {self.order}, so a ring element holds {self.order} "
-                f"coefficients and the multiplication table {self.order**2} entries, "
-                f"over the budget of {TABLE_BUDGET}; allow_large=True (--allow-large) "
-                "lifts it"
+                f"(Z/{p})^{r}: |G| = {self.order}, so a dense ring element such as "
+                f"the full norm expands to {self.order**2} entries, over the budget "
+                f"of {TABLE_BUDGET}; allow_large=True (--allow-large) lifts it"
             )
-        self._mul_table = None
-        self._inv_table = None
+        self._translations = {}
 
     def exponents(self, index):
         out = []
@@ -81,54 +97,29 @@ class ElementaryAbelianGroup:
             idx = idx * self.p + (e % self.p)
         return idx
 
-    def mul_table(self):
-        if self._mul_table is None:
-            n, p, r = self.order, self.p, self.r
-            weights = [p**k for k in range(r - 1, -1, -1)]
-            table = []
-            for i in range(n):
-                ei = self.exponents(i)
-                row = [0] * n
-                for j in range(n):
-                    ej = self.exponents(j)
-                    row[j] = sum(
-                        ((a + b) % p) * w for a, b, w in zip(ei, ej, weights)
-                    )
-                table.append(row)
-            self._mul_table = table
-        return self._mul_table
-
-    def inverse_table(self):
-        if self._inv_table is None:
+    def _translation(self, g):
+        """The indices of g h for h = 0, ..., |G| - 1; cached per g."""
+        row = self._translations.get(g)
+        if row is None:
             p = self.p
-            self._inv_table = [
-                self.index_of(tuple((-e) % p for e in self.exponents(i)))
-                for i in range(self.order)
-            ]
-        return self._inv_table
+            row = [0]
+            for d in self.exponents(g):
+                digits = [(d + e) % p for e in range(p)]
+                row = [x * p + e for x in row for e in digits]
+            self._translations[g] = row
+        return row
 
     def identity(self):
-        coeffs = [0] * self.order
-        coeffs[0] = 1
-        return GroupRingElement(self, coeffs)
+        return GroupRingElement(self, {0: 1})
 
     def zero(self):
-        return GroupRingElement(self, [0] * self.order)
+        return GroupRingElement(self, {})
 
     def generator(self, i):
         """The i-th coordinate generator, i counted from 1."""
         if not 1 <= i <= self.r:
             raise ValueError(f"generator index {i} out of range 1..{self.r}")
-        exps = [0] * self.r
-        exps[i - 1] = 1
-        coeffs = [0] * self.order
-        coeffs[self.index_of(exps)] = 1
-        return GroupRingElement(self, coeffs)
-
-    def element(self, exponents):
-        coeffs = [0] * self.order
-        coeffs[self.index_of(exponents)] = 1
-        return GroupRingElement(self, coeffs)
+        return GroupRingElement(self, {self.p ** (self.r - i): 1})
 
     def __eq__(self, other):
         return (
@@ -148,59 +139,57 @@ class ElementaryAbelianGroup:
 
 
 class GroupRingElement:
-    """An element of Z[G], stored as dense integer coefficients."""
+    """An element of Z[G], built from a ``{index: coeff}`` mapping.
 
-    __slots__ = ("group", "coeffs")
+    ``terms`` is the tuple of its (index, coeff) pairs with nonzero
+    coeff, indices ascending; an index outside 0..|G|-1 is rejected.
+    """
 
-    def __init__(self, group, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != group.order:
-            raise ValueError("coefficient vector has the wrong length")
+    __slots__ = ("group", "terms")
+
+    def __init__(self, group, terms):
+        terms = tuple(sorted((i, v) for i, v in terms.items() if v))
+        if terms and not (terms[0][0] >= 0 and terms[-1][0] < group.order):
+            raise ValueError(f"group element index outside 0..{group.order - 1}")
         self.group = group
-        self.coeffs = coeffs
+        self.terms = terms
 
     def __add__(self, other):
         self._check(other)
-        return GroupRingElement(
-            self.group, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        out = dict(self.terms)
+        for i, b in other.terms:
+            out[i] = out.get(i, 0) + b
+        return GroupRingElement(self.group, out)
 
     def __sub__(self, other):
-        self._check(other)
-        return GroupRingElement(
-            self.group, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self + -other
 
     def __neg__(self):
-        return GroupRingElement(self.group, [-a for a in self.coeffs])
+        return GroupRingElement(self.group, {i: -a for i, a in self.terms})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GroupRingElement(self.group, [other * a for a in self.coeffs])
+            return GroupRingElement(self.group, {i: other * a for i, a in self.terms})
         self._check(other)
-        mul = self.group.mul_table()
-        out = [0] * self.group.order
-        for i, a in enumerate(self.coeffs):
-            if a:
-                row = mul[i]
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[row[j]] += a * b
+        p = self.group.p
+        out = {}
+        for i, a in self.terms:
+            for j, b in other.terms:
+                k = i ^ j if p == 2 else _digit_sum(p, i, j)
+                out[k] = out.get(k, 0) + a * b
         return GroupRingElement(self.group, out)
 
     __rmul__ = __mul__
 
     def antipode(self):
         """The ring automorphism sending each group element to its inverse."""
-        inv = self.group.inverse_table()
-        out = [0] * self.group.order
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out[inv[i]] = a
-        return GroupRingElement(self.group, out)
+        g = self.group
+        return GroupRingElement(
+            g, {g.index_of([-e for e in g.exponents(i)]): a for i, a in self.terms}
+        )
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not self.terms
 
     def _check(self, other):
         if self.group != other.group:
@@ -210,14 +199,14 @@ class GroupRingElement:
         return (
             isinstance(other, GroupRingElement)
             and self.group == other.group
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.group.p, self.group.r, self.coeffs))
+        return hash((self.group.p, self.group.r, self.terms))
 
     def __repr__(self):
-        return f"GroupRingElement({self.group!r}, {list(self.coeffs)!r})"
+        return f"GroupRingElement({self.group!r}, {dict(self.terms)!r})"
 
 
 def antipode(a):
@@ -230,17 +219,13 @@ def norm_element(group, generator_index):
         raise ValueError(
             f"generator index {generator_index} out of range 1..{group.r}"
         )
-    coeffs = [0] * group.order
-    exps = [0] * group.r
-    for k in range(group.p):
-        exps[generator_index - 1] = k
-        coeffs[group.index_of(exps)] = 1
-    return GroupRingElement(group, coeffs)
+    step = group.p ** (group.r - generator_index)
+    return GroupRingElement(group, {k * step: 1 for k in range(group.p)})
 
 
 def full_norm(group):
     """The sum of all group elements."""
-    return GroupRingElement(group, [1] * group.order)
+    return GroupRingElement(group, dict.fromkeys(range(group.order), 1))
 
 
 class GroupRingMatrix:
@@ -289,24 +274,23 @@ class GroupRingMatrix:
         if self.group != other.group or self.cols != other.rows:
             raise ValueError("shape or group mismatch in ring product")
         # A closed-form d_n has at most 4r distinct entries, so each
-        # product a * b is formed once, as its nonzero terms, and summed
-        # into one coefficient list per output entry.
-        n = self.group.order
+        # product a * b is formed once, keyed on the terms, and summed
+        # into one {index: coeff} dict per output entry.
         products = {}
         rows = []
         for a_row in self.entries:
             out = {}
             for k, a in a_row.items():
                 for j, b in other.entries[k].items():
-                    terms = products.get((a, b))
+                    key = a.terms, b.terms
+                    terms = products.get(key)
                     if terms is None:
-                        terms = [(h, v) for h, v in enumerate((a * b).coeffs) if v]
-                        products[a, b] = terms
+                        terms = products[key] = (a * b).terms
                     acc = out.get(j)
                     if acc is None:
-                        acc = out[j] = [0] * n
+                        acc = out[j] = {}
                     for h, v in terms:
-                        acc[h] += v
+                        acc[h] = acc.get(h, 0) + v
             rows.append({j: GroupRingElement(self.group, acc) for j, acc in out.items()})
         return GroupRingMatrix(self.group, rows, self.rows, other.cols)
 
@@ -324,22 +308,20 @@ class GroupRingMatrix:
     def sparse_rows(self):
         """Fresh {col: value} rows of the left-regular expansion.
 
-        Entry (i, j) becomes a |G| x |G| block; its row h holds the
-        coefficient of g at column g^-1 h, keys in ascending g.  Zero
-        coefficients write nothing.
+        Entry (i, j) becomes a |G| x |G| block; the coefficient of g
+        sits at row g h of column h for every h, so each row holds its
+        keys in ascending g.  Zero coefficients write nothing.
         """
         n = self.group.order
-        mul = self.group.mul_table()
-        inv = self.group.inverse_table()
+        translation = self.group._translation
         rows = [{} for _ in range(self.rows * n)]
         for i, entry_row in enumerate(self.entries):
             block = rows[i * n : (i + 1) * n]
             for j, e in entry_row.items():
-                terms = [(mul[inv[g]], v) for g, v in enumerate(e.coeffs) if v]
                 base = j * n
-                for h, row in enumerate(block):
-                    for shift, v in terms:
-                        row[base + shift[h]] = v
+                for g, v in e.terms:
+                    for h, gh in enumerate(translation(g), base):
+                        block[gh][h] = v
         return rows
 
     def sparse_columns(self, skip=()):
@@ -383,9 +365,8 @@ def encode_columns(ring_matrix):
     for b, row in enumerate(ring_matrix.entries):
         for c, e in row.items():
             col = cols[c]
-            for h, v in enumerate(e.coeffs):
-                if v:
-                    col[b * n + h] = v
+            for h, v in e.terms:
+                col[b * n + h] = v
     return IntMatrix.from_sparse(cols, ring_matrix.rows * n)
 
 
@@ -403,7 +384,7 @@ def decode_columns(group, mat, row_blocks):
     for c, col in enumerate(mat.columns):
         for i, v in col.items():
             b, h = divmod(i, n)
-            (rows[b].get(c) or rows[b].setdefault(c, [0] * n))[h] = v
+            (rows[b].get(c) or rows[b].setdefault(c, {}))[h] = v
     rows = [{c: GroupRingElement(group, x) for c, x in row.items()} for row in rows]
     return GroupRingMatrix(group, rows, row_blocks, mat.cols)
 
@@ -420,7 +401,7 @@ def act_rows(group, i, mat):
     n = group.order
     if mat.rows % n:
         raise ValueError("row count is not a multiple of the group order")
-    shift = group.mul_table()[group.p ** (group.r - i)]
+    shift = group._translation(group.p ** (group.r - i))
     cols = [
         {k - k % n + shift[k % n]: v for k, v in col.items()} for col in mat.columns
     ]

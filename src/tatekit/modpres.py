@@ -73,13 +73,9 @@ class ModulePresentation:
         """Sparse {row: value} columns of a group-ring element acting on
         Z^gens, the sum of the ``columns`` of its element actions.
         Cached per element and shared, so callers must not mutate them."""
-        cached = self._ring_actions.get(element.coeffs)
+        cached = self._ring_actions.get(element.terms)
         if cached is None:
-            terms = [
-                (a, self.act_element(idx).columns)
-                for idx, a in enumerate(element.coeffs)
-                if a
-            ]
+            terms = [(a, self.act_element(idx).columns) for idx, a in element.terms]
             cached = []
             for j in range(self.gens):
                 col = {}
@@ -87,17 +83,8 @@ class ModulePresentation:
                     for i, v in cols[j].items():
                         col[i] = col.get(i, 0) + a * v
                 cached.append({i: v for i, v in col.items() if v})
-            self._ring_actions[element.coeffs] = cached
+            self._ring_actions[element.terms] = cached
         return cached
-
-    def act_ring(self, element):
-        """Fresh sparse {col: value} rows of a group-ring element acting
-        on Z^gens, keys ascending."""
-        rows = [{} for _ in range(self.gens)]
-        for j, col in enumerate(self.act_columns(element)):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
 
     def acts_exactly(self):
         """Whether the actions of a valid presentation commute and have

@@ -373,19 +373,17 @@ def oracle_expand(ring_matrix):
     n = group.order
     rows = ring_matrix.rows * n
     out = [[0] * (ring_matrix.cols * n) for _ in range(rows)]
-    zero = group.zero()
     for b in range(ring_matrix.rows):
-        for c in range(ring_matrix.cols):
-            coeffs = ring_matrix.entries[b].get(c, zero).coeffs
-            for h in range(n):
-                h_exp = group.exponents(h)
-                for k in range(n):
+        for c, entry in ring_matrix.entries[b].items():
+            for k, v in entry.terms:
+                k_exp = group.exponents(k)
+                for h in range(n):
                     # product index of k and h
-                    k_exp = group.exponents(k)
+                    h_exp = group.exponents(h)
                     prod = [
                         (x + y) % group.p for x, y in zip(k_exp, h_exp)
                     ]
-                    out[b * n + group.index_of(prod)][c * n + h] += coeffs[k]
+                    out[b * n + group.index_of(prod)][c * n + h] += v
     return out
 
 
@@ -436,15 +434,10 @@ def oracle_product_complex(p, k_list):
 
 def _tensor_elements(a, b, group):
     """a (x) b inside the group ring of the product group."""
-    o2 = len(b.coeffs)
-    coeffs = [0] * (len(a.coeffs) * o2)
-    for i, x in enumerate(a.coeffs):
-        if x:
-            base = i * o2
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    coeffs[base + j] = x * y
-    return GroupRingElement(group, coeffs)
+    o2 = b.group.order
+    return GroupRingElement(
+        group, {i * o2 + j: x * y for i, x in a.terms for j, y in b.terms}
+    )
 
 
 def tensor_complex(c, d):
@@ -544,7 +537,7 @@ def oracle_random_free_complex(group, ranks, seed):
             for b in range(ka):
                 coeffs = col[b * n : (b + 1) * n]
                 if any(coeffs):
-                    rows[b][c] = GroupRingElement(group, coeffs)
+                    rows[b][c] = GroupRingElement(group, dict(enumerate(coeffs)))
         d = GroupRingMatrix(group, rows, ka, kb)
         diffs[i] = d
         prev = DenseIntMatrix(oracle_expand(d), ka * n, kb * n)

@@ -137,7 +137,7 @@ def unit_heavy_matrices(draw):
         rows = [
             {
                 j: GroupRingElement(
-                    g, [rng.choice((1, -1)) if rng.random() < 0.3 else 0 for _ in range(g.order)]
+                    g, {i: rng.choice((1, -1)) for i in range(g.order) if rng.random() < 0.3}
                 )
                 for j in range(ncols)
                 if rng.random() < 0.25

@@ -27,8 +27,16 @@ from oracles import oracle_expand
 
 def rand_element(rng, group, lo=-3, hi=3):
     return GroupRingElement(
-        group, [rng.randint(lo, hi) for _ in range(group.order)]
+        group, {i: rng.randint(lo, hi) for i in range(group.order)}
     )
+
+
+def dense(e):
+    """The coefficients of a ring element, zeros included."""
+    out = [0] * e.group.order
+    for i, v in e.terms:
+        out[i] = v
+    return out
 
 
 def rand_ring_matrix(rng, group, rows, cols):
@@ -62,7 +70,7 @@ def test_bad_group_parameters_rejected():
 
 def test_ring_product_against_convolution():
     rng = random.Random(3)
-    for p, r in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+    for p, r in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (3, 3), (5, 2), (2, 4)]:
         g = ElementaryAbelianGroup(p, r)
         for _ in range(20):
             a = rand_element(rng, g)
@@ -70,17 +78,14 @@ def test_ring_product_against_convolution():
             prod = a * b
             # naive double loop straight from the definition
             want = [0] * g.order
-            for i in range(g.order):
-                if not a.coeffs[i]:
-                    continue
+            for i, x in a.terms:
                 ei = g.exponents(i)
-                for j in range(g.order):
-                    if b.coeffs[j]:
-                        k = g.index_of(
-                            [(x + y) % p for x, y in zip(ei, g.exponents(j))]
-                        )
-                        want[k] += a.coeffs[i] * b.coeffs[j]
-            assert list(prod.coeffs) == want
+                for j, y in b.terms:
+                    k = g.index_of(
+                        [(u + v) % p for u, v in zip(ei, g.exponents(j))]
+                    )
+                    want[k] += x * y
+            assert dense(prod) == want
             # commutative ring
             assert b * a == prod
 
@@ -98,9 +103,9 @@ def test_antipode_is_an_involution_and_antihomomorphism():
 def test_norm_elements():
     g = ElementaryAbelianGroup(2, 2)
     fn = full_norm(g)
-    assert list(fn.coeffs) == [1, 1, 1, 1]
+    assert dense(fn) == [1, 1, 1, 1]
     n1 = norm_element(g, 1)
-    assert sum(n1.coeffs) == 2
+    assert n1.terms == ((0, 1), (2, 1))
     # (g_i - 1) * N_i == 0 in the ring
     gen = g.generator(1)
     diff = gen + (-g.identity())
@@ -111,7 +116,7 @@ def test_norm_elements():
 
 def test_expand_matches_oracle_and_is_multiplicative():
     rng = random.Random(17)
-    for p, r in [(2, 1), (2, 2), (3, 1)]:
+    for p, r in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 2)]:
         g = ElementaryAbelianGroup(p, r)
         for _ in range(10):
             a = rand_ring_matrix(rng, g, rng.randint(1, 3), rng.randint(1, 3))
@@ -182,7 +187,7 @@ def sparse_ring_matrix(draw, group, rows, cols):
     coeffs = st.lists(coeff, min_size=group.order, max_size=group.order)
     entries = [
         {
-            c: GroupRingElement(group, draw(coeffs))
+            c: GroupRingElement(group, dict(enumerate(draw(coeffs))))
             for c in range(cols)
             if not draw(st.integers(0, 3))
         }
@@ -298,6 +303,12 @@ def test_constructor_rejects_bad_keys_and_foreign_entries():
         GroupRingMatrix(g, [{0: other.identity()}], 1, 1)
     with pytest.raises(ValueError, match="expected 2"):
         GroupRingMatrix(g, [{}], 2, 1)
+    # an element keeps its nonzero terms, indices ascending, and checks
+    # its first and last index
+    assert GroupRingElement(g, {3: 2, 0: -1, 1: 0}).terms == ((0, -1), (3, 2))
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            GroupRingElement(g, {0: 1, bad: 1})
 
 
 @settings(max_examples=40)
@@ -336,7 +347,12 @@ def test_groups_over_the_table_budget_are_refused_before_allocating():
     assert "(Z/2)^24" in msg and "16777216" in msg and str(2**48) in msg
     assert isinstance(exc.value, TatekitError)
     big = ElementaryAbelianGroup(2, 24, allow_large=True)
-    assert big.order == 2**24 and big._mul_table is None
+    assert big.order == 2**24
+    # ring elements of the closed form stay sparse over the big group
+    gen = big.generator(3)
+    made = [gen, big.identity(), norm_element(big, 3), antipode(gen)]
+    assert all(len(e.terms) <= big.p for e in made)
+    assert ((gen - big.identity()) * norm_element(big, 3)).is_zero()
     # the rank sweep up to (Z/2)^10 and every group of the tests and the
     # benchmark fit; so do the largest at each small prime
     for p, r in [(2, 10), (2, 11), (3, 6), (5, 4), (7, 3)]:

@@ -153,7 +153,7 @@ def test_homology_module_carries_the_action():
 
 @settings(max_examples=20)
 @given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3)]), st.integers(0, 30))
-def test_act_ring_is_the_sum_of_element_actions(pr, seed):
+def test_act_columns_is_the_sum_of_element_actions(pr, seed):
     # the reference multiplies the generator actions as dense matrices,
     # A_r^e_r ... A_1^e_1, without going through act_element; random
     # matrices as actions do not commute, so the composition order shows
@@ -175,9 +175,8 @@ def test_act_ring_is_the_sum_of_element_actions(pr, seed):
                 for _ in range(e):
                     act = gen.mul(act)
             want = want.add(act.scale(a))
-        got = m.act_ring(GroupRingElement(g, coeffs))
-        assert got == want.sparse_rows()
-        assert all(list(row) == sorted(row) for row in got)
+        got = m.act_columns(GroupRingElement(g, dict(enumerate(coeffs))))
+        assert got == want.sparse_columns()
 
 
 def test_pruned_browder_modules_of_a_three_sphere_product():
