@@ -13,7 +13,8 @@ sparse kernels of :mod:`tatekit._elim_py`:
 - ``smith_diagonal``: :func:`smith_diagonal`,
   :func:`cokernel_invariants`, :func:`quotient_invariants` and
   :func:`chain_diagonals`, the one reduction of a chain of maps that
-  cancels unit pivots from one map to the next.
+  cancels unit pivots from one map to the next: it sends the generator
+  of the maps the columns to leave out of the next one.
 
 :func:`homology_invariants` reads a homology group off the diagonals
 of the maps into and out of it; every invariant here is read that way.
@@ -348,7 +349,7 @@ def homology_invariants(dim, into, outof):
     return AbelianInvariants.from_diagonal(into, dim - len(into) - len(outof))
 
 
-def chain_diagonals(maps, units=None, live=False):
+def chain_diagonals(maps):
     """Smith diagonal of each sparse map ``(rows, ncols)`` of a chain,
     in order; each map must compose to zero with the one before it, and
     its rows are consumed.
@@ -367,29 +368,20 @@ def chain_diagonals(maps, units=None, live=False):
     kills B with those columns deleted, so the cancellation chains.  A
     zero map has no pivots, so it cancels nothing in the map after it.
 
-    With ``live`` set, ``maps`` is a generator that is sent each set of
-    deleted columns before the map they belong to is drawn, and leaves
-    them out; ``tate._total_maps`` and ``resolve._transposes`` do.
-    Since Smith(B) is the same with or without them, a generator that
-    kept them would only be slower.  Otherwise they are deleted here.
-
-    ``units``, when a list, is left holding the unit pivot rows of the
-    last map reduced.  A later chain that starts at the map after it
-    resumes this one by leaving those columns out of its first map.
+    ``maps`` is a generator that is sent the set of deleted columns
+    before each map but the first is drawn, and leaves them out of it;
+    a generator that kept them would read the same diagonals, slower.
+    The chain draws a map only when its diagonal is asked for, so a
+    suspended chain resumes where it stopped.
     """
-    maps = iter(maps)
-    draw = maps.send if live else lambda _: next(maps)
-    units = [] if units is None else units
     cancelled = None
     while True:
         try:
-            rows, ncols = draw(cancelled)
+            rows, ncols = maps.send(cancelled)
         except StopIteration:
             return
-        if cancelled and not live:
-            for row in rows:
-                for k in cancelled.intersection(row):
-                    del row[k]
-        units.clear()
-        yield _backend.smith_diagonal(rows, ncols, units)
+        units = []
+        diagonal = _backend.smith_diagonal(rows, ncols, units)
+        del rows  # a suspended chain keeps no spent map
+        yield diagonal
         cancelled = set(units)

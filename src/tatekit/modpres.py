@@ -362,11 +362,21 @@ class FreeChainComplex:
         missing differential enters as a zero map, which has no unit
         pivots to cancel in the map below it."""
         if self._diags is None:
-            n = self.group.order
             degrees = range(self.hi, self.lo, -1)
-            maps = ((self.sparse_rows(i), self.rank(i) * n) for i in degrees)
-            self._diags = dict(zip(degrees, chain_diagonals(maps)))
+            self._diags = dict(zip(degrees, chain_diagonals(self._maps(degrees))))
         return self._diags
+
+    def _maps(self, degrees):
+        """Sparse rows and column count of expand(d_i) for i in
+        ``degrees``, each without the columns sent back for it."""
+        cancelled = None
+        for i in degrees:
+            rows = self.sparse_rows(i)
+            if cancelled:
+                for row in rows:
+                    for k in cancelled.intersection(row):
+                        del row[k]
+            cancelled = yield rows, self.rank(i) * self.group.order
 
     def __repr__(self):
         span = f"[{self.lo},{self.hi}]" if self.ranks else "empty"

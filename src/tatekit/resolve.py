@@ -14,19 +14,21 @@ The degree is the unit of work: each d_n is built once per group, and
 each degree n is certified once per group, by d_n d_(n+1) = 0 and then
 H_n = 0, read off Smith diagonals.  Only the positive half is reduced:
 the expansion of d_(-n) is the transpose of that of d_n, so the two
-share a diagonal.  The positive half is reduced smallest map first, as
-one chain of ``exactlin.chain_diagonals`` over the transposed
-expansions: each d_n^T with the columns at the unit pivot rows of
+share a diagonal.  Each group keeps one chain of
+``exactlin.chain_diagonals`` over the transposed expansions of d_0,
+d_1, ..., suspended between windows and drawn only as far as a window
+needs: each d_n^T with the columns at the unit pivot rows of
 d_(n-1)^T deleted, which keeps its diagonal once d_(n-1) d_n = 0 is
 known, since Smith(A^T) = Smith(A) and (d_(n-1) d_n)^T = 0.  So the
-largest map arrives last, with the most columns cancelled, and every
-d o d check of a pass runs before its chain.  A pass that starts where
-the last one ended resumes its chain, so sliding windows reduce each
-map once.  A window [lo, hi] is a complex over those degrees whose
-interior lo < n < hi is certified.
+largest map arrives last, with the most columns cancelled, every
+d o d check of a pass runs before the chain is drawn, and each map is
+reduced once per group, in whatever order windows come.  A window
+[lo, hi] is a complex over those degrees whose interior lo < n < hi is
+certified.
 """
 
 from functools import cache
+from itertools import count
 from math import comb
 
 from .errors import LiftObstruction, NoSolution
@@ -112,21 +114,10 @@ def _differential(group, n):
     return _differential(group, -n).antipode_transpose()
 
 
-class _Certified(set):
-    """The degrees of one group certified exact so far, and ``top``, the
-    last map of the last certificate chain as (twin, diagonal, unit
-    pivot rows), or None before the first chain."""
-
-    __slots__ = ("top",)
-
-    def __init__(self):
-        super().__init__()
-        self.top = None
-
-
-@cache
-def _certified(group):
-    return _Certified()
+_chains = {}
+"""Per group: its certificate chain, ``chain_diagonals`` over the
+transposed d_0, d_1, ..., suspended; the diagonals it has yielded, in
+order; and the degrees certified exact."""
 
 
 def _twin(n):
@@ -135,12 +126,12 @@ def _twin(n):
     return n if n >= 0 else -n - 1
 
 
-def _transposes(group, degrees, cancelled=()):
-    """The transposed expansion of each d_m, m in ``degrees``, as the
+def _transposes(group):
+    """The transposed expansion of each d_m, m = 0, 1, ..., as the
     sparse rows ``chain_diagonals`` draws.  The columns it sends back as
-    cancelled are rows of the next d_m, which are left out, and so are
-    the rows in ``cancelled`` of the first."""
-    for m in degrees:
+    cancelled are rows of the next d_m, which are left out."""
+    cancelled = ()
+    for m in count():
         d = _differential(group, m)
         cancelled = (yield d.sparse_columns(cancelled), d.rows * group.order) or ()
 
@@ -150,54 +141,51 @@ def _certify(group, lo, hi):
     ValueError naming the degree unless d_n d_(n+1) = 0 in the group
     ring and H_n = 0.
 
-    Every d o d check runs first, in descending order of twin, on the
-    actual group-ring matrices.  Then one chain reduces the transposed
-    expansion of d_m from m = b up to m = t + 1, t and b the largest and
-    smallest twin of the degrees to certify, each with the columns at
-    the unit pivot rows of the one before deleted.  That needs
-    d_m d_(m+1) = 0 for each b <= m <= t.  The interior of a window is
-    contiguous, and so are its twins, so each such m is the twin of an
-    interior degree n, d o d checked in this pass or certified before.
-    The check at n < 0 runs on the actual negative differentials; their
-    product is the antipode-transpose of d_m d_(m+1), so it licenses
-    the same cancellation.  A negative degree reads its twin's
-    diagonals, since d_(-m) is built as the antipode-transpose of d_m.
-
-    When the last chain of the group ended at d_b, this one resumes it:
-    d_b's diagonal is kept, and d_(b+1) is drawn with the columns at
-    d_b's kept unit pivot rows deleted, as the last chain would have
-    drawn it.  So windows that slide or grow upward reduce each
-    transposed d_m once.
+    The group's chain reduces the transposed expansion of each d_m once,
+    m = 0, 1, ..., each with the columns at the unit pivot rows of the
+    one before deleted, and keeps every diagonal.  Drawing d_m needs
+    d_(m-1) d_m = 0, so every d o d check runs first, in descending
+    order of twin, on the actual group-ring matrices: at each degree to
+    certify, and at each positive degree below them whose twin the
+    chain has not passed yet.  The check at n < 0 runs on the actual
+    negative differentials; their product is the antipode-transpose of
+    d_m d_(m+1), so it licenses the same cancellation.  Then the chain
+    is drawn up to d_(t+1), t the largest twin to certify, and H_n is
+    read off the kept diagonals of its twin; d_(-m) is built as the
+    antipode-transpose of d_m, so the two share a diagonal.  If
+    anything raises, the group's chain and certified degrees are
+    dropped, so no diagonal of a failed pass is read again.
     """
-    exact = _certified(group)
+    if group not in _chains:
+        _chains[group] = (chain_diagonals(_transposes(group)), [], set())
+    chain, diagonal, exact = _chains[group]
     todo = [n for n in range(lo + 1, hi) if n not in exact]
     todo.sort(key=_twin, reverse=True)
     if not todo:
         return
-    for n in todo:
-        if not _differential(group, n).mul(_differential(group, n + 1)).is_zero():
-            raise ValueError(
-                f"complete resolution at degree {n}: d o d != 0 in the group ring"
-            )
-    b, t = _twin(todo[-1]), _twin(todo[0])
-    diagonal, cancelled = {}, ()
-    if exact.top is not None and exact.top[0] == b:
-        _, diagonal[b], cancelled = exact.top
-        b += 1
-    degrees, units = range(b, t + 2), []
-    chain = chain_diagonals(_transposes(group, degrees, cancelled), units, live=True)
-    diagonal.update(zip(degrees, chain))
-    exact.top = (t + 1, diagonal[t + 1], set(units))
-    for n in todo:
-        m = _twin(n)
-        into, outof = diagonal[m + 1], diagonal[m]
-        if n < 0:
-            into, outof = outof, into
-        h = homology_invariants(_rank(group, n) * group.order, into, outof)
-        if not h.is_trivial():
-            raise ValueError(
-                f"complete resolution at degree {n}: not exact: homology {h}"
-            )
+    # twins below todo's that the chain must draw past to reach them
+    below = range(max(len(diagonal) - 1, 0), _twin(todo[-1]))
+    try:
+        for n in todo + list(reversed(below)):
+            if not _differential(group, n).mul(_differential(group, n + 1)).is_zero():
+                raise ValueError(
+                    f"complete resolution at degree {n}: d o d != 0 in the group ring"
+                )
+        while len(diagonal) < _twin(todo[0]) + 2:
+            diagonal.append(next(chain))
+        for n in todo:
+            m = _twin(n)
+            into, outof = diagonal[m + 1], diagonal[m]
+            if n < 0:
+                into, outof = outof, into
+            h = homology_invariants(_rank(group, n) * group.order, into, outof)
+            if not h.is_trivial():
+                raise ValueError(
+                    f"complete resolution at degree {n}: not exact: homology {h}"
+                )
+    except BaseException:
+        del _chains[group]
+        raise
     exact.update(todo)
 
 
@@ -207,10 +195,10 @@ def complete_resolution(group, lo, hi):
     Every degree strictly inside the window is certified before the
     window is handed out, so ``homology`` answers 0 there without
     reducing; homology at its edges raises WindowViolation.
-    The Smith work of a call is the positive half over the twins of
-    the degrees it certifies, reduced smallest map first, less the map
-    at which it resumes the group's last chain.  Windows share the
-    cached differentials, so callers must not mutate them.
+    The Smith work of a call is the maps of the positive half that its
+    twins need and the group's chain has not drawn yet, smallest
+    first.  Windows share the cached differentials, so callers must not
+    mutate them.
     """
     if lo > hi:
         raise ValueError("empty window")

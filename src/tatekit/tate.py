@@ -21,8 +21,6 @@ codifferentials delta^{lo-1}, ..., delta^(hi-1) form one chain for
 coordinates that the unit pivots of the one before it left alive.
 """
 
-import functools
-
 from . import exactlin
 from .errors import InfiniteLength, NotConcentrated
 from .exactlin import (
@@ -102,14 +100,18 @@ def _presentation_lattices(module):
 
 def _free_lattices(complex_):
     """The nonzero degrees of a free complex as lattices; x acts on ZG^k
-    by its left-regular expansion, cached per x."""
+    by its left-regular expansion, cached per degree on ``x.terms``."""
     group = complex_.group
     lattices = {}
     for j in complex_.degrees():
-        k = complex_.rank(j)
-        act = functools.cache(
-            lambda x, k=k: GroupRingMatrix.scalar(group, k, x).sparse_columns()
-        )
+        k, cache = complex_.rank(j), {}
+
+        def act(x, k=k, cache=cache):
+            cols = cache.get(x.terms)
+            if cols is None:
+                cols = cache[x.terms] = GroupRingMatrix.scalar(group, k, x).sparse_columns()
+            return cols
+
         lattices[j] = (k * group.order, act, complex_.sparse_columns(j))
     return lattices
 
@@ -184,7 +186,7 @@ def _table(window, lattices, lo, hi):
     free rank 0, which each degree below hi checks: raise ValueError
     naming the degree if it does not hold.
     """
-    diags = list(chain_diagonals(_total_maps(window, lattices, lo, hi), live=True))
+    diags = list(chain_diagonals(_total_maps(window, lattices, lo, hi)))
     invs = []
     for n in range(lo, hi):
         h = homology_invariants(

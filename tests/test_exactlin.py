@@ -209,7 +209,8 @@ def test_chain_diagonals_match_oracle_on_free_complexes(pr, ranks, seed, zero, d
     # the expansions of d_1, ..., d_top of a random free complex, d_zero
     # replaced by a zero map, form a chain read top-down; their
     # transposes form one read bottom-up.  Each map's diagonal is that
-    # of the whole map, whatever the unit pivots before it cancelled.
+    # of the whole map, whatever columns the unit pivots before it
+    # cancelled.
     g = ElementaryAbelianGroup(*pr)
     c = random_free_complex(g, ranks, seed)
     maps = []
@@ -217,7 +218,7 @@ def test_chain_diagonals_match_oracle_on_free_complexes(pr, ranks, seed, zero, d
         d = c.expanded(i)
         maps.append(IntMatrix.zeros(d.rows, d.cols) if i == zero else d)
     chain = maps[::-1] if down else [_transpose(m) for m in maps]
-    got = list(chain_diagonals((m.sparse_rows(), m.cols) for m in chain))
+    got = list(chain_diagonals(_live_chain(chain)))
     assert got == [oracle_smith_diagonal(m.data) for m in chain]
 
 
@@ -231,21 +232,19 @@ def test_chain_diagonals_match_oracle_on_free_complexes(pr, ranks, seed, zero, d
 def test_chain_resumed_from_its_last_unit_rows_reads_the_same_diagonals(
     pr, ranks, seed, cut
 ):
-    # a chain cut after its first ``cut`` maps hands back the unit rows
-    # of the last one; deleting those columns from the next map and
-    # reducing the rest as a new chain reads every diagonal unchanged
+    # a chain drawn for its first ``cut`` diagonals stays suspended with
+    # the unit rows of the last map it reduced; another chain over the
+    # same maps run in between does not disturb it, and drawing the
+    # rest, with those columns left out of the next map, reads every
+    # diagonal unchanged
     c = random_free_complex(ElementaryAbelianGroup(*pr), ranks, seed)
     chain = [c.expanded(i) for i in range(len(ranks) - 1, 0, -1)]
+    want = [oracle_smith_diagonal(m.data) for m in chain]
     cut = min(cut, len(chain) - 1)
-    units = []
-    head = list(chain_diagonals(((m.sparse_rows(), m.cols) for m in chain[:cut]), units))
-    rest = [(m.sparse_rows(), m.cols) for m in chain[cut:]]
-    for row in rest[0][0]:
-        for k in set(units).intersection(row):
-            del row[k]
-    assert head + list(chain_diagonals(rest)) == [
-        oracle_smith_diagonal(m.data) for m in chain
-    ]
+    drawn = chain_diagonals(_live_chain(chain))
+    head = [next(drawn) for _ in range(cut)]
+    assert list(chain_diagonals(_live_chain(chain))) == want
+    assert head + list(drawn) == want
 
 
 @st.composite
@@ -323,18 +322,19 @@ def test_peel_leaves_non_unit_singletons_and_drops_dead_columns():
     assert _kernel_units([[1, 0, 0], [3, -1, 0], [2, 7, 1]], 3) == ([1, 1, 1], [0, 1, 2])
 
 
-def _live_chain(maps, finished):
+def _live_chain(maps, finished=None):
     """The sparse rows of each integer matrix in ``maps`` without the
-    columns sent back into it, as ``chain_diagonals(..., live=True)``
-    draws them; appends to ``finished`` whether the peel alone reduces
-    each map so drawn."""
+    columns sent back into it, as ``chain_diagonals`` draws them; if
+    ``finished`` is a list, appends to it whether the peel alone
+    reduces each map so drawn."""
     cancelled = None
     for m in maps:
         rows = [{k: v for k, v in row.items() if k not in (cancelled or ())}
                 for row in m.sparse_rows()]
-        probe = [dict(row) for row in rows]
-        finished.append(len(_elim_py._peel(probe)) == len(oracle_smith_diagonal(m.data))
-                        and not any(probe))
+        if finished is not None:
+            probe = [dict(row) for row in rows]
+            finished.append(len(_elim_py._peel(probe)) == len(oracle_smith_diagonal(m.data))
+                            and not any(probe))
         cancelled = yield rows, m.cols
 
 
@@ -349,7 +349,7 @@ def test_peeled_unit_rows_keep_chain_diagonals_on_free_complexes(pr, ranks, seed
     # generator leaves out; every diagonal is still that of the whole map
     c = random_free_complex(ElementaryAbelianGroup(*pr), ranks, seed)
     chain = [c.expanded(i) for i in range(len(ranks) - 1, 0, -1)]
-    got = list(chain_diagonals(_live_chain(chain, []), live=True))
+    got = list(chain_diagonals(_live_chain(chain)))
     assert got == [oracle_smith_diagonal(m.data) for m in chain]
 
 
@@ -362,7 +362,7 @@ def test_peeled_unit_rows_keep_chain_diagonals_on_resolution_windows(p, r, top):
     window = complete_resolution(g, -1, top + 1)
     chain = [_transpose(window.expanded(n)) for n in range(1, top + 1)]
     finished = []
-    got = list(chain_diagonals(_live_chain(chain, finished), live=True))
+    got = list(chain_diagonals(_live_chain(chain, finished)))
     assert got == [smith_diagonal(m) for m in chain]
     assert any(finished[1:])
 

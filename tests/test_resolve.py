@@ -326,7 +326,7 @@ def test_lift_chain_map_through_a_proper_generator_subset():
 
 def _clear_resolve_caches():
     resolve._differential.cache_clear()
-    resolve._certified.cache_clear()
+    resolve._chains.clear()
 
 
 @pytest.fixture
@@ -380,7 +380,9 @@ def test_certified_diagonals_match_fresh_smith_in_any_window_order(
         }
         want = sorted((fresh[n + 1], fresh[n]) for n in certified)
         assert sorted(reads) == want, windows
-        assert resolve._certified(g) == certified
+        _, diagonals, exact = resolve._chains[g]
+        assert exact == certified
+        assert len(diagonals) == max(map(resolve._twin, certified)) + 2
 
 
 def _patch_degree(monkeypatch, n, change):
@@ -488,13 +490,18 @@ def test_sliding_windows_resume_the_chain_and_reduce_each_map_once(
     assert [call[3] for call in sliding] == fresh
 
 
-@pytest.mark.parametrize("n, lo, hi, degree", [(3, -1, 6, 3), (-3, -6, 0, -4)])
+@pytest.mark.parametrize(
+    "n, lo, hi, degree",
+    [(3, -1, 6, 3), (-3, -6, 0, -4), (2, 3, 6, 2), (2, -7, -4, 2)],
+)
 def test_d_o_d_check_runs_before_any_cancelled_diagonal(
     n, lo, hi, degree, cold_resolve, monkeypatch
 ):
     # d_n is perturbed so that d o d fails at ``degree``; every d o d
     # check of the pass runs before its chain, which cancels against
-    # unit pivots and so relies on them, so no Smith reduction may run
+    # unit pivots and so relies on them, so no Smith reduction may run.
+    # A window above d_0 still draws the chain from d_0, so the checks
+    # reach down to the twins below its own
     g = ElementaryAbelianGroup(2, 2)
     _patch_degree(monkeypatch, n, _perturbed)
     real = _backend.smith_diagonal
@@ -508,3 +515,69 @@ def test_d_o_d_check_runs_before_any_cancelled_diagonal(
     with pytest.raises(ValueError, match=rf"degree {degree}: d o d"):
         complete_resolution(g, lo, hi)
     assert shapes == []
+
+
+def test_windows_growing_at_both_ends_reduce_only_the_new_top_map(
+    cold_resolve, monkeypatch
+):
+    # [-k, k] after [-(k-1), k-1] certifies -k + 1 and k - 1, twins k - 2
+    # and k - 1; the group's chain holds d_0, ..., d_k already and draws
+    # only d_(k+1)
+    g = ElementaryAbelianGroup(2, 3)
+    real = _backend.smith_diagonal
+    shapes = []
+
+    def spy(rows, ncols, unit_rows=None):
+        shapes.append((len(rows), ncols))
+        return real(rows, ncols, unit_rows)
+
+    complete_resolution(g, -2, 2)
+    monkeypatch.setattr(_backend, "smith_diagonal", spy)
+    n = g.order
+    for k in range(3, 7):
+        shapes.clear()
+        complete_resolution(g, -k, k)
+        assert shapes == [(resolve._rank(g, k) * n, resolve._rank(g, k - 1) * n)], k
+
+
+def test_a_failed_certificate_leaves_no_stale_chain(cold_resolve, monkeypatch):
+    # a doubled d_3 fails at degree 2 after the chain has drawn it; the
+    # failure drops the group's chain, so with d_3 restored the same
+    # window reads the fresh Smith diagonals of the true maps.  A kernel
+    # error while drawing d_6 ends the chain's generator; the next pass
+    # must start a new chain and fail the same way, not raise
+    # StopIteration from the dead one
+    g = ElementaryAbelianGroup(2, 2)
+    real = resolve.homology_invariants
+    reads = []
+
+    def spy(dim, into, outof):
+        reads.append((tuple(into), tuple(outof)))
+        return real(dim, into, outof)
+
+    monkeypatch.setattr(resolve, "homology_invariants", spy)
+    with monkeypatch.context() as tamper:
+        _patch_degree(tamper, 3, _doubled)
+        with pytest.raises(ValueError, match="degree 2: not exact"):
+            complete_resolution(g, 0, 5)
+        assert g not in resolve._chains
+    reads.clear()
+    complete_resolution(g, 0, 5)
+    fresh = {m: tuple(_fresh_smith(resolve._differential(g, m))) for m in range(8)}
+    assert sorted(reads) == sorted((fresh[n + 1], fresh[n]) for n in range(1, 5))
+
+    kernel = _backend.smith_diagonal
+
+    def refuse_d6(rows, ncols, unit_rows=None):
+        if len(rows) == resolve._rank(g, 6) * g.order:
+            raise ValueError("kernel refused d_6")
+        return kernel(rows, ncols, unit_rows)
+
+    with monkeypatch.context() as tamper:
+        tamper.setattr(_backend, "smith_diagonal", refuse_d6)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="kernel refused d_6"):
+                complete_resolution(g, 0, 7)
+    reads.clear()
+    complete_resolution(g, 0, 7)
+    assert sorted(reads) == sorted((fresh[n + 1], fresh[n]) for n in range(1, 7))

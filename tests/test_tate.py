@@ -10,7 +10,7 @@ from tatekit._backend import smith_diagonal
 from tatekit.errors import InfiniteLength, NotConcentrated
 from tatekit.exactlin import INFINITE, AbelianInvariants, IntMatrix
 from tatekit.gallery import lens_complex, product_complex, random_free_complex
-from tatekit.groupring import ElementaryAbelianGroup, GroupRingMatrix
+from tatekit.groupring import ElementaryAbelianGroup, GroupRingElement, GroupRingMatrix
 from tatekit.modpres import (
     FreeChainComplex,
     ModulePresentation,
@@ -414,6 +414,27 @@ def test_total_maps_write_no_entry_in_a_cancelled_column():
                 assert not any(sent.intersection(row) for row in rows)
                 assert rows == [{k: v for k, v in row.items() if k not in sent} for row in whole]
                 assert all(list(row) == sorted(row) for row in rows)
+
+
+def test_free_lattice_action_is_cached_on_the_element_terms(monkeypatch):
+    # an equal but distinct element, such as each -c entry of the closed
+    # form, hits the entry of the first on its terms alone, with no
+    # ring-element comparison
+    g = ElementaryAbelianGroup(3, 2)
+    c = random_free_complex(g, [2, 3, 2], 0)
+    real = GroupRingElement.__eq__
+    compared = []
+    monkeypatch.setattr(
+        GroupRingElement, "__eq__", lambda a, b: compared.append(1) or real(a, b)
+    )
+    for j, (_, act, _) in _free_lattices(c).items():
+        x, y = (g.generator(1) - g.identity() for _ in range(2))
+        assert x is not y and x.terms == y.terms
+        first = act(x)
+        compared.clear()
+        assert act(y) is first
+        assert compared == []
+        assert first == GroupRingMatrix.scalar(g, c.rank(j), x).sparse_columns()
 
 
 def test_table_rejects_a_free_rank_below_the_top_degree():
