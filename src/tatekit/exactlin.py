@@ -371,8 +371,7 @@ def chain_diagonals(maps):
     ``maps`` is a generator that is sent the set of deleted columns
     before each map but the first is drawn, and leaves them out of it;
     a generator that kept them would read the same diagonals, slower.
-    The chain draws a map only when its diagonal is asked for, so a
-    suspended chain resumes where it stopped.
+    The chain draws a map only when its diagonal is asked for.
     """
     cancelled = None
     while True:

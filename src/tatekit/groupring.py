@@ -324,16 +324,15 @@ class GroupRingMatrix:
                         block[gh][h] = v
         return rows
 
-    def sparse_columns(self, skip=()):
+    def sparse_columns(self):
         """Fresh {row: value} columns of :meth:`sparse_rows`, the rows of
-        the transposed expansion, without the rows in ``skip``."""
+        the transposed expansion."""
         rows = self.sparse_rows()
         cols = [{} for _ in range(self.cols * self.group.order)]
         for i, row in enumerate(rows):
             rows[i] = None  # freed as it is read
-            if i not in skip:
-                for c, v in row.items():
-                    cols[c][i] = v
+            for c, v in row.items():
+                cols[c][i] = v
         return cols
 
     def expand(self):

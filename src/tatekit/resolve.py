@@ -1,47 +1,43 @@
 """Complete resolutions of Z, partial resolutions of modules, syzygies.
 
-The positive half of a complete resolution of Z is written down in
-closed form: F_n has one free generator e_a for each a in N^r with
-|a| = n, and d e_a = sum_i (-1)^(a_1+...+a_(i-1)) c_i e_(a - eps_i),
-where c_i is g_i - 1 when a_i is odd and the norm N_i when a_i is even
-(the tensor product of the 2-periodic resolutions of the cyclic
-factors).  Cut off at a_i <= 2k_i - 1, the same formula is the free
-complex of S^(2k_1-1) x ... x S^(2k_r-1) that ``gallery`` builds.
-The negative half is its Z-linear dual, spliced at degree 0
-through the full norm.
+The positive half F of the complete resolution of Z is the tensor
+product over Z of the 2-periodic strands ZC_p <- ZC_p <- ..., with
+maps g - 1, N, g - 1, ..., of the r cyclic factors: F_n has one free
+generator e_a for each a in N^r with |a| = n, and d e_a =
+sum_i (-1)^(a_1+...+a_(i-1)) c_i e_(a - eps_i), where c_i is g_i - 1
+when a_i is odd and the norm N_i when a_i is even.  Cut off at
+a_i <= 2k_i - 1, the same formula is the free complex of
+S^(2k_1-1) x ... x S^(2k_r-1) that ``gallery`` builds.  The negative
+half is its Z-linear dual, spliced at degree 0 through the full norm.
 
-The degree is the unit of work: each d_n is built once per group, and
-each degree n is certified once per group, by d_n d_(n+1) = 0 and then
-H_n = 0, read off Smith diagonals.  Only the positive half is reduced:
-the expansion of d_(-n) is the transpose of that of d_n, so the two
-share a diagonal.  Each group keeps one chain of
-``exactlin.chain_diagonals`` over the transposed expansions of d_0,
-d_1, ..., suspended between windows and drawn only as far as a window
-needs: each d_n^T with the columns at the unit pivot rows of
-d_(n-1)^T deleted, which keeps its diagonal once d_(n-1) d_n = 0 is
-known, since Smith(A^T) = Smith(A) and (d_(n-1) d_n)^T = 0.  So the
-largest map arrives last, with the most columns cancelled, every
-d o d check of a pass runs before the chain is drawn, and each map is
-reduced once per group, in whatever order windows come.  A window
-[lo, hi] is a complex over those degrees whose interior lo < n < hi is
-certified.
+A window [lo, hi] hands out d_n, lo < n <= hi, once (a) the complete
+Z/p strand, with d_0 = N = eta epsilon, is exact at degrees 0 and 1,
+by the Smith diagonals of its maps N, g - 1, N, so everywhere; (b) each
+d_n, read entry by entry, is the formula above with c_i the strand's
+map carried into the i-th factor, d_0 is the full norm and d_(-n) the
+antipode-transpose of a d_n that passes (b); and (c) d_n d_(n+1) = 0
+in the group ring at each interior degree.  A check is remembered once
+it passes, and not when it fails.  Then the window is exact strictly
+inside: an exact Z-free complex is Z-split, so each augmented strand
+Z <- ZC_p <- ... is contractible over Z, and so are their tensor
+product (Kuenneth) and its Z-dual; and ker d_0 = ker epsilon = im d_1,
+im d_0 = im eta = ker d_(-1), as eta is injective and epsilon onto.
+No |G|-fold expansion is reduced; (c) rechecks what (a) and (b) imply.
 """
 
 from functools import cache
-from itertools import count
 from math import comb
 
 from .errors import LiftObstruction, NoSolution
 from .exactlin import (
     IntMatrix,
-    chain_diagonals,
-    homology_invariants,
     kernel_basis,
     lattice_basis,
     solve_in_lattice,
     solve_preimage,
 )
 from .groupring import (
+    ElementaryAbelianGroup,
     GroupRingMatrix,
     act_rows,
     decode_columns,
@@ -114,91 +110,93 @@ def _differential(group, n):
     return _differential(group, -n).antipode_transpose()
 
 
-_chains = {}
-"""Per group: its certificate chain, ``chain_diagonals`` over the
-transposed d_0, d_1, ..., suspended; the diagonals it has yielded, in
-order; and the degrees certified exact."""
+_certified = set()
+"""Passed checks: p (the strand), (group, n) (d_n), (group, n, n + 1) (d o d)."""
 
 
-def _twin(n):
-    """The m >= 0 with d_n, d_(n+1) equal to d_m, d_(m+1), or, for
-    n < 0, to the antipode-transposes of d_(m+1), d_m."""
-    return n if n >= 0 else -n - 1
+def _strand(p):
+    """g - 1 and N over Z/p, the maps of the Z/p strand."""
+    cyclic = ElementaryAbelianGroup(p, 1)
+    return cyclic.generator(1) - cyclic.identity(), norm_element(cyclic, 1)
 
 
-def _transposes(group):
-    """The transposed expansion of each d_m, m = 0, 1, ..., as the
-    sparse rows ``chain_diagonals`` draws.  The columns it sends back as
-    cancelled are rows of the next d_m, which are left out."""
-    cancelled = ()
-    for m in count():
-        d = _differential(group, m)
-        cancelled = (yield d.sparse_columns(cancelled), d.rows * group.order) or ()
+def _check_strand(p):
+    """Check (a) on the complete strand N, g - 1, N, or raise ValueError."""
+    step, norm = _strand(p)
+    ds = [GroupRingMatrix(step.group, [{0: c}], 1, 1) for c in (norm, step, norm)]
+    ranks = dict.fromkeys((-1, 0, 1, 2), 1)
+    strand = FreeChainComplex(step.group, ranks, dict(enumerate(ds)))
+    for k in (0, 1):
+        h = homology(strand, k)
+        if not h.is_trivial():
+            raise ValueError(f"the Z/{p} strand at degree {k}: not exact: homology {h}")
+    _certified.add(p)
+
+
+def _follows_tensor_rule(group, n, d):
+    """Whether d, read entry by entry, is d_n, n >= 1, as (b) states it."""
+    row_of = {b: k for k, b in enumerate(_multi_indices((n,) * group.r, n - 1))}
+    cols = _multi_indices((n,) * group.r, n)
+    if (d.rows, d.cols) != (len(row_of), len(cols)):
+        return False
+    step, norm = _strand(group.p)
+    rule = []  # rule[i][a_i % 2][sign]: the terms of +-c_i, N or g - 1 in factor i
+    for i in range(group.r):
+        place = group.generator(i + 1).terms[0][0]  # g_i^k has index k * place
+        carried = [tuple((k * place, v) for k, v in c.terms) for c in (norm, step)]
+        rule.append([(t, tuple((k, -v) for k, v in t)) for t in carried])
+    count = 0
+    for col, a in enumerate(cols):
+        for i, ai in enumerate(a):
+            if ai:
+                e = d.entries[row_of[a[:i] + (ai - 1,) + a[i + 1 :]]].get(col)
+                if e is None or e.terms != rule[i][ai % 2][sum(a[:i]) % 2]:
+                    return False
+                count += 1
+    return count == sum(map(len, d.entries))
+
+
+def _check_map(group, n):
+    """Check (b) for d_n, or raise ValueError naming the degree."""
+    if (group, n) in _certified:
+        return
+    d = _differential(group, n)
+    if n > 0:
+        ok = _follows_tensor_rule(group, n, d)
+    elif n == 0:
+        ok = d == GroupRingMatrix(group, [{0: full_norm(group)}], 1, 1)
+    else:
+        _check_map(group, -n)
+        ok = d == _differential(group, -n).antipode_transpose()
+    if not ok:
+        raise ValueError(
+            f"complete resolution at degree {n}: d_{n} breaks the tensor rule"
+        )
+    _certified.add((group, n))
 
 
 def _certify(group, lo, hi):
-    """Certify each uncertified degree strictly inside [lo, hi]: raise
-    ValueError naming the degree unless d_n d_(n+1) = 0 in the group
-    ring and H_n = 0.
-
-    The group's chain reduces the transposed expansion of each d_m once,
-    m = 0, 1, ..., each with the columns at the unit pivot rows of the
-    one before deleted, and keeps every diagonal.  Drawing d_m needs
-    d_(m-1) d_m = 0, so every d o d check runs first, in descending
-    order of twin, on the actual group-ring matrices: at each degree to
-    certify, and at each positive degree below them whose twin the
-    chain has not passed yet.  The check at n < 0 runs on the actual
-    negative differentials; their product is the antipode-transpose of
-    d_m d_(m+1), so it licenses the same cancellation.  Then the chain
-    is drawn up to d_(t+1), t the largest twin to certify, and H_n is
-    read off the kept diagonals of its twin; d_(-m) is built as the
-    antipode-transpose of d_m, so the two share a diagonal.  If
-    anything raises, the group's chain and certified degrees are
-    dropped, so no diagonal of a failed pass is read again.
-    """
-    if group not in _chains:
-        _chains[group] = (chain_diagonals(_transposes(group)), [], set())
-    chain, diagonal, exact = _chains[group]
-    todo = [n for n in range(lo + 1, hi) if n not in exact]
-    todo.sort(key=_twin, reverse=True)
-    if not todo:
-        return
-    # twins below todo's that the chain must draw past to reach them
-    below = range(max(len(diagonal) - 1, 0), _twin(todo[-1]))
-    try:
-        for n in todo + list(reversed(below)):
+    """Check (a), (b) and (c) for the window [lo, hi], or raise ValueError."""
+    if group.p not in _certified:
+        _check_strand(group.p)
+    for n in range(lo + 1, hi + 1):
+        _check_map(group, n)
+    for n in range(lo + 1, hi):
+        if (group, n, n + 1) not in _certified:
             if not _differential(group, n).mul(_differential(group, n + 1)).is_zero():
                 raise ValueError(
                     f"complete resolution at degree {n}: d o d != 0 in the group ring"
                 )
-        while len(diagonal) < _twin(todo[0]) + 2:
-            diagonal.append(next(chain))
-        for n in todo:
-            m = _twin(n)
-            into, outof = diagonal[m + 1], diagonal[m]
-            if n < 0:
-                into, outof = outof, into
-            h = homology_invariants(_rank(group, n) * group.order, into, outof)
-            if not h.is_trivial():
-                raise ValueError(
-                    f"complete resolution at degree {n}: not exact: homology {h}"
-                )
-    except BaseException:
-        del _chains[group]
-        raise
-    exact.update(todo)
+            _certified.add((group, n, n + 1))
 
 
 def complete_resolution(group, lo, hi):
     """Degrees lo..hi of the complete resolution of Z.
 
-    Every degree strictly inside the window is certified before the
-    window is handed out, so ``homology`` answers 0 there without
-    reducing; homology at its edges raises WindowViolation.
-    The Smith work of a call is the maps of the positive half that its
-    twins need and the group's chain has not drawn yet, smallest
-    first.  Windows share the cached differentials, so callers must not
-    mutate them.
+    Its maps are certified first, as the module docstring sets out, so
+    ``homology`` answers 0 strictly inside without reducing; at its
+    edges it raises WindowViolation.  Windows share the cached
+    differentials, so callers must not mutate them.
     """
     if lo > hi:
         raise ValueError("empty window")

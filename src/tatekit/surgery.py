@@ -450,9 +450,11 @@ def browder_check(complex_):
     rows = []
     product = 1
     for j in range(1, complex_.hi + 1):
-        hj = homology_module(complex_, j)
-        e = exponent(tate_cohomology(group, hj, j + 1))
-        rows.append((j, hj.invariants(), e))
+        hj = homology(complex_, j)  # a zero H_j needs no module: exponent 1
+        e = 1
+        if not hj.is_trivial():
+            e = exponent(tate_cohomology(group, homology_module(complex_, j), j + 1))
+        rows.append((j, hj, e))
         product *= e
     return BrowderReport(
         group.order, rows, product, product % group.order == 0

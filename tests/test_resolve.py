@@ -8,12 +8,18 @@ from tatekit.errors import LiftObstruction, WindowViolation
 from tatekit.exactlin import (
     IntMatrix,
     cokernel_invariants,
+    homology_invariants,
     kernel_basis,
     lattice_basis,
     solve_in_lattice,
 )
 from tatekit.gallery import product_complex
-from tatekit.groupring import ElementaryAbelianGroup, GroupRingMatrix, full_norm
+from tatekit.groupring import (
+    ElementaryAbelianGroup,
+    GroupRingMatrix,
+    full_norm,
+    norm_element,
+)
 from tatekit.modpres import (
     FreeChainComplex,
     ModulePresentation,
@@ -326,7 +332,7 @@ def test_lift_chain_map_through_a_proper_generator_subset():
 
 def _clear_resolve_caches():
     resolve._differential.cache_clear()
-    resolve._chains.clear()
+    resolve._certified.clear()
 
 
 @pytest.fixture
@@ -342,6 +348,32 @@ def _fresh_smith(d):
     return smith_diagonal(d.sparse_rows(), d.cols * d.group.order)
 
 
+def _assert_fresh_smith_exact(group, degrees):
+    """The Smith reference: reduce the expansions of d_n and d_(n+1) of
+    the cached maps from scratch and read H_n = 0 at each n."""
+    fresh = {}
+    for n in sorted(degrees):
+        for m in (n, n + 1):
+            if m not in fresh:
+                fresh[m] = _fresh_smith(resolve._differential(group, m))
+        dim = resolve._rank(group, n) * group.order
+        h = homology_invariants(dim, fresh[n + 1], fresh[n])
+        assert h.is_trivial(), (group, n, h)
+
+
+def _spy_smith(monkeypatch):
+    """The (rows, ncols) of every Smith kernel call from now on."""
+    real = _backend.smith_diagonal
+    shapes = []
+
+    def spy(rows, ncols, unit_rows=None):
+        shapes.append((len(rows), ncols))
+        return real(rows, ncols, unit_rows)
+
+    monkeypatch.setattr(_backend, "smith_diagonal", spy)
+    return shapes
+
+
 def _window_orders(k):
     """Windows reaching degree +-k, ascending, descending and overlapping."""
     slide = [(lo, lo + 3) for lo in range(-k, k - 2)]
@@ -350,39 +382,38 @@ def _window_orders(k):
 
 @pytest.mark.parametrize(
     "p, r, k",
-    [(2, 1, 10), (2, 2, 7), (2, 3, 5), (2, 4, 4), (3, 1, 8), (3, 2, 5), (3, 3, 3), (5, 2, 4)],
+    [(2, 1, 10), (2, 2, 7), (2, 3, 5), (2, 4, 4), (3, 1, 8), (3, 2, 5), (3, 3, 3), (5, 2, 4)]
+    + [(2, 3, 6), (2, 5, 2), (2, 6, 2)],
 )
 def test_certified_diagonals_match_fresh_smith_in_any_window_order(
-    p, r, k, cold_resolve, monkeypatch
+    p, r, k, cold_resolve
 ):
-    # every pair of diagonals certification reads, cancelled in the
-    # chain or read off the positive twin, is the pair of Smith
-    # diagonals of the actual d_(n+1), d_n of one certified degree n,
-    # however the windows before it were certified
+    # however the windows come, the certificate remembers exactly the
+    # maps they hand out and the d o d products of their interiors, and
+    # at every degree it certifies the fresh Smith diagonals of the
+    # actual d_(n+1), d_n read H_n = 0: the Smith certificate the tensor
+    # rule replaced, kept as the reference
     g = ElementaryAbelianGroup(p, r)
-    real = resolve.homology_invariants
-    reads = []
-
-    def spy(dim, into, outof):
-        reads.append((tuple(into), tuple(outof)))
-        return real(dim, into, outof)
-
-    monkeypatch.setattr(resolve, "homology_invariants", spy)
     for windows in _window_orders(k):
         _clear_resolve_caches()
-        reads.clear()
         for lo, hi in windows:
             complete_resolution(g, lo, hi)
-        certified = {n for lo, hi in windows for n in range(lo + 1, hi)}
-        fresh = {
-            n: tuple(_fresh_smith(resolve._differential(g, n)))
-            for n in range(min(certified), max(certified) + 2)
-        }
-        want = sorted((fresh[n + 1], fresh[n]) for n in certified)
-        assert sorted(reads) == want, windows
-        _, diagonals, exact = resolve._chains[g]
-        assert exact == certified
-        assert len(diagonals) == max(map(resolve._twin, certified)) + 2
+        interior = {n for lo, hi in windows for n in range(lo + 1, hi)}
+        maps = {n for lo, hi in windows for n in range(lo + 1, hi + 1)}
+        maps |= {-n for n in maps if n < 0}
+        assert resolve._certified == (
+            {p} | {(g, n) for n in maps} | {(g, n, n + 1) for n in interior}
+        ), windows
+    _assert_fresh_smith_exact(g, interior)
+
+
+def test_certificate_reduces_only_the_strand_maps(cold_resolve, monkeypatch):
+    # no |G|-fold expansion is reduced: the only Smith calls are the p x p
+    # maps N, g - 1 and N of each prime's strand, once per prime
+    shapes = _spy_smith(monkeypatch)
+    for p, r, k in [(2, 4, 7), (2, 3, 5), (3, 2, 4), (2, 1, 3), (3, 3, 3), (5, 2, 2)]:
+        complete_resolution(ElementaryAbelianGroup(p, r), -k, k)
+    assert shapes == [(2, 2)] * 3 + [(3, 3)] * 3 + [(5, 5)] * 3
 
 
 def _patch_degree(monkeypatch, n, change):
@@ -406,178 +437,157 @@ def _perturbed(d):
     return GroupRingMatrix(d.group, rows, d.rows, d.cols)
 
 
+def _flipped(d):
+    rows = [dict(row) for row in d.entries]
+    col = min(rows[0])
+    rows[0][col] = -rows[0][col]
+    return GroupRingMatrix(d.group, rows, d.rows, d.cols)
+
+
+def _extra(d):
+    rows = [dict(row) for row in d.entries]
+    col = min(set(range(d.cols)) - set(rows[0]))
+    rows[0][col] = d.group.identity()
+    return GroupRingMatrix(d.group, rows, d.rows, d.cols)
+
+
 def test_exactness_certificate_rejects_broken_pairs(cold_resolve, monkeypatch):
-    # over Z/2 the resolution has d_1 = g - 1 and d_2 = N
+    # over Z/2 the resolution has d_1 = g - 1 and d_2 = N.  (g - 1) 2N = 0,
+    # but H_1 = ker(g - 1) / 2N = Z/2; (g - 1) 1 != 0.  The tensor rule
+    # rejects both d_2 before d o d is formed
     g = ElementaryAbelianGroup(2, 1)
     complete_resolution(g, 0, 2)
     _clear_resolve_caches()
-    # (g - 1) 2N = 0, but H_1 = ker(g - 1) / 2N = Z/2
     norm = GroupRingMatrix(g, [{0: full_norm(g) * 2}], 1, 1)
     _patch_degree(monkeypatch, 2, lambda d: norm)
-    with pytest.raises(ValueError, match="degree 1: not exact"):
+    with pytest.raises(ValueError, match="degree 2: d_2 breaks the tensor rule"):
         complete_resolution(g, 0, 2)
     unit = GroupRingMatrix(g, [{0: g.identity()}], 1, 1)
     _patch_degree(monkeypatch, 2, lambda d: unit)
-    with pytest.raises(ValueError, match="degree 1: d o d"):
+    with pytest.raises(ValueError, match="degree 2: d_2 breaks the tensor rule"):
         complete_resolution(g, 0, 2)
 
 
-@pytest.mark.parametrize("lo, hi, degree", [(0, 5, 2), (-6, -1, -4)])
+@pytest.mark.parametrize("lo, hi, degree", [(0, 5, 2), (-6, -1, -4), (2, 3, 2)])
 def test_certificate_catches_a_doubled_differential(
     lo, hi, degree, cold_resolve, monkeypatch
 ):
-    # 2 d_3 leaves Z/2 summands in H_2 = ker d_2 / 2 im d_3; its twin
-    # 2 d_(-3), built from it, leaves them in H_(-4)
+    # 2 d_3 leaves Z/2 summands in H_2 = ker d_2 / 2 im d_3, and its dual
+    # 2 d_(-3), built from it, leaves them in H_(-4), as fresh Smith shows;
+    # d o d still holds, so the tensor rule of d_3 is what catches it, also
+    # in [2, 3], which has no interior degree but hands out d_3
     g = ElementaryAbelianGroup(2, 2)
     _patch_degree(monkeypatch, 3, _doubled)
-    with pytest.raises(ValueError, match=rf"degree {degree}: not exact"):
+    shapes = _spy_smith(monkeypatch)
+    with pytest.raises(ValueError, match="degree 3: d_3 breaks the tensor rule"):
         complete_resolution(g, lo, hi)
+    assert all(max(shape) <= g.p for shape in shapes)
+    into, outof = (resolve._differential(g, n) for n in (degree + 1, degree))
+    assert outof.mul(into).is_zero()
+    dim = resolve._rank(g, degree) * g.order
+    h = homology_invariants(dim, _fresh_smith(into), _fresh_smith(outof))
+    assert h.torsion and set(h.torsion) == {2} and h.free_rank == 0
 
 
-def test_certificate_reduces_the_smallest_map_first(cold_resolve, monkeypatch):
-    # the chain of (Z/2)^4 on [-7, 7] reads the transposed expansions of
-    # d_0, ..., d_7 in that order, so the largest map, d_7, arrives last,
-    # with the columns at the unit pivot rows of d_6 already deleted
-    g = ElementaryAbelianGroup(2, 4)
-    real = _backend.smith_diagonal
-    calls = []
-
-    def spy(rows, ncols, unit_rows=None):
-        calls.append((len(rows), ncols, set().union(*rows)))
-        return real(rows, ncols, unit_rows)
-
-    monkeypatch.setattr(_backend, "smith_diagonal", spy)
-    complete_resolution(g, -7, 7)
-    n = g.order
-    shapes = [(rows, ncols) for rows, ncols, _ in calls]
-    assert shapes == [(resolve._rank(g, m) * n, resolve._rank(g, m - 1) * n) for m in range(8)]
-    sizes = [rows * ncols for rows, ncols in shapes]
-    assert sizes == sorted(sizes)
-    full = sum(1 for row in resolve._differential(g, 7).sparse_rows() if row)
-    assert len(calls[-1][2]) < full
-
-
-@pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (3, 2)])
-def test_sliding_windows_resume_the_chain_and_reduce_each_map_once(
-    p, r, cold_resolve, monkeypatch
-):
-    # the sliding windows [n - 1, n + 1] certify one degree each; each pass
-    # resumes the chain at the map where the last one ended, so the
-    # transposed d_0, ..., d_7 are reduced once each, in order, with the
-    # inputs and diagonals of one fresh chain over the same maps
-    g = ElementaryAbelianGroup(p, r)
-    real = _backend.smith_diagonal
-    calls = []
-
-    def spy(rows, ncols, unit_rows=None):
-        nnz = sum(len(row) for row in rows)
-        calls.append((len(rows), ncols, nnz, tuple(real(rows, ncols, unit_rows))))
-        return list(calls[-1][3])
-
-    monkeypatch.setattr(_backend, "smith_diagonal", spy)
-    for n in range(7):
-        complete_resolution(g, n - 1, n + 1)
-    sliding = list(calls)
-    n = g.order
-    assert [call[:2] for call in sliding] == [
-        (resolve._rank(g, m) * n, resolve._rank(g, m - 1) * n) for m in range(8)
-    ]
-    _clear_resolve_caches()
-    calls.clear()
-    complete_resolution(g, -1, 7)
-    assert calls == sliding
-    fresh = [tuple(_fresh_smith(resolve._differential(g, m))) for m in range(8)]
-    assert [call[3] for call in sliding] == fresh
+def _doubled_norm(group, i):
+    return norm_element(group, i) * 2
 
 
 @pytest.mark.parametrize(
-    "n, lo, hi, degree",
-    [(3, -1, 6, 3), (-3, -6, 0, -4), (2, 3, 6, 2), (2, -7, -4, 2)],
+    "n, change, message",
+    [
+        (3, _flipped, "degree 3: d_3 breaks the tensor rule"),
+        (3, _perturbed, "degree 3: d_3 breaks the tensor rule"),
+        (3, _extra, "degree 3: d_3 breaks the tensor rule"),
+        (-3, _perturbed, "degree -3: d_-3 breaks the tensor rule"),
+        (None, None, "Z/2 strand at degree 1: not exact: homology Z/2"),
+    ],
+    ids=["flipped-d3", "perturbed-d3", "extra-d3", "perturbed-d-3", "doubled-norm"],
 )
-def test_d_o_d_check_runs_before_any_cancelled_diagonal(
-    n, lo, hi, degree, cold_resolve, monkeypatch
+def test_certificate_catches_mutations_before_any_expansion_is_reduced(
+    n, change, message, cold_resolve, monkeypatch
 ):
-    # d_n is perturbed so that d o d fails at ``degree``; every d o d
-    # check of the pass runs before its chain, which cancels against
-    # unit pivots and so relies on them, so no Smith reduction may run.
-    # A window above d_0 still draws the chain from d_0, so the checks
-    # reach down to the twins below its own
-    g = ElementaryAbelianGroup(2, 2)
-    _patch_degree(monkeypatch, n, _perturbed)
-    real = _backend.smith_diagonal
-    shapes = []
-
-    def spy(rows, ncols, unit_rows=None):
-        shapes.append((len(rows), ncols))
-        return real(rows, ncols, unit_rows)
-
-    monkeypatch.setattr(_backend, "smith_diagonal", spy)
-    with pytest.raises(ValueError, match=rf"degree {degree}: d o d"):
-        complete_resolution(g, lo, hi)
-    assert shapes == []
-
-
-def test_windows_growing_at_both_ends_reduce_only_the_new_top_map(
-    cold_resolve, monkeypatch
-):
-    # [-k, k] after [-(k-1), k-1] certifies -k + 1 and k - 1, twins k - 2
-    # and k - 1; the group's chain holds d_0, ..., d_k already and draws
-    # only d_(k+1)
+    # each broken map (an entry of the wrong sign or value, or one where
+    # the rule has none), and a strand whose N is doubled, fails with the
+    # degree named before any |G|-fold Smith call; the doubled N is
+    # written into every d_n consistently, so only the strand check (a)
+    # can see it
     g = ElementaryAbelianGroup(2, 3)
-    real = _backend.smith_diagonal
-    shapes = []
-
-    def spy(rows, ncols, unit_rows=None):
-        shapes.append((len(rows), ncols))
-        return real(rows, ncols, unit_rows)
-
-    complete_resolution(g, -2, 2)
-    monkeypatch.setattr(_backend, "smith_diagonal", spy)
-    n = g.order
-    for k in range(3, 7):
-        shapes.clear()
-        complete_resolution(g, -k, k)
-        assert shapes == [(resolve._rank(g, k) * n, resolve._rank(g, k - 1) * n)], k
+    if change is None:
+        monkeypatch.setattr(resolve, "norm_element", _doubled_norm)
+    else:
+        _patch_degree(monkeypatch, n, change)
+    shapes = _spy_smith(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        complete_resolution(g, -5, 5)
+    assert all(max(shape) <= g.p for shape in shapes)
 
 
-def test_a_failed_certificate_leaves_no_stale_chain(cold_resolve, monkeypatch):
-    # a doubled d_3 fails at degree 2 after the chain has drawn it; the
-    # failure drops the group's chain, so with d_3 restored the same
-    # window reads the fresh Smith diagonals of the true maps.  A kernel
-    # error while drawing d_6 ends the chain's generator; the next pass
-    # must start a new chain and fail the same way, not raise
-    # StopIteration from the dead one
+def test_a_failed_certificate_caches_nothing(cold_resolve, monkeypatch):
+    # a doubled d_3 fails after d_1 and d_2 have passed; nothing about d_3
+    # or the degrees it borders is remembered, so with d_3 restored the
+    # same window checks it again and certifies.  A failed strand is not
+    # remembered either
     g = ElementaryAbelianGroup(2, 2)
-    real = resolve.homology_invariants
-    reads = []
-
-    def spy(dim, into, outof):
-        reads.append((tuple(into), tuple(outof)))
-        return real(dim, into, outof)
-
-    monkeypatch.setattr(resolve, "homology_invariants", spy)
     with monkeypatch.context() as tamper:
         _patch_degree(tamper, 3, _doubled)
-        with pytest.raises(ValueError, match="degree 2: not exact"):
+        with pytest.raises(ValueError, match="degree 3"):
             complete_resolution(g, 0, 5)
-        assert g not in resolve._chains
-    reads.clear()
+    assert resolve._certified == {2, (g, 1), (g, 2)}
     complete_resolution(g, 0, 5)
-    fresh = {m: tuple(_fresh_smith(resolve._differential(g, m))) for m in range(8)}
-    assert sorted(reads) == sorted((fresh[n + 1], fresh[n]) for n in range(1, 5))
-
-    kernel = _backend.smith_diagonal
-
-    def refuse_d6(rows, ncols, unit_rows=None):
-        if len(rows) == resolve._rank(g, 6) * g.order:
-            raise ValueError("kernel refused d_6")
-        return kernel(rows, ncols, unit_rows)
-
+    assert (g, 3) in resolve._certified and (g, 2, 3) in resolve._certified
+    _clear_resolve_caches()
     with monkeypatch.context() as tamper:
-        tamper.setattr(_backend, "smith_diagonal", refuse_d6)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="kernel refused d_6"):
-                complete_resolution(g, 0, 7)
-    reads.clear()
-    complete_resolution(g, 0, 7)
-    assert sorted(reads) == sorted((fresh[n + 1], fresh[n]) for n in range(1, 7))
+        tamper.setattr(resolve, "norm_element", _doubled_norm)
+        with pytest.raises(ValueError, match="strand"):
+            complete_resolution(g, 0, 5)
+    assert resolve._certified == set()
+    complete_resolution(g, 0, 5)
+    assert 2 in resolve._certified
+
+
+def _count_rule_checks(monkeypatch):
+    real = resolve._follows_tensor_rule
+    checked = []
+
+    def spy(group, n, d):
+        checked.append(n)
+        return real(group, n, d)
+
+    monkeypatch.setattr(resolve, "_follows_tensor_rule", spy)
+    return checked
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (3, 2)])
+def test_windows_in_any_order_check_each_map_once(p, r, cold_resolve, monkeypatch):
+    # sliding windows [n - 1, n + 1], then windows over the same degrees
+    # in another order, read each positive d_n once and reduce nothing
+    # past the strand
+    g = ElementaryAbelianGroup(p, r)
+    checked = _count_rule_checks(monkeypatch)
+    shapes = _spy_smith(monkeypatch)
+    for n in range(7):
+        complete_resolution(g, n - 1, n + 1)
+    complete_resolution(g, -1, 7)
+    assert checked == list(range(1, 8))
+    for lo, hi in _window_orders(7)[2]:
+        complete_resolution(g, lo, hi)
+    assert checked == list(range(1, 8))
+    assert len(shapes) == 3
+
+
+def test_windows_growing_at_both_ends_check_only_the_new_maps(cold_resolve, monkeypatch):
+    # [-k, k] after [-(k-1), k-1] hands out two new maps, d_k and
+    # d_(1-k), the dual of d_(k-1), which has already passed, and two new
+    # interior degrees, 1 - k and k - 1
+    g = ElementaryAbelianGroup(2, 3)
+    complete_resolution(g, -2, 2)
+    checked = _count_rule_checks(monkeypatch)
+    for k in range(3, 7):
+        before = set(resolve._certified)
+        checked.clear()
+        complete_resolution(g, -k, k)
+        assert checked == [k], k
+        assert resolve._certified - before == {
+            (g, k), (g, 1 - k), (g, 1 - k, 2 - k), (g, k - 1, k)
+        }, k

@@ -9,10 +9,15 @@ from tatekit.errors import (
     NotConnected,
     NotNonnegative,
 )
-from tatekit.exactlin import IntMatrix
+from tatekit.exactlin import IntMatrix, exponent
 from tatekit.gallery import lens_complex, product_complex
 from tatekit.groupring import ElementaryAbelianGroup
-from tatekit.modpres import FreeChainComplex, ModulePresentation, homology
+from tatekit.modpres import (
+    FreeChainComplex,
+    ModulePresentation,
+    homology,
+    homology_module,
+)
 from tatekit.surgery import (
     browder_check,
     dimension_rows,
@@ -20,6 +25,7 @@ from tatekit.surgery import (
     glue,
     glue_rows,
 )
+from tatekit.tate import tate_cohomology
 
 
 def test_glue_collapses_the_range_and_certifies():
@@ -156,6 +162,29 @@ def test_browder_on_sphere_products():
     assert rep.product == 4
     degs = [j for j, _, _ in rep.rows]
     assert degs == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "p, ks", [(2, [2, 2, 1]), (2, [2, 2, 2]), (2, [3, 2]), (3, [2, 1])]
+)
+def test_browder_rows_skip_zero_homology_and_match_the_full_path(p, ks, monkeypatch):
+    # these products have H_j = 0 presented on up to 50 generators; such a
+    # row reads exponent 1 with no module, and every row is the one the
+    # full path, a module and a Tate table for every j, reads
+    c = product_complex(p, ks)
+    zero = [j for j in range(1, c.hi + 1) if homology(c, j).is_trivial()]
+    assert max(homology_module(c, j).gens for j in zero) > 1
+    full = []
+    for j in range(1, c.hi + 1):
+        hj = homology_module(c, j)
+        full.append((j, hj.invariants(), exponent(tate_cohomology(c.group, hj, j + 1))))
+    presented = []
+    real = surgery.homology_module
+    monkeypatch.setattr(
+        surgery, "homology_module", lambda c, j: presented.append(j) or real(c, j)
+    )
+    assert browder_check(c).rows == full
+    assert presented == [j for j in range(c.hi + 1) if j not in zero]
 
 
 def test_browder_on_lens_complexes():

@@ -64,6 +64,19 @@ def test_cyclic_group_trivial_coefficients_two_sided():
                 assert inv.is_trivial(), (p, i)
 
 
+@pytest.mark.parametrize("r", range(5, 12))
+def test_trivial_coefficients_at_high_rank_match_the_closed_form(r):
+    # H^0 = Z/2^r and H^i = H^-i = (Z/2)^b_i, b_1 = 0 and
+    # b_(k+1) = C(k+r-1, r-1) - b_k, so (Z/2)^r at i = 2; every window
+    # map is certified by the tensor rule, with no |G|-fold reduction
+    g = ElementaryAbelianGroup(2, r)
+    table = tate_cohomology_range(g, trivial_module(g), -2, 2)
+    want = {0: (2**r,), 1: (), -1: (), 2: (2,) * r, -2: (2,) * r}
+    assert {i: table.invariant(i) for i in want} == {
+        i: AbelianInvariants(t) for i, t in want.items()
+    }
+
+
 def test_zero_module_has_trivial_cohomology():
     g = ElementaryAbelianGroup(2, 2)
     zero = ModulePresentation(g, 0, IntMatrix.zeros(0, 0), [IntMatrix.zeros(0, 0)] * 2)

@@ -20,10 +20,10 @@ kernel calls, and a chain read in the other direction (its maps
 transposed) moves the call order and so ``out``, but the diagonals are
 invariants of each map, so the ``sorted`` digest must not move while
 the same maps are reduced.  A change that reduces fewer maps, such as a
-table that no longer reads its top map or a certificate chain that
-keeps a map's diagonal instead of reducing it again, legitimately moves
-``sorted`` too; then the call count and the tables themselves are what
-to compare.
+table that no longer reads its top map or a certificate that checks a
+map's entries against a rule instead of reducing its expansion,
+legitimately moves ``sorted`` too; then the call count and the tables
+themselves are what to compare.
 
 ``tatekit`` is imported from the ``src`` next to this script and the
 workloads are only read, never changed.

@@ -10,10 +10,9 @@ The points are ``browder_check`` of ``product_complex(2, ks)`` for ks in
 ``dimension_rows(3, [5,3,3]).schedule()``, then ``browder_check``; the
 sweep stops unless the product is 8, it divides, and every gluing
 certificate is ok), ``syzygy(Z, n)`` over (Z/2)^2 for n = 1..6, the
-Tate table of Z on [-2, 2] over (Z/2)^r for r = 5..9, whose cost is
-certifying the complete resolution, and the hypercohomology table of
-``product_complex(2, [2,2,1])`` on [-w, w] for w = 1..4, whose cost is
-the totalization's elimination.
+Tate table of Z on [-2, 2] over (Z/2)^r for r = 5..11, and the
+hypercohomology table of ``product_complex(2, [2,2,1])`` on [-w, w]
+for w = 1..4, whose cost is the totalization's elimination.
 Each of the ``REPEAT`` runs of a point is a fresh interpreter with the
 ``src`` next to this script first on ``PYTHONPATH``, so the module-level
 caches start cold; it times the call alone, after the import and the input set-up, with
@@ -38,7 +37,7 @@ BROWDER = ([2, 2, 1], [2, 2, 2], [2, 2, 2, 2])
 PIPELINE = ([3, 2, 2], [5, 3, 3])
 PIPELINE_ANSWER = {"product": 8, "divides": True, "certificates_ok": True}
 SYZYGY = range(1, 7)
-RANKS = range(5, 10)
+RANKS = range(5, 12)
 TATE_RANGE = (-2, 2)
 HYPER = [2, 2, 1]
 WIDTHS = range(1, 5)
