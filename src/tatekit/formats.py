@@ -95,6 +95,11 @@ def parse_complex(text, allow_large=False):
     if len(head) != 3 or head[0] != "group":
         raise ValueError(f"expected 'group p r' header, got {lines[0]!r}")
     group = ElementaryAbelianGroup(*_ints(head[1:], "group"), allow_large=allow_large)
+    # a d line reads its shape from the deg lines before it
+    kinds = [line.split()[0] for line in lines]
+    if "d" in kinds and "deg" in kinds[kinds.index("d") :]:
+        late = lines[kinds.index("deg", kinds.index("d"))]
+        raise ValueError(f"degree line {late!r} after the first differential")
     n = group.order
     ranks = {}
     diffs = {}

@@ -16,8 +16,10 @@ by the Smith diagonals of its maps N, g - 1, N, so everywhere; (b) each
 d_n, read entry by entry, is the formula above with c_i the strand's
 map carried into the i-th factor, d_0 is the full norm and d_(-n) the
 antipode-transpose of a d_n that passes (b); and (c) d_n d_(n+1) = 0
-in the group ring at each interior degree.  A check is remembered once
-it passes, and not when it fails.  Then the window is exact strictly
+in the group ring at each interior degree.  The caches are the record:
+``_differential`` caches d_n only once it passes (b), and (a) and (c)
+are cached per prime and per (group, n) once they pass; a check that
+fails raises and caches nothing.  Then the window is exact strictly
 inside: an exact Z-free complex is Z-split, so each augmented strand
 Z <- ZC_p <- ... is contractible over Z, and so are their tensor
 product (Kuenneth) and its Z-dual; and ker d_0 = ker epsilon = im d_1,
@@ -99,27 +101,14 @@ def _rank(group, n):
     return comb(m + group.r - 1, group.r - 1)
 
 
-@cache
-def _differential(group, n):
-    """d_n of the complete resolution: the closed form for n >= 1, the
-    full norm at n = 0, and the antipode-transpose of d_(-n) below."""
-    if n > 0:
-        return _closed_form(group, n, (n,) * group.r)
-    if n == 0:
-        return GroupRingMatrix(group, [{0: full_norm(group)}], 1, 1)
-    return _differential(group, -n).antipode_transpose()
-
-
-_certified = set()
-"""Passed checks: p (the strand), (group, n) (d_n), (group, n, n + 1) (d o d)."""
-
-
 def _strand(p):
-    """g - 1 and N over Z/p, the maps of the Z/p strand."""
-    cyclic = ElementaryAbelianGroup(p, 1)
+    """g - 1 and N over Z/p, the maps of the Z/p strand.  Z/p is never
+    larger than a group over p that has passed its budget or lifted it."""
+    cyclic = ElementaryAbelianGroup(p, 1, allow_large=True)
     return cyclic.generator(1) - cyclic.identity(), norm_element(cyclic, 1)
 
 
+@cache
 def _check_strand(p):
     """Check (a) on the complete strand N, g - 1, N, or raise ValueError."""
     step, norm = _strand(p)
@@ -130,7 +119,6 @@ def _check_strand(p):
         h = homology(strand, k)
         if not h.is_trivial():
             raise ValueError(f"the Z/{p} strand at degree {k}: not exact: homology {h}")
-    _certified.add(p)
 
 
 def _follows_tensor_rule(group, n, d):
@@ -156,53 +144,49 @@ def _follows_tensor_rule(group, n, d):
     return count == sum(map(len, d.entries))
 
 
-def _check_map(group, n):
-    """Check (b) for d_n, or raise ValueError naming the degree."""
-    if (group, n) in _certified:
-        return
-    d = _differential(group, n)
+@cache
+def _differential(group, n):
+    """d_n of the complete resolution, checked by (b): the closed form
+    for n >= 1, or ValueError naming the degree; the full norm at
+    n = 0; the antipode-transpose of the checked d_(-n) below."""
     if n > 0:
-        ok = _follows_tensor_rule(group, n, d)
-    elif n == 0:
-        ok = d == GroupRingMatrix(group, [{0: full_norm(group)}], 1, 1)
-    else:
-        _check_map(group, -n)
-        ok = d == _differential(group, -n).antipode_transpose()
-    if not ok:
+        d = _closed_form(group, n, (n,) * group.r)
+        if not _follows_tensor_rule(group, n, d):
+            raise ValueError(
+                f"complete resolution at degree {n}: d_{n} breaks the tensor rule"
+            )
+        return d
+    if n == 0:
+        return GroupRingMatrix(group, [{0: full_norm(group)}], 1, 1)
+    return _differential(group, -n).antipode_transpose()
+
+
+@cache
+def _check_square(group, n):
+    """Check (c), d_n d_(n+1) = 0 in the group ring, or raise ValueError."""
+    if not _differential(group, n).mul(_differential(group, n + 1)).is_zero():
         raise ValueError(
-            f"complete resolution at degree {n}: d_{n} breaks the tensor rule"
+            f"complete resolution at degree {n}: d o d != 0 in the group ring"
         )
-    _certified.add((group, n))
-
-
-def _certify(group, lo, hi):
-    """Check (a), (b) and (c) for the window [lo, hi], or raise ValueError."""
-    if group.p not in _certified:
-        _check_strand(group.p)
-    for n in range(lo + 1, hi + 1):
-        _check_map(group, n)
-    for n in range(lo + 1, hi):
-        if (group, n, n + 1) not in _certified:
-            if not _differential(group, n).mul(_differential(group, n + 1)).is_zero():
-                raise ValueError(
-                    f"complete resolution at degree {n}: d o d != 0 in the group ring"
-                )
-            _certified.add((group, n, n + 1))
 
 
 def complete_resolution(group, lo, hi):
     """Degrees lo..hi of the complete resolution of Z.
 
-    Its maps are certified first, as the module docstring sets out, so
+    Checks (a), (b) and (c) of the module docstring come first, in that
+    order: the strand, each map from ``_differential``, which hands out
+    only maps that pass (b), then d o d at each interior degree.  So
     ``homology`` answers 0 strictly inside without reducing; at its
     edges it raises WindowViolation.  Windows share the cached
     differentials, so callers must not mutate them.
     """
     if lo > hi:
         raise ValueError("empty window")
-    _certify(group, lo, hi)
-    ranks = {n: _rank(group, n) for n in range(lo, hi + 1)}
+    _check_strand(group.p)
     diffs = {n: _differential(group, n) for n in range(lo + 1, hi + 1)}
+    for n in range(lo + 1, hi):
+        _check_square(group, n)
+    ranks = {n: _rank(group, n) for n in range(lo, hi + 1)}
     window = FreeChainComplex(
         group, ranks, diffs, valid_range=(lo, hi), check=False
     )

@@ -163,7 +163,6 @@ def _verify_ses(complex_, cone, n, top_basis):
     group = complex_.group
     zc, hc = _homology_data(complex_, n)
     zd, hd = _homology_data(cone, n)
-    t = top_basis.cols
     rc = complex_.rank(n) * group.order
     rd = cone.rank(n) * group.order
     rel_c = hc.relations
@@ -180,7 +179,7 @@ def _verify_ses(complex_, cone, n, top_basis):
         # well-defined: alpha maps relations into relations ...
         solve_in_lattice(rel_d, alpha.mul(rel_c))
     except NoSolution:
-        return False, hc.invariants(), hd.invariants(), t
+        return False
     # ... and beta kills them
     ok = beta.mul(rel_d).is_zero() and beta.mul(alpha).is_zero()
 
@@ -193,8 +192,7 @@ def _verify_ses(complex_, cone, n, top_basis):
     mid = quotient_invariants(kmid.hstack(rel_d), alpha.hstack(rel_d))
     ok = ok and mid.is_trivial()
     # surjectivity of beta onto the free syzygy lattice
-    ok = ok and cokernel_invariants(beta).is_trivial()
-    return ok, hc.invariants(), hd.invariants(), t
+    return ok and cokernel_invariants(beta).is_trivial()
 
 
 def glue(complex_, m, n):
@@ -229,7 +227,8 @@ def glue(complex_, m, n):
         if i < m or i > n
     )
     claim_collapsed = all(after[k].is_trivial() for k in range(m, n))
-    exact, sub_inv, mid_inv, t = _verify_ses(complex_, cone, n, top_basis)
+    exact = _verify_ses(complex_, cone, n, top_basis)
+    sub_inv, mid_inv, t = before[n], after[n], top_basis.cols
     quot_inv = AbelianInvariants((), t)
     arithmetic = (
         mid_inv.free_rank == sub_inv.free_rank + t

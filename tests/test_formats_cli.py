@@ -82,6 +82,15 @@ def test_parse_complex_rejects_malformed_text():
             assert "invalid literal" not in str(exc), text
         else:
             raise AssertionError(f"parse accepted: {text!r}")
+    # a d line reads its shape from the deg lines before it, so a later
+    # deg line is refused, with or without coefficient lines
+    for text in (
+        "group 2 1\nd 1\ndeg 0 rank 2\ndeg 1 rank 2",
+        "group 2 1\nd 1\n-1 1\n0 0\n0 0\n-1 1\ndeg 0 rank 2\ndeg 1 rank 2",
+        good + "deg 2 rank 1",
+    ):
+        with pytest.raises(ValueError, match="'deg .*' after the first differential"):
+            parse_complex(text)
 
 
 def test_parse_module_rejects_malformed_text():
@@ -396,6 +405,11 @@ def test_cli_error_exits(tmp_path, capsys):
     assert cli.main(["tate", "--p", "2", "--r", "1", "--module", str(bad),
                      "--deg", "0..0"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a degree declared after a differential
+    late = tmp_path / "late.cx"
+    late.write_text("group 2 1\nd 1\ndeg 0 rank 2\ndeg 1 rank 2\n")
+    assert cli.main(["homology", "--in", str(late), "--deg", "0..1"]) == 2
+    assert "error: degree line 'deg 0 rank 2' after the first" in capsys.readouterr().err
     # glue across a homology gap
     torus = _gen(tmp_path, capsys, ["product", "--p", "2", "--ks", "1,1"],
                  "t.cx")

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tatekit import _backend, resolve
+from tatekit import _backend, groupring, resolve
 from tatekit._backend import smith_diagonal
 from tatekit.errors import LiftObstruction, WindowViolation
 from tatekit.exactlin import (
+    AbelianInvariants,
     IntMatrix,
     cokernel_invariants,
     homology_invariants,
@@ -331,8 +332,8 @@ def test_lift_chain_map_through_a_proper_generator_subset():
 
 
 def _clear_resolve_caches():
-    resolve._differential.cache_clear()
-    resolve._certified.clear()
+    for cached in (resolve._check_strand, resolve._differential, resolve._check_square):
+        cached.cache_clear()
 
 
 @pytest.fixture
@@ -380,30 +381,68 @@ def _window_orders(k):
     return [slide, slide[::-1], [(-1, k), (-k, 1), (-2, 2), (1, k), (-k, -1)]]
 
 
+def _count_rule_checks(monkeypatch):
+    real = resolve._follows_tensor_rule
+    checked = []
+
+    def spy(group, n, d):
+        checked.append(n)
+        return real(group, n, d)
+
+    monkeypatch.setattr(resolve, "_follows_tensor_rule", spy)
+    return checked
+
+
+def _count_products(monkeypatch):
+    """Every group-ring matrix product a b formed from now on, as (a, b)."""
+    real = GroupRingMatrix.mul
+    formed = []
+
+    def spy(a, b):
+        formed.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(GroupRingMatrix, "mul", spy)
+    return formed
+
+
+def _square_degrees(group, formed, degrees):
+    """The n, among ``degrees``, of each product d_n d_(n+1) in ``formed``,
+    found by identity with the cached maps, in the order formed."""
+    return [
+        n
+        for a, b in formed
+        for n in degrees
+        if a is resolve._differential(group, n) and b is resolve._differential(group, n + 1)
+    ]
+
+
 @pytest.mark.parametrize(
     "p, r, k",
     [(2, 1, 10), (2, 2, 7), (2, 3, 5), (2, 4, 4), (3, 1, 8), (3, 2, 5), (3, 3, 3), (5, 2, 4)]
     + [(2, 3, 6), (2, 5, 2), (2, 6, 2)],
 )
 def test_certified_diagonals_match_fresh_smith_in_any_window_order(
-    p, r, k, cold_resolve
+    p, r, k, cold_resolve, monkeypatch
 ):
-    # however the windows come, the certificate remembers exactly the
-    # maps they hand out and the d o d products of their interiors, and
-    # at every degree it certifies the fresh Smith diagonals of the
-    # actual d_(n+1), d_n read H_n = 0: the Smith certificate the tensor
-    # rule replaced, kept as the reference
+    # however the windows come, each positive d_n behind a map they hand
+    # out is checked by the tensor rule once, and each d o d product of
+    # their interiors is formed once; at every degree the fresh Smith
+    # diagonals of the actual d_(n+1), d_n read H_n = 0: the Smith
+    # certificate the tensor rule replaced, kept as the reference
     g = ElementaryAbelianGroup(p, r)
+    checked = _count_rule_checks(monkeypatch)
+    formed = _count_products(monkeypatch)
     for windows in _window_orders(k):
         _clear_resolve_caches()
+        checked.clear()
+        formed.clear()
         for lo, hi in windows:
             complete_resolution(g, lo, hi)
         interior = {n for lo, hi in windows for n in range(lo + 1, hi)}
         maps = {n for lo, hi in windows for n in range(lo + 1, hi + 1)}
-        maps |= {-n for n in maps if n < 0}
-        assert resolve._certified == (
-            {p} | {(g, n) for n in maps} | {(g, n, n + 1) for n in interior}
-        ), windows
+        assert sorted(checked) == sorted({abs(n) for n in maps} - {0}), windows
+        assert sorted(_square_degrees(g, formed, maps)) == sorted(interior), windows
     _assert_fresh_smith_exact(g, interior)
 
 
@@ -417,13 +456,21 @@ def test_certificate_reduces_only_the_strand_maps(cold_resolve, monkeypatch):
 
 
 def _patch_degree(monkeypatch, n, change):
-    real = resolve._differential
+    """Change the closed form of d_n as ``_differential`` builds it."""
+    real = resolve._closed_form
 
-    def tampered(group, m):
-        d = real(group, m)
+    def tampered(group, m, caps):
+        d = real(group, m, caps)
         return change(d) if m == n else d
 
-    monkeypatch.setattr(resolve, "_differential", tampered)
+    monkeypatch.setattr(resolve, "_closed_form", tampered)
+
+
+def _as_built(group, n):
+    """d_n, n != 0, from the closed form as patched, with no check."""
+    if n < 0:
+        return _as_built(group, -n).antipode_transpose()
+    return resolve._closed_form(group, n, (n,) * group.r)
 
 
 def _doubled(d):
@@ -482,7 +529,7 @@ def test_certificate_catches_a_doubled_differential(
     with pytest.raises(ValueError, match="degree 3: d_3 breaks the tensor rule"):
         complete_resolution(g, lo, hi)
     assert all(max(shape) <= g.p for shape in shapes)
-    into, outof = (resolve._differential(g, n) for n in (degree + 1, degree))
+    into, outof = (_as_built(g, n) for n in (degree + 1, degree))
     assert outof.mul(into).is_zero()
     dim = resolve._rank(g, degree) * g.order
     h = homology_invariants(dim, _fresh_smith(into), _fresh_smith(outof))
@@ -499,10 +546,9 @@ def _doubled_norm(group, i):
         (3, _flipped, "degree 3: d_3 breaks the tensor rule"),
         (3, _perturbed, "degree 3: d_3 breaks the tensor rule"),
         (3, _extra, "degree 3: d_3 breaks the tensor rule"),
-        (-3, _perturbed, "degree -3: d_-3 breaks the tensor rule"),
         (None, None, "Z/2 strand at degree 1: not exact: homology Z/2"),
     ],
-    ids=["flipped-d3", "perturbed-d3", "extra-d3", "perturbed-d-3", "doubled-norm"],
+    ids=["flipped-d3", "perturbed-d3", "extra-d3", "doubled-norm"],
 )
 def test_certificate_catches_mutations_before_any_expansion_is_reduced(
     n, change, message, cold_resolve, monkeypatch
@@ -524,38 +570,58 @@ def test_certificate_catches_mutations_before_any_expansion_is_reduced(
 
 
 def test_a_failed_certificate_caches_nothing(cold_resolve, monkeypatch):
-    # a doubled d_3 fails after d_1 and d_2 have passed; nothing about d_3
-    # or the degrees it borders is remembered, so with d_3 restored the
-    # same window checks it again and certifies.  A failed strand is not
-    # remembered either
+    # a doubled d_3 fails after d_1 and d_2 have passed and before any
+    # d o d is formed; d_3 is not cached, so with d_3 restored the same
+    # window checks it again, and only it and the maps above it, and
+    # forms each product once.  A failed strand is not cached either
     g = ElementaryAbelianGroup(2, 2)
+    checked = _count_rule_checks(monkeypatch)
+    formed = _count_products(monkeypatch)
     with monkeypatch.context() as tamper:
         _patch_degree(tamper, 3, _doubled)
         with pytest.raises(ValueError, match="degree 3"):
             complete_resolution(g, 0, 5)
-    assert resolve._certified == {2, (g, 1), (g, 2)}
+    assert checked == [1, 2, 3] and _square_degrees(g, formed, range(1, 3)) == []
     complete_resolution(g, 0, 5)
-    assert (g, 3) in resolve._certified and (g, 2, 3) in resolve._certified
+    assert checked == [1, 2, 3, 3, 4, 5]
+    assert _square_degrees(g, formed, range(1, 6)) == [1, 2, 3, 4]
     _clear_resolve_caches()
+    checked.clear()
     with monkeypatch.context() as tamper:
         tamper.setattr(resolve, "norm_element", _doubled_norm)
         with pytest.raises(ValueError, match="strand"):
             complete_resolution(g, 0, 5)
-    assert resolve._certified == set()
+    assert checked == []
+    shapes = _spy_smith(monkeypatch)
     complete_resolution(g, 0, 5)
-    assert 2 in resolve._certified
+    assert shapes == [(2, 2)] * 3 and checked == [1, 2, 3, 4, 5]
 
 
-def _count_rule_checks(monkeypatch):
-    real = resolve._follows_tensor_rule
-    checked = []
+def test_strand_follows_an_over_budget_group(cold_resolve, monkeypatch):
+    # the Z/p strand is never larger than the group it certifies, so a
+    # group that lifts the budget certifies its strand too: even degrees
+    # Z/5, odd degrees 0
+    monkeypatch.setattr(groupring, "TABLE_BUDGET", 16)
+    g = ElementaryAbelianGroup(5, 1, allow_large=True)
+    table = tate_cohomology_range(g, trivial_module(g), -4, 4)
+    for i in range(-4, 5):
+        want = AbelianInvariants((5,) if i % 2 == 0 else ())
+        assert table.invariant(i) == want, i
 
-    def spy(group, n, d):
-        checked.append(n)
-        return real(group, n, d)
 
-    monkeypatch.setattr(resolve, "_follows_tensor_rule", spy)
-    return checked
+def test_differential_hands_out_only_checked_maps(cold_resolve, monkeypatch):
+    # a d_3 that breaks the tensor rule is handed out neither as itself
+    # nor through its dual d_(-3); restored, both come out as the closed
+    # form and its antipode-transpose
+    g = ElementaryAbelianGroup(2, 2)
+    with monkeypatch.context() as tamper:
+        _patch_degree(tamper, 3, _doubled)
+        for n in (3, -3):
+            with pytest.raises(ValueError, match="degree 3: d_3 breaks the tensor rule"):
+                resolve._differential(g, n)
+    d3 = resolve._closed_form(g, 3, (3, 3))
+    assert resolve._differential(g, 3) == d3
+    assert resolve._differential(g, -3) == d3.antipode_transpose()
 
 
 @pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (3, 2)])
@@ -583,11 +649,10 @@ def test_windows_growing_at_both_ends_check_only_the_new_maps(cold_resolve, monk
     g = ElementaryAbelianGroup(2, 3)
     complete_resolution(g, -2, 2)
     checked = _count_rule_checks(monkeypatch)
+    formed = _count_products(monkeypatch)
     for k in range(3, 7):
-        before = set(resolve._certified)
         checked.clear()
+        formed.clear()
         complete_resolution(g, -k, k)
         assert checked == [k], k
-        assert resolve._certified - before == {
-            (g, k), (g, 1 - k), (g, 1 - k, 2 - k), (g, k - 1, k)
-        }, k
+        assert _square_degrees(g, formed, range(1 - k, k)) == [1 - k, k - 1], k

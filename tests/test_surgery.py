@@ -65,6 +65,10 @@ def test_glue_certificate_arithmetic():
     assert math.prod(cert.middle_invariants.torsion) == math.prod(
         cert.sub_invariants.torsion
     )
+    # sub and middle are the homology glue reads before and after, as
+    # the homology modules of the complex and the cone present them
+    assert cert.sub_invariants == cert.before[2] == homology_module(c, 2).invariants()
+    assert cert.middle_invariants == cert.after[2] == homology_module(d, 2).invariants()
 
 
 def test_glue_requires_trivial_homology_in_the_gap():
@@ -317,5 +321,5 @@ def test_ses_certificate_rejects_a_wrong_syzygy_basis(c, m, n, tamper):
     maps = surgery.lift_chain_map(resolution, c, m, n, cycles)
     cone = surgery._mapping_cone(c, resolution, maps, m, n)
     assert top_basis.cols
-    assert surgery._verify_ses(c, cone, n, top_basis)[0]
-    assert not surgery._verify_ses(c, cone, n, tamper(top_basis))[0]
+    assert surgery._verify_ses(c, cone, n, top_basis)
+    assert not surgery._verify_ses(c, cone, n, tamper(top_basis))
