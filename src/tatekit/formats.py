@@ -11,12 +11,7 @@ converted to and from these arrays here alone.  Every report renderer has a
 
 from .exactlin import INFINITE, IntMatrix
 from .groupring import ElementaryAbelianGroup, GroupRingElement, GroupRingMatrix
-from .modpres import (
-    FreeChainComplex,
-    ModulePresentation,
-    require_valid,
-    trivial_module,
-)
+from .modpres import FreeChainComplex, ModulePresentation, trivial_module
 
 
 def format_exponent(e):
@@ -229,9 +224,7 @@ def parse_module(text, group):
     if idx != len(lines):
         raise ValueError(f"trailing content from line {idx + 1}")
 
-    module = ModulePresentation(group, g, relations, actions)
-    require_valid(module)
-    return module
+    return ModulePresentation(group, g, relations, actions)
 
 
 def module_data(module):

@@ -16,7 +16,13 @@ from .groupring import act_rows
 
 
 class ModulePresentation:
-    """A ZG-module given by generators, relations, and G-action."""
+    """A ZG-module given by generators, relations, and G-action.
+
+    A presentation is checked when it is built and is never changed
+    afterwards: the constructor raises ``InvalidPresentation`` with the
+    problems :func:`validate` reports.  Modules that the library derives
+    from checked data are built as ``_Derived``, valid as built.
+    """
 
     def __init__(self, group, gens, relations=None, actions=None):
         self.group = group
@@ -30,6 +36,8 @@ class ModulePresentation:
         self._relation_basis = None
         self._elt_actions = {}
         self._ring_actions = {}
+        if not isinstance(self, _Derived):
+            require_valid(self)
 
     def invariants(self):
         """Invariant factors of the underlying abelian group."""
@@ -173,7 +181,7 @@ class ModulePresentation:
             [{index[s]: v for s, v in col.items()} for col in cols], n
         )
         actions = [pi.mul(a.submatrix(range(self.gens), kept)) for a in self.actions]
-        return ModulePresentation(self.group, n, relations, actions)
+        return _Derived(self.group, n, relations, actions)
 
     def has_trivial_action(self):
         """True when every generator acts as the identity mod relations."""
@@ -190,13 +198,22 @@ class ModulePresentation:
         )
 
 
+class _Derived(ModulePresentation):
+    """A presentation the library derives from checked data, valid as
+    built, so the constructor skips the check: a homology module (G-stable
+    cycles and boundaries, the regular action restricted), a kernel of a
+    G-map out of a valid module, a pruned module (Tietze moves keep the
+    module and its action), the relation lattice of a module that acts
+    exactly, a free module (permutation actions), and Z and 0."""
+
+
 def trivial_module(group):
     """Z with every generator acting as the identity."""
-    return ModulePresentation(group, 1)
+    return _Derived(group, 1)
 
 
 def zero_module(group):
-    return ModulePresentation(group, 0)
+    return _Derived(group, 0)
 
 
 def free_module_presentation(group, k):
@@ -206,7 +223,7 @@ def free_module_presentation(group, k):
     gens = k * group.order
     ident = IntMatrix.identity(gens)
     actions = [act_rows(group, i, ident) for i in range(1, group.r + 1)]
-    return ModulePresentation(group, gens, IntMatrix.zeros(gens, 0), actions)
+    return _Derived(group, gens, IntMatrix.zeros(gens, 0), actions)
 
 
 def validate(module):
@@ -427,8 +444,7 @@ def _homology_data(complex_, n):
     gens, nb = cycles.cols, boundaries.cols
     relations = exactlin.lattice_basis(block(0, nb))
     actions = [block(nb + i * gens, gens) for i in range(group.r)]
-    module = ModulePresentation(group, gens, relations, actions)
-    return cycles, module
+    return cycles, _Derived(group, gens, relations, actions)
 
 
 def homology_module(complex_, n):

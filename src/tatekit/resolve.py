@@ -47,12 +47,7 @@ from .groupring import (
     full_norm,
     norm_element,
 )
-from .modpres import (
-    FreeChainComplex,
-    ModulePresentation,
-    homology,
-    require_valid,
-)
+from .modpres import FreeChainComplex, _Derived, homology
 
 
 def _multi_indices(caps, n):
@@ -227,7 +222,6 @@ def resolution_step(module):
     M up to free summands (Schanuel's lemma), which Tate cohomology
     cannot see.
     """
-    require_valid(module)
     group = module.group
     k = module.gens
     n = group.order
@@ -247,18 +241,11 @@ def resolution_step(module):
         span = lattice_basis(span.hstack(IntMatrix.from_sparse(orbit, k)))
     s = len(chosen)
     cover = IntMatrix.from_sparse(columns, k)
-    if module.relations.cols == 0:
-        raw = kernel_basis(cover)
-    else:
-        stacked = cover.hstack(module.relations)
-        full = kernel_basis(stacked)
-        raw = full.submatrix(range(s * n), range(full.cols))
-    basis = lattice_basis(raw)
+    full = kernel_basis(cover.hstack(module.relations))
+    basis = lattice_basis(full.submatrix(range(s * n), range(full.cols)))
     gens = range(1, group.r + 1)
     actions = [solve_in_lattice(basis, act_rows(group, i, basis)) for i in gens]
-    kernel = ModulePresentation(
-        group, basis.cols, IntMatrix.zeros(basis.cols, 0), actions
-    )
+    kernel = _Derived(group, basis.cols, IntMatrix.zeros(basis.cols, 0), actions)
     return ResolutionStep(s, chosen, cover, kernel, basis)
 
 

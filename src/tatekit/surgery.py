@@ -40,7 +40,6 @@ from .modpres import (
     _homology_data,
     homology,
     homology_module,
-    require_valid,
 )
 from .resolve import lift_chain_map, resolution_step
 from .tate import tate_cohomology
@@ -364,9 +363,6 @@ def filtration_exponent_check(sections, module, witnesses, i):
     V_j / V_{j-1} presenting sections[j-1].  Raises FiltrationInvalid
     when any of that fails; otherwise compares exponents at degree i.
     """
-    require_valid(module)
-    for s in sections:
-        require_valid(s)
     if len(witnesses) != len(sections) + 1:
         raise FiltrationInvalid(
             f"{len(sections)} sections need {len(sections) + 1} witness "

@@ -30,7 +30,7 @@ from .exactlin import (
     solve_in_lattice,
 )
 from .groupring import GroupRingMatrix
-from .modpres import ModulePresentation, homology, homology_module, require_valid
+from .modpres import _Derived, homology, homology_module
 from .resolve import complete_resolution, resolution_step
 
 
@@ -89,7 +89,7 @@ def _presentation_lattices(module):
     lattices = {0: (module.gens, module.act_columns, None)}
     basis = module.relation_basis()
     if basis.cols:
-        lattice = ModulePresentation(
+        lattice = _Derived(
             module.group,
             basis.cols,
             actions=[solve_in_lattice(basis, a.mul(basis)) for a in module.actions],
@@ -219,7 +219,6 @@ def tate_cohomology_range(group, module, lo, hi):
         raise ValueError("module is presented over a different group")
     if lo > hi:
         raise ValueError("empty degree range")
-    require_valid(module)
     pruned = module.pruned()
     if pruned is not module and pruned.acts_exactly():
         module = pruned

@@ -180,19 +180,26 @@ def test_parse_module_trivial_literal():
     assert m.invariants().free_rank == 1
 
 
-def test_parse_module_validates_the_presentation():
+def test_parse_module_validates_the_presentation(tmp_path, capsys):
     g = ElementaryAbelianGroup(2, 1)
     # action of order 3 over a p = 2 group
     text = "gens 1\nrelations 0\naction 1\n-1"
     m = parse_module(text, g)
     assert m.actions[0].data == [[-1]]
     bad = "gens 2\nrelations 0\naction 1\n0 -1\n1 -1"
-    try:
+    problem = "action 1 does not have order dividing p (column 0)"
+    with pytest.raises(InvalidPresentation) as exc:
         parse_module(bad, g)
-    except InvalidPresentation:
-        pass
-    else:
-        raise AssertionError("expected InvalidPresentation for an order-3 action")
+    assert exc.value.problems == [problem]
+    # the same file on the command line exits 2 naming the problem
+    path = tmp_path / "bad.mod"
+    path.write_text(bad)
+    for cmd in (["tate", "--deg", "0..0"], ["syzygy", "--n", "1"]):
+        assert cli.main(cmd + ["--p", "2", "--r", "1", "--module", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {problem}\n" and captured.out == ""
+
+
 
 
 def test_render_browder_failure_branch():
@@ -318,10 +325,21 @@ def test_cli_glue_writes_a_parseable_complex(tmp_path, capsys):
 
 def test_cli_gluerows_schedule(tmp_path, capsys):
     src = _gen(tmp_path, capsys, ["lens", "--p", "2", "--k", "2"], "in.cx")
-    code = cli.main(["gluerows", "--in", str(src), "--schedule", "2->3;1->3"])
+    dst = tmp_path / "out.cx"
+    code = cli.main(["gluerows", "--in", str(src), "--schedule", "2->3;1->3",
+                     "--out", str(dst)])
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("verdict ok") == 2
+    # the final complex, read back: S^3 with H_1 and H_2 glued away
+    assert cli.main(["homology", "--in", str(dst), "--deg", "0..4"]) == 0
+    assert capsys.readouterr().out == (
+        "H_0 = Z  [exponent inf]\n"
+        "H_1 = 0  [exponent 1]\n"
+        "H_2 = 0  [exponent 1]\n"
+        "H_3 = Z  [exponent inf]\n"
+        "H_4 = 0  [exponent 1]\n"
+    )
 
 
 def test_cli_gluerows_rejects_a_source_above_its_target(tmp_path, capsys):
@@ -331,6 +349,38 @@ def test_cli_gluerows_rejects_a_source_above_its_target(tmp_path, capsys):
         captured = capsys.readouterr()
         assert step in captured.err and "5 -> 3" in captured.err
         assert captured.out == ""  # the valid step before it never ran
+
+
+def test_cli_gluerows_without_glue_steps(tmp_path, capsys):
+    # a step whose sources equal its target glues nothing
+    src = _gen(tmp_path, capsys, ["product", "--p", "2", "--ks", "1,1"], "t.cx")
+    dst = tmp_path / "out.cx"
+    assert cli.main(["gluerows", "--in", str(src), "--schedule", "1->1",
+                     "--out", str(dst)]) == 0
+    assert capsys.readouterr().out == "(no glue steps)\n"
+    assert dst.read_text() == src.read_text()
+    assert cli.main(["gluerows", "--in", str(src), "--schedule", "1->1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"certificates": []}
+
+
+def test_cli_hyper_of_a_free_complex(tmp_path, capsys):
+    # a finite free complex has zero Tate hypercohomology in every degree
+    path = _gen(tmp_path, capsys, ["product", "--p", "2", "--ks", "1,1"], "t.cx")
+    assert cli.main(["hyper", "--in", str(path), "--deg", "-1..1"]) == 0
+    assert capsys.readouterr().out == (
+        "Ĥ^-1 = 0  [exponent 1]\n"
+        "Ĥ^0  = 0  [exponent 1]\n"
+        "Ĥ^1  = 0  [exponent 1]\n"
+    )
+    assert cli.main(["hyper", "--in", str(path), "--deg", "-1..1", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["degree"] for row in rows] == [-1, 0, 1]
+    for row in rows:
+        assert row["invariants"] == {"torsion": [], "free": 0} and row["exponent"] == 1
+    assert cli.main(["hyper", "--in", str(path), "--deg", "2..1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --deg '2..1' is an empty degree range\n"
+    assert captured.out == ""
 
 
 def test_cli_syzygy_emits_module_format(tmp_path, capsys):

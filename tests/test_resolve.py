@@ -26,9 +26,7 @@ from tatekit.modpres import (
     ModulePresentation,
     free_module_presentation,
     homology,
-    require_valid,
     trivial_module,
-    validate,
 )
 from tatekit.resolve import (
     complete_resolution,
@@ -160,8 +158,7 @@ def test_resolution_step_cover_and_kernel():
     assert step.rank == 1
     # cover matrix sends each free generator column onto the module
     assert cokernel_invariants(step.cover.hstack(m.relations)).is_trivial()
-    # kernel module is a valid presentation with a free underlying group
-    assert validate(step.kernel) == []
+    # kernel module has a free underlying group
     assert step.kernel.relations.cols == 0
     # kernel columns really map to zero in the module
     image = step.cover.mul(step.kernel_basis)
@@ -176,7 +173,6 @@ def test_syzygy_chain_matches_resolution_ranks():
     for n, minimal in [(1, 2), (2, 3)]:
         om = syzygy(m, n)
         assert om.gens >= minimal
-        assert validate(om) == []
     assert syzygy(m, 0) is m
 
 
@@ -233,10 +229,8 @@ def test_lift_obstruction_when_gap_has_homology():
 def test_resolution_step_on_presented_torsion_module():
     g = ElementaryAbelianGroup(2, 1)
     m = ModulePresentation(g, 1, IntMatrix([[2]]))
-    require_valid(m)
     step = resolution_step(m)
     # cover of Z/2 by ZG: kernel contains 2 and (g-1)
-    assert validate(step.kernel) == []
     image = step.cover.mul(step.kernel_basis)
     assert m.in_relation_span(image) is None
     # the kernel has full rank |G| since Z/2 is finite
@@ -282,7 +276,6 @@ def test_syzygy_tate_table_matches_all_generators_cover(pr, n, mod_p):
     p, r = pr
     g = ElementaryAbelianGroup(p, r)
     om = syzygy(_coefficients(g, mod_p), n)
-    assert validate(om) == []
     oracle = _coefficients(g, mod_p)
     for _ in range(n):
         oracle = _all_generators_kernel(oracle)

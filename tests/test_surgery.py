@@ -6,6 +6,7 @@ from tatekit import surgery
 from tatekit.errors import (
     FiltrationInvalid,
     GapViolation,
+    InvalidPresentation,
     NotConnected,
     NotNonnegative,
 )
@@ -299,6 +300,20 @@ def test_filtration_requires_stable_witnesses():
         assert "stable" in str(exc)
     else:
         raise AssertionError("expected FiltrationInvalid for unstable witness")
+
+
+def test_filtration_section_is_checked_when_it_is_built():
+    # Z with the generator acting by 2 is no Z/2-module (2^2 != 1), so
+    # the section fails before filtration_exponent_check ever runs
+    g = ElementaryAbelianGroup(2, 1)
+    z4 = ModulePresentation(g, 1, IntMatrix([[4]]))
+    z2 = ModulePresentation(g, 1, IntMatrix([[2]]))
+    witnesses = [IntMatrix([[4]]), IntMatrix([[2]]), IntMatrix([[1]])]
+    with pytest.raises(InvalidPresentation) as exc:
+        filtration_exponent_check(
+            [z2, ModulePresentation(g, 1, actions=[IntMatrix([[2]])])], z4, witnesses, 0
+        )
+    assert exc.value.problems == ["action 1 does not have order dividing p (column 0)"]
 
 
 def _scaled(basis):

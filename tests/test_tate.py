@@ -16,7 +16,6 @@ from tatekit.modpres import (
     ModulePresentation,
     homology_module,
     trivial_module,
-    validate,
 )
 from tatekit.resolve import complete_resolution, resolution_step, syzygy
 from tatekit.tate import (
@@ -190,7 +189,6 @@ def test_inexact_actions_take_the_syzygy_fallback(pr, ranks, seed):
             )
             actions.append(a.sub(rels.mul(x)))
         perturbed = ModulePresentation(g, m.gens, rels, actions)
-        assert validate(perturbed) == []
         pairs.append((m, perturbed))
     assume(any(not perturbed.acts_exactly() for _, perturbed in pairs))
     for m, perturbed in pairs:
@@ -240,7 +238,6 @@ def _check_pruned_against_unpruned(m, lo, hi):
     # presentation when it acts exactly, the reference reads the cone
     # over the relation lattice of the presentation as given
     small = m.pruned()
-    assert validate(small) == []
     assert small.invariants() == m.invariants()
     assert small.gens <= m.gens
     assert small.relations.cols <= m.relations.cols
@@ -517,10 +514,12 @@ def test_free_module_has_trivial_tate_cohomology():
 
 
 def test_hypercohomology_of_free_complex_vanishes():
-    c = product_complex(2, [1, 1])
-    table = tate_hypercohomology_range(c.group, c, -3, 3)
-    for i in range(-3, 4):
-        assert table.invariant(i).is_trivial(), i
+    # the second complex has no degree at all, since zero ranks are dropped
+    empty = FreeChainComplex(ElementaryAbelianGroup(3, 2), {0: 0}, {})
+    for c in (product_complex(2, [1, 1]), empty):
+        table = tate_hypercohomology_range(c.group, c, -3, 3)
+        for i in range(-3, 4):
+            assert table.invariant(i).is_trivial(), (c, i)
 
 
 def test_hypercohomology_of_concentrated_module_matches_shift():

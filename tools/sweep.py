@@ -1,7 +1,8 @@
 """Scaling sweep over complex size, syzygy index, rank and degree window
 width, into BENCH_sweep.json.
 
-    python3 tools/sweep.py [--out BENCH_sweep.json]
+    python3 tools/sweep.py [--out BENCH_sweep.json] [--kind KIND]...
+    python3 tools/sweep.py --against OTHER_CHECKOUT [--out FILE] [--kind KIND]...
 
 The points are ``browder_check`` of ``product_complex(2, ks)`` for ks in
 [2,2,1], [2,2,2] and [2,2,2,2] (products of 3-spheres and a circle over
@@ -21,6 +22,15 @@ the answer (the verdict, the syzygy's generator count, or the table's
 invariants), so sweeps of two trees can be compared point by point.  The times are raw wall-clock
 seconds of this host, which the file names; compare only runs taken on
 one host, on trees in the same ``__pycache__`` state.
+
+Host drift over the minutes a sweep takes can exceed the difference of
+two trees, so ``--against`` takes a second checkout and runs each
+point's cold runs alternately in this tree and that one, switching
+which tree goes first on every repeat; each point then also records the
+other tree's runs, median and answer under ``against``, and the output
+goes to BENCH_sweep_pair.json unless ``--out`` names a file.  ``--kind``
+keeps only the points of the given kinds (browder, pipeline, syzygy,
+tate, hyper).
 """
 
 import argparse
@@ -96,44 +106,69 @@ def run_point(kind, arg):
     return seconds, {"gens": module.gens}
 
 
-def cold_run(kind, arg):
-    """One run of a point in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONHASHSEED="0")
+def cold_run(kind, arg, root=ROOT):
+    """One run of a point in a fresh interpreter, on the ``src`` of the
+    checkout ``root``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0")
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--point", kind, json.dumps(arg)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
         check=True,
     )
     return json.loads(proc.stdout)
 
 
+def summary(name, kind, runs):
+    """Answer, median and seconds of one tree's runs of a point; stops
+    the sweep when the runs disagree or the pipeline's answer is wrong."""
+    answers = {json.dumps(r["answer"], sort_keys=True) for r in runs}
+    if len(answers) != 1:
+        raise SystemExit(f"{name}: runs disagree: {sorted(answers)}")
+    if kind == "pipeline" and runs[0]["answer"] != PIPELINE_ANSWER:
+        raise SystemExit(f"{name}: got {runs[0]['answer']}, want {PIPELINE_ANSWER}")
+    seconds = [r["seconds"] for r in runs]
+    return {
+        "answer": runs[0]["answer"],
+        "median_s": statistics.median(seconds),
+        "runs_s": seconds,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_sweep.json"))
+    parser.add_argument("--out")
+    parser.add_argument("--against", metavar="CHECKOUT")
+    parser.add_argument("--kind", action="append",
+                        choices=("browder", "pipeline", "syzygy", "tate", "hyper"))
     parser.add_argument("--point", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.point:
         seconds, answer = run_point(args.point[0], json.loads(args.point[1]))
         print(json.dumps({"seconds": seconds, "answer": answer}))
         return 0
+    trees = [ROOT] + ([os.path.abspath(args.against)] if args.against else [])
+    out = args.out or os.path.join(
+        ROOT, "BENCH_sweep_pair.json" if args.against else "BENCH_sweep.json"
+    )
     results = []
     for name, kind, arg in points():
-        runs = [cold_run(kind, arg) for _ in range(REPEAT)]
-        answers = {json.dumps(r["answer"], sort_keys=True) for r in runs}
-        if len(answers) != 1:
-            raise SystemExit(f"{name}: runs disagree: {sorted(answers)}")
-        if kind == "pipeline" and runs[0]["answer"] != PIPELINE_ANSWER:
-            raise SystemExit(f"{name}: got {runs[0]['answer']}, want {PIPELINE_ANSWER}")
-        seconds = [r["seconds"] for r in runs]
-        results.append({
-            "name": name,
-            "answer": runs[0]["answer"],
-            "median_s": statistics.median(seconds),
-            "runs_s": seconds,
-        })
-        print(f"{name:32s} median {results[-1]['median_s']:8.3f} s  {runs[0]['answer']}")
+        if args.kind and kind not in args.kind:
+            continue
+        runs = {tree: [] for tree in trees}
+        for i in range(REPEAT):
+            for tree in trees if i % 2 == 0 else trees[::-1]:
+                runs[tree].append(cold_run(kind, arg, tree))
+        result = {"name": name, **summary(name, kind, runs[ROOT])}
+        line = f"{name:32s} median {result['median_s']:8.3f} s"
+        if args.against:
+            result["against"] = summary(name, kind, runs[trees[1]])
+            line += f"  against {result['against']['median_s']:8.3f} s"
+        results.append(result)
+        print(f"{line}  {result['answer']}")
     record = {
-        "about": "tools/sweep.py: cold-interpreter wall-clock seconds of each call",
+        "about": "tools/sweep.py: cold-interpreter wall-clock seconds of each call"
+        + ("; `against` holds the second checkout's runs, alternated with"
+           " this tree's per point" if args.against else ""),
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -142,7 +177,7 @@ def main(argv=None):
         "repeat": REPEAT,
         "points": results,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     return 0
