@@ -305,7 +305,8 @@ def solve_in_lattice(basis, targets):
             w, piv = residual[lead], col[lead]
             if w % piv:
                 raise NoSolution(
-                    f"column {j}: residue {w} at row {lead} not divisible by {piv}",
+                    f"column {j}: residue of {w.bit_length()} bits at row {lead} "
+                    f"not divisible by a pivot of {piv.bit_length()} bits",
                     column=j,
                 )
             q = w // piv

@@ -3,10 +3,10 @@
 A module is presented by integers: ``gens`` generators, a relation
 matrix whose columns span the relation lattice, and one action matrix
 per group generator.  Chain complexes are kept free over the group
-ring; homology modules are the only presented-module outputs, which is
-all the constructions here ever need.
+ring.
 """
 
+import copy
 from collections import Counter
 
 from . import exactlin
@@ -275,23 +275,16 @@ class FreeChainComplex:
     ``ranks`` maps degree to a nonnegative rank, zero ranks dropped;
     ``diffs`` maps degree i to the GroupRingMatrix of d_i : degree i ->
     degree i-1.  ``d o d = 0`` is checked in the group ring on
-    construction.  A complex carved out of an infinite resolution
-    carries ``valid_range`` and only answers homology questions
-    strictly inside it.  ``_certified_exact`` is set only by
-    ``resolve.complete_resolution``, whose windows it has certified
-    exact strictly inside ``valid_range``; ``valid_range`` alone proves
-    nothing, so it is never read as that flag.
+    construction, except for a ``_Window``, exact as built.
     """
 
-    def __init__(self, group, ranks, diffs, valid_range=None, check=True):
+    def __init__(self, group, ranks, diffs):
         self.group = group
         for i, k in ranks.items():
             if k < 0:
                 raise ValueError(f"negative rank {k} at degree {i}")
         self.ranks = {i: k for i, k in ranks.items() if k}
         self.diffs = {}
-        self.valid_range = valid_range
-        self._certified_exact = False
         self._diags = None
         for i, d in diffs.items():
             if d is None or d.is_zero():
@@ -305,7 +298,7 @@ class FreeChainComplex:
             if d.group != group:
                 raise ValueError("differential over the wrong group")
             self.diffs[i] = d
-        if check:
+        if not isinstance(self, _Window):
             for i, d in self.diffs.items():
                 up = self.diffs.get(i + 1)
                 if up is not None and not d.mul(up).is_zero():
@@ -340,24 +333,12 @@ class FreeChainComplex:
         return IntMatrix.zeros(self.rank(i - 1) * n, self.rank(i) * n)
 
     def shifted(self, s):
-        vr = self.valid_range
-        out = FreeChainComplex(
-            self.group,
-            {i + s: k for i, k in self.ranks.items()},
-            {i + s: d for i, d in self.diffs.items()},
-            valid_range=(vr[0] + s, vr[1] + s) if vr else None,
-            check=False,
-        )
-        out._certified_exact = self._certified_exact
+        """The same complex and type, degrees up by ``s``, unchecked."""
+        out = copy.copy(self)
+        out.ranks = {i + s: k for i, k in self.ranks.items()}
+        out.diffs = {i + s: d for i, d in self.diffs.items()}
+        out._diags = None
         return out
-
-    def _check_window(self, n):
-        if self.valid_range is not None:
-            lo, hi = self.valid_range
-            if not lo < n < hi:
-                raise WindowViolation(
-                    f"degree {n} outside the validated interior of [{lo},{hi}]"
-                )
 
     def sparse_rows(self, i):
         """Fresh sparse rows of expand(d_i), all empty when d_i is absent."""
@@ -400,17 +381,43 @@ class FreeChainComplex:
         return f"FreeChainComplex({self.group!r}, degrees {span})"
 
 
+class _Window(FreeChainComplex):
+    """Degrees lo..hi of the complete resolution of Z, certified exact
+    strictly inside ``valid_range`` = (lo, hi) by ``complete_resolution``:
+    d o d is not rechecked, and ``homology`` answers 0 inside without
+    reducing and raises WindowViolation at or past the edges."""
+
+    def __init__(self, group, ranks, diffs, valid_range):
+        super().__init__(group, ranks, diffs)
+        self.valid_range = valid_range
+
+    def shifted(self, s):
+        out = super().shifted(s)
+        out.valid_range = tuple(e + s for e in self.valid_range)
+        return out
+
+
+def _in_window(complex_, n):
+    """Whether ``complex_`` is a window, so exact at ``n``; raises
+    WindowViolation at or past a window's edges."""
+    if not isinstance(complex_, _Window):
+        return False
+    lo, hi = complex_.valid_range
+    if not lo < n < hi:
+        raise WindowViolation(f"degree {n} outside the validated interior of [{lo},{hi}]")
+    return True
+
+
 def homology(complex_, n):
     """Homology at degree ``n`` as abelian invariants.
 
     Uses that the ambient module is free: the torsion of the quotient
     is read off the Smith diagonal of the incoming differential, and
-    the free rank from the two ranks.  Inside a certified window of
-    the complete resolution it is 0 without any reduction.
+    the free rank from the two ranks.  Inside a window of the complete
+    resolution it is 0 without any reduction.
     """
-    complex_._check_window(n)
     k = complex_.rank(n)
-    if k == 0 or complex_._certified_exact:
+    if _in_window(complex_, n) or k == 0:
         return AbelianInvariants()
     diag = complex_._diagonals()
     into, outof = diag.get(n + 1, ()), diag.get(n, ())
@@ -423,7 +430,7 @@ def homology_range(complex_, lo, hi):
 
 def _homology_data(complex_, n):
     """Cycle basis at degree ``n`` together with the homology module."""
-    complex_._check_window(n)
+    _in_window(complex_, n)
     k = complex_.rank(n)
     group = complex_.group
     if k == 0:

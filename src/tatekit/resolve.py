@@ -12,19 +12,24 @@ half is its Z-linear dual, spliced at degree 0 through the full norm.
 
 A window [lo, hi] hands out d_n, lo < n <= hi, once (a) the complete
 Z/p strand, with d_0 = N = eta epsilon, is exact at degrees 0 and 1,
-by the Smith diagonals of its maps N, g - 1, N, so everywhere; (b) each
-d_n, read entry by entry, is the formula above with c_i the strand's
-map carried into the i-th factor, d_0 is the full norm and d_(-n) the
-antipode-transpose of a d_n that passes (b); and (c) d_n d_(n+1) = 0
-in the group ring at each interior degree.  The caches are the record:
-``_differential`` caches d_n only once it passes (b), and (a) and (c)
-are cached per prime and per (group, n) once they pass; a check that
-fails raises and caches nothing.  Then the window is exact strictly
+by the Smith diagonals of its maps N, g - 1, N, so everywhere; and (b)
+each d_n, read entry by entry, is the formula above with c_i the
+strand's map carried into the i-th factor, d_0 is the full norm and
+d_(-n) the antipode-transpose of a d_n that passes (b).  The caches
+are the record: ``_differential`` caches d_n only once it passes (b),
+and (a) is cached per prime once it passes; a check that fails raises
+and caches nothing.  Then d o d = 0: for n >= 1, (b) makes d_n the
+Koszul tensor differential of strand maps carried by the ring maps
+g -> g_i, whose images commute, and (a) builds the strand as a
+complex, which checks N (g - 1) = (g - 1) N = 0, so the cross terms
+cancel; N_G (g_i - 1) = 0 at n = 0 and (g_i^-1 - 1) N_G = 0 at
+n = -1; for n <= -2 the antipode-transpose reverses products, so the
+pair is the dual of a positive one.  And the window is exact strictly
 inside: an exact Z-free complex is Z-split, so each augmented strand
 Z <- ZC_p <- ... is contractible over Z, and so are their tensor
 product (Kuenneth) and its Z-dual; and ker d_0 = ker epsilon = im d_1,
 im d_0 = im eta = ker d_(-1), as eta is injective and epsilon onto.
-No |G|-fold expansion is reduced; (c) rechecks what (a) and (b) imply.
+No |G|-fold expansion is reduced.
 """
 
 from functools import cache
@@ -47,7 +52,7 @@ from .groupring import (
     full_norm,
     norm_element,
 )
-from .modpres import FreeChainComplex, _Derived, homology
+from .modpres import FreeChainComplex, _Derived, _Window, homology
 
 
 def _multi_indices(caps, n):
@@ -156,37 +161,22 @@ def _differential(group, n):
     return _differential(group, -n).antipode_transpose()
 
 
-@cache
-def _check_square(group, n):
-    """Check (c), d_n d_(n+1) = 0 in the group ring, or raise ValueError."""
-    if not _differential(group, n).mul(_differential(group, n + 1)).is_zero():
-        raise ValueError(
-            f"complete resolution at degree {n}: d o d != 0 in the group ring"
-        )
-
-
 def complete_resolution(group, lo, hi):
-    """Degrees lo..hi of the complete resolution of Z.
+    """Degrees lo..hi of the complete resolution of Z, as a ``_Window``.
 
-    Checks (a), (b) and (c) of the module docstring come first, in that
-    order: the strand, each map from ``_differential``, which hands out
-    only maps that pass (b), then d o d at each interior degree.  So
-    ``homology`` answers 0 strictly inside without reducing; at its
-    edges it raises WindowViolation.  Windows share the cached
-    differentials, so callers must not mutate them.
+    Checks (a) and (b) of the module docstring come first, in that
+    order: the strand, then each map from ``_differential``, which
+    hands out only maps that pass (b).  So ``homology`` answers 0
+    strictly inside without reducing; at its edges it raises
+    WindowViolation.  Windows share the cached differentials, so
+    callers must not mutate them.
     """
     if lo > hi:
         raise ValueError("empty window")
     _check_strand(group.p)
     diffs = {n: _differential(group, n) for n in range(lo + 1, hi + 1)}
-    for n in range(lo + 1, hi):
-        _check_square(group, n)
     ranks = {n: _rank(group, n) for n in range(lo, hi + 1)}
-    window = FreeChainComplex(
-        group, ranks, diffs, valid_range=(lo, hi), check=False
-    )
-    window._certified_exact = True
-    return window
+    return _Window(group, ranks, diffs, (lo, hi))
 
 
 class ResolutionStep:

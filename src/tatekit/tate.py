@@ -30,7 +30,7 @@ from .exactlin import (
     solve_in_lattice,
 )
 from .groupring import GroupRingMatrix
-from .modpres import _Derived, homology, homology_module
+from .modpres import _Derived, _Window, homology, homology_module
 from .resolve import complete_resolution, resolution_step
 
 
@@ -246,7 +246,7 @@ def tate_hypercohomology_range(group, complex_, lo, hi):
         raise ValueError("complex is over a different group")
     if lo > hi:
         raise ValueError("empty degree range")
-    if complex_.valid_range is not None:
+    if isinstance(complex_, _Window):
         raise InfiniteLength(
             "hypercohomology needs a complex with finite support, "
             "not a window of an unbounded one"

@@ -487,6 +487,14 @@ def test_solve_in_lattice_rejects_outside_vectors():
         raise AssertionError("expected NoSolution")
 
 
+def test_solve_in_lattice_names_a_huge_residue_by_its_size():
+    # Python will not print an int of over 4,300 digits, so the message
+    # gives bit lengths, and NoSolution is raised rather than ValueError
+    with pytest.raises(NoSolution, match="column 0: residue of 16610 bits at row 0") as exc:
+        solve_in_lattice(IntMatrix([[2]]), IntMatrix([[10**5000 + 1]]))
+    assert exc.value.column == 0
+
+
 def test_quotient_invariants_hand_cases():
     # Z^2 / <2e1, 3e2> inside the standard lattice
     k = IntMatrix([[1, 0], [0, 1]])

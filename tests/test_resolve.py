@@ -97,7 +97,7 @@ def test_complete_resolution_is_exact_in_the_window_interior():
 def test_certified_window_answers_homology_without_reducing(monkeypatch):
     # complete_resolution has certified every interior degree, so its
     # windows, shifted or not, reduce nothing there; a complex built by
-    # hand on the same differentials and valid_range is reduced in full
+    # hand on the same differentials is reduced in full
     calls = []
     for name in ("smith_diagonal", "hermite"):
         real = getattr(_backend, name)
@@ -109,15 +109,33 @@ def test_certified_window_answers_homology_without_reducing(monkeypatch):
         got = [homology(w, n) for n in range(1 - k, k)]
         got_shifted = [homology(w.shifted(2), n + 2) for n in range(1 - k, k)]
         assert calls == [], (p, r)
-        full = FreeChainComplex(g, w.ranks, w.diffs, valid_range=w.valid_range, check=False)
+        full = FreeChainComplex(g, w.ranks, w.diffs)
         want = [homology(full, n) for n in range(1 - k, k)]
         assert calls, "the hand-built window is reduced"
         assert got == got_shifted == want
         assert all(h.is_trivial() for h in want), (p, r)
-    # valid_range alone proves nothing: the torus keeps its H_1 = Z^2
+
+
+def test_only_a_window_answers_by_its_type(monkeypatch):
+    # a shifted window answers 0 strictly inside its moved range and
+    # raises at the moved edges; a valid_range set on a plain complex is
+    # not read, so the torus keeps its H_1 = Z^2; shifting a plain
+    # complex rechecks no d o d
+    g = ElementaryAbelianGroup(2, 2)
+    moved = complete_resolution(g, -2, 3).shifted(5)
+    assert moved.valid_range == (3, 8)
+    for n in range(4, 8):
+        assert homology(moved, n).is_trivial(), n
+    for n in (3, 8):
+        with pytest.raises(WindowViolation, match=f"degree {n} outside"):
+            homology(moved, n)
     torus = product_complex(2, [1, 1])
-    framed = FreeChainComplex(torus.group, torus.ranks, torus.diffs, valid_range=(-1, 3))
-    assert homology(framed, 1).free_rank == 2
+    torus.valid_range = (-1, 3)
+    assert homology(torus, 1).free_rank == 2
+    formed = _count_products(monkeypatch)
+    shifted = torus.shifted(-1)
+    assert formed == [] and type(shifted) is FreeChainComplex
+    assert homology(shifted, 0).free_rank == 2
 
 
 def test_complete_resolution_zeroth_differential_factorization():
@@ -325,7 +343,7 @@ def test_lift_chain_map_through_a_proper_generator_subset():
 
 
 def _clear_resolve_caches():
-    for cached in (resolve._check_strand, resolve._differential, resolve._check_square):
+    for cached in (resolve._check_strand, resolve._differential):
         cached.cache_clear()
 
 
@@ -343,10 +361,13 @@ def _fresh_smith(d):
 
 
 def _assert_fresh_smith_exact(group, degrees):
-    """The Smith reference: reduce the expansions of d_n and d_(n+1) of
-    the cached maps from scratch and read H_n = 0 at each n."""
+    """The Smith reference: check d_n d_(n+1) = 0 in the group ring for
+    the cached maps, reduce their expansions from scratch and read
+    H_n = 0 at each n."""
     fresh = {}
     for n in sorted(degrees):
+        d = resolve._differential
+        assert d(group, n).mul(d(group, n + 1)).is_zero(), (group, n)
         for m in (n, n + 1):
             if m not in fresh:
                 fresh[m] = _fresh_smith(resolve._differential(group, m))
@@ -399,17 +420,6 @@ def _count_products(monkeypatch):
     return formed
 
 
-def _square_degrees(group, formed, degrees):
-    """The n, among ``degrees``, of each product d_n d_(n+1) in ``formed``,
-    found by identity with the cached maps, in the order formed."""
-    return [
-        n
-        for a, b in formed
-        for n in degrees
-        if a is resolve._differential(group, n) and b is resolve._differential(group, n + 1)
-    ]
-
-
 @pytest.mark.parametrize(
     "p, r, k",
     [(2, 1, 10), (2, 2, 7), (2, 3, 5), (2, 4, 4), (3, 1, 8), (3, 2, 5), (3, 3, 3), (5, 2, 4)]
@@ -419,15 +429,16 @@ def test_certified_diagonals_match_fresh_smith_in_any_window_order(
     p, r, k, cold_resolve, monkeypatch
 ):
     # however the windows come, each positive d_n behind a map they hand
-    # out is checked by the tensor rule once, and each d o d product of
-    # their interiors is formed once; at every degree the fresh Smith
-    # diagonals of the actual d_(n+1), d_n read H_n = 0: the Smith
-    # certificate the tensor rule replaced, kept as the reference
+    # out is checked by the tensor rule once, and no product of their
+    # maps is formed; at every interior degree d o d = 0 in the group
+    # ring, and the fresh Smith diagonals of the actual d_(n+1), d_n read
+    # H_n = 0: the checks the tensor rule implies, kept as the reference
     g = ElementaryAbelianGroup(p, r)
     checked = _count_rule_checks(monkeypatch)
     formed = _count_products(monkeypatch)
     for windows in _window_orders(k):
         _clear_resolve_caches()
+        resolve._check_strand(p)
         checked.clear()
         formed.clear()
         for lo, hi in windows:
@@ -435,7 +446,7 @@ def test_certified_diagonals_match_fresh_smith_in_any_window_order(
         interior = {n for lo, hi in windows for n in range(lo + 1, hi)}
         maps = {n for lo, hi in windows for n in range(lo + 1, hi + 1)}
         assert sorted(checked) == sorted({abs(n) for n in maps} - {0}), windows
-        assert sorted(_square_degrees(g, formed, maps)) == sorted(interior), windows
+        assert formed == [], windows
     _assert_fresh_smith_exact(g, interior)
 
 
@@ -494,7 +505,7 @@ def _extra(d):
 def test_exactness_certificate_rejects_broken_pairs(cold_resolve, monkeypatch):
     # over Z/2 the resolution has d_1 = g - 1 and d_2 = N.  (g - 1) 2N = 0,
     # but H_1 = ker(g - 1) / 2N = Z/2; (g - 1) 1 != 0.  The tensor rule
-    # rejects both d_2 before d o d is formed
+    # rejects both d_2
     g = ElementaryAbelianGroup(2, 1)
     complete_resolution(g, 0, 2)
     _clear_resolve_caches()
@@ -563,21 +574,21 @@ def test_certificate_catches_mutations_before_any_expansion_is_reduced(
 
 
 def test_a_failed_certificate_caches_nothing(cold_resolve, monkeypatch):
-    # a doubled d_3 fails after d_1 and d_2 have passed and before any
-    # d o d is formed; d_3 is not cached, so with d_3 restored the same
-    # window checks it again, and only it and the maps above it, and
-    # forms each product once.  A failed strand is not cached either
+    # a doubled d_3 fails after d_1 and d_2 have passed; d_3 is not
+    # cached, so with d_3 restored the same window checks it again, and
+    # only it and the maps above it, and forms no product of its maps.
+    # A failed strand is not cached either
     g = ElementaryAbelianGroup(2, 2)
+    resolve._check_strand(g.p)
     checked = _count_rule_checks(monkeypatch)
     formed = _count_products(monkeypatch)
     with monkeypatch.context() as tamper:
         _patch_degree(tamper, 3, _doubled)
         with pytest.raises(ValueError, match="degree 3"):
             complete_resolution(g, 0, 5)
-    assert checked == [1, 2, 3] and _square_degrees(g, formed, range(1, 3)) == []
+    assert checked == [1, 2, 3]
     complete_resolution(g, 0, 5)
-    assert checked == [1, 2, 3, 3, 4, 5]
-    assert _square_degrees(g, formed, range(1, 6)) == [1, 2, 3, 4]
+    assert checked == [1, 2, 3, 3, 4, 5] and formed == []
     _clear_resolve_caches()
     checked.clear()
     with monkeypatch.context() as tamper:
@@ -637,15 +648,13 @@ def test_windows_in_any_order_check_each_map_once(p, r, cold_resolve, monkeypatc
 
 def test_windows_growing_at_both_ends_check_only_the_new_maps(cold_resolve, monkeypatch):
     # [-k, k] after [-(k-1), k-1] hands out two new maps, d_k and
-    # d_(1-k), the dual of d_(k-1), which has already passed, and two new
-    # interior degrees, 1 - k and k - 1
+    # d_(1-k), the dual of d_(k-1), which has already passed, and forms
+    # no product of them
     g = ElementaryAbelianGroup(2, 3)
     complete_resolution(g, -2, 2)
     checked = _count_rule_checks(monkeypatch)
     formed = _count_products(monkeypatch)
     for k in range(3, 7):
         checked.clear()
-        formed.clear()
         complete_resolution(g, -k, k)
-        assert checked == [k], k
-        assert _square_degrees(g, formed, range(1 - k, k)) == [1 - k, k - 1], k
+        assert checked == [k] and formed == [], k
