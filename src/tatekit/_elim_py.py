@@ -18,7 +18,8 @@ Markowitz choice that costs one pass over the row.  Before its general
 phase it divides out the content, the gcd of the live entries, since
 Smith(gA) = g Smith(A) (Dumas, Saunders & Villard, J. Symbolic Comput.
 32, 2001): a Tate coboundary with trivial coefficients has entries 0
-and +-p only, and divided by p it is all unit pivots.
+and +-p only, and divided by p it is all unit pivots, which still
+cancel columns of the next map of a chain.
 """
 
 from collections import defaultdict, deque
@@ -160,16 +161,22 @@ def smith_diagonal(rows, ncols, unit_rows=None):
     remaining entry, and the unit phase resumes.
 
     If ``unit_rows`` is a list, the row index of every +-1 pivot taken
-    before the first content division or general (non-unit) pivot is
-    appended to it, the peeled rows first.  Until then every row
-    operation adds a multiple of one of these rows, and each of their
-    pivot columns is left +-1 at its row and 0 elsewhere.  For a peeled
-    row those row operations are implied, not made: they would only
-    zero its column, since the earlier peels leave the row zero off its
+    before the first general (non-unit) pivot is appended to it, in
+    pivot order, the peeled rows first.  A content division scales all
+    live rows by the same g, so a later "row r += c row y" on divided
+    rows is that same integer operation on the undivided ones, and a
+    pivot that is +-1 after divisions by g_1, g_2, ... is the nonzero
+    +-g_1 g_2 ... of the undivided rows.  So until the general phase
+    every row operation, on the undivided rows, adds a multiple of one
+    of these rows, and each of their pivot columns is left nonzero at
+    its own row and elsewhere only at rows pivoted before it: a retired
+    row keeps its entries in the columns still live.  For a peeled row
+    those row operations are implied, not made: they would only zero
+    its column, since the earlier peels leave the row zero off its
     pivot.  ``exactlin.chain_diagonals``, the only caller that asks for
-    them, relies on both to shrink the next map of a chain.  A pivot
-    that is +-1 only after a division is +-g in the input and is not
-    reported.
+    them, relies on both to shrink the next map of a chain.  The
+    general phase combines rows with rows that are not pivots, so it
+    stops the recording.
     """
     peeled = _peel(rows)
     if unit_rows is not None:
@@ -268,9 +275,6 @@ def smith_diagonal(rows, ncols, unit_rows=None):
                     best = key
         if best is None:
             break
-        # From here on rows are combined with non-unit pivot rows, or
-        # divided, so later unit pivots are not recorded.
-        unit_rows = None
         g, i, c = best
         live = [r for r in range(nrows) if row_alive[r] and rows[r]]
         for r in live:
@@ -290,6 +294,9 @@ def smith_diagonal(rows, ncols, unit_rows=None):
                 queued[r] = True
             queue.extend(live)
             continue
+        # From here on rows are combined with non-unit pivot rows, so
+        # later unit pivots are not recorded.
+        unit_rows = None
 
         while True:
             live = col_rows[c]

@@ -357,14 +357,18 @@ def chain_diagonals(maps):
 
     Each map is reduced with the columns at the +-1 pivot rows of the
     previous map deleted (reduction pairs, Kaczynski-Mrozek-Slusarek,
-    "Homology computation by reduction of chain complexes", 1998).
+    "Homology computation by reduction of chain complexes", 1998), the
+    rows that are +-1 pivots only after a content division included.
     Write A for the previous map and B for this one, so BA = 0.  A row
     operation "row r += c row y" on A is the column operation "col y -=
     c col r" on B.  With P the product of the row operations of A's
-    peel and unit phases, all of which add a unit pivot row y (see
-    ``_elim_py.smith_diagonal``), B P^-1 differs from B only in those
-    columns y.  The pivot column of y in PA is +-1 at row y and 0
-    elsewhere, so (B P^-1)(PA) = 0 makes column y of B P^-1 zero, and
+    peel and unit phases, read on the undivided rows, all of which add
+    a unit pivot row y (see ``_elim_py.smith_diagonal``), P is
+    unimodular and B P^-1 differs from B only in those columns y.  Take
+    the rows y_1, y_2, ... in pivot order: the pivot column of y_k in
+    PA is nonzero at row y_k and elsewhere only at rows y_j, j < k.  So
+    (B P^-1)(PA) = 0 makes column y_1 of B P^-1 zero, then column y_2,
+    and so on, since over Z no nonzero pivot is a zero divisor; and
     Smith(B) = Smith(B with the columns y deleted).  The next map still
     kills B with those columns deleted, so the cancellation chains.  A
     zero map has no pivots, so it cancels nothing in the map after it.

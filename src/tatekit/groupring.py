@@ -256,7 +256,7 @@ class GroupRingMatrix:
             e = row[c]
             if not 0 <= c < self.cols:
                 raise ValueError(f"column {c} outside 0..{self.cols - 1}")
-            if e.group != self.group:
+            if e.group is not self.group and e.group != self.group:
                 raise ValueError("entry over the wrong group")
             if not e.is_zero():
                 kept[c] = e
@@ -295,11 +295,19 @@ class GroupRingMatrix:
         return GroupRingMatrix(self.group, rows, self.rows, other.cols)
 
     def antipode_transpose(self):
-        """Transpose with the antipode applied entrywise (the dual map)."""
+        """Transpose with the antipode applied entrywise (the dual map).
+
+        The antipode is formed once per distinct entry, keyed on its
+        terms, and shared by every entry that holds it.
+        """
+        dual = {}
         cols = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.entries):
             for j, e in row.items():
-                cols[j][i] = e.antipode()
+                a = dual.get(e.terms)
+                if a is None:
+                    a = dual[e.terms] = e.antipode()
+                cols[j][i] = a
         return GroupRingMatrix(self.group, cols, self.cols, self.rows)
 
     def is_zero(self):

@@ -55,17 +55,19 @@ from .groupring import (
 from .modpres import FreeChainComplex, _Derived, _Window, homology
 
 
+@cache
 def _multi_indices(caps, n):
     """The a in N^r with |a| = n and a_i <= caps[i], r = len(caps), in
     basis order: the last coordinate varies slowest and descends, and
-    the rest are ordered recursively."""
+    the rest are ordered recursively.  Cached, so a tuple, which no
+    caller can change."""
     if len(caps) == 1:
-        return [(n,)] if n <= caps[0] else []
-    return [
+        return ((n,),) if n <= caps[0] else ()
+    return tuple(
         head + (last,)
         for last in range(min(n, caps[-1]), -1, -1)
         for head in _multi_indices(caps[:-1], n - last)
-    ]
+    )
 
 
 def _closed_form(group, n, caps):
@@ -77,21 +79,22 @@ def _closed_form(group, n, caps):
     caps 2k_i - 1 the strands are the lens complexes of the spheres
     S^(2k_i - 1), and d_n is the differential of their product.
     """
-    gens = range(1, group.r + 1)
-    minus = [group.generator(i) - group.identity() for i in gens]
-    norm = [norm_element(group, i) for i in gens]
+    # entry[i][a_i % 2][sign], sign the parity of a_1 + ... + a_(i-1): +-N_i
+    # or +-(g_i - 1), built once and shared by every entry that holds it.
+    entry = [
+        [(c, -c) for c in (norm_element(group, i), group.generator(i) - group.identity())]
+        for i in range(1, group.r + 1)
+    ]
     row_of = {a: k for k, a in enumerate(_multi_indices(caps, n - 1))}
     cols = _multi_indices(caps, n)
     rows = [{} for _ in row_of]
     for col, a in enumerate(cols):
-        sign = 1
+        sign = 0
         for i, ai in enumerate(a):
             if ai:
-                c = minus[i] if ai % 2 else norm[i]
-                row = row_of[a[:i] + (ai - 1,) + a[i + 1 :]]
-                rows[row][col] = c if sign > 0 else -c
-                if ai % 2:
-                    sign = -sign
+                odd = ai % 2
+                rows[row_of[a[:i] + (ai - 1,) + a[i + 1 :]]][col] = entry[i][odd][sign]
+                sign ^= odd
     return GroupRingMatrix(group, rows, len(row_of), len(cols))
 
 

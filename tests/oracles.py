@@ -387,6 +387,20 @@ def oracle_expand(ring_matrix):
     return out
 
 
+def oracle_antipode_transpose(ring_matrix):
+    """The dual map of a group-ring matrix, entry by entry from scratch:
+    entry (c, b) is entry (b, c) with every group element inverted."""
+    group = ring_matrix.group
+    cols = [{} for _ in range(ring_matrix.cols)]
+    for b, row in enumerate(ring_matrix.entries):
+        for c, entry in row.items():
+            inverted = {
+                group.index_of([-e for e in group.exponents(k)]): v for k, v in entry.terms
+            }
+            cols[c][b] = GroupRingElement(group, inverted)
+    return GroupRingMatrix(group, cols, ring_matrix.cols, ring_matrix.rows)
+
+
 def oracle_homology(complex_, i):
     """Invariants of H_i for a free complex: (torsion list, free rank)."""
     n = complex_.group.order

@@ -100,8 +100,22 @@ def _transpose(m):
     return IntMatrix([list(c) for c in zip(*m.data)], m.cols, m.rows)
 
 
+def _check_unit_rows_cancel(m, units, rng):
+    """Any b with b m = 0 keeps its Smith diagonal without the columns
+    at the unit rows ``units`` reported for ``m``."""
+    left = kernel_basis(_transpose(m))
+    if not left.cols:
+        return
+    mix = IntMatrix([[rng.randint(-3, 3) for _ in range(left.cols)] for _ in range(3)])
+    b = mix.mul(_transpose(left))
+    kept = [{k: v for k, v in row.items() if k not in units} for row in b.sparse_rows()]
+    assert _backend.smith_diagonal(kept, b.cols) == smith_diagonal(b), (m.data, units)
+
+
 def test_smith_diagonal_reports_unit_pivot_rows():
-    assert _kernel_units([[1, 1], [0, 2]], 2) == ([1, 2], [0])
+    # row 1 is {1: 2} once row 0 pivots; divided by its content 2 it is
+    # a unit pivot, and reported
+    assert _kernel_units([[1, 1], [0, 2]], 2) == ([1, 2], [0, 1])
     assert _kernel_units([[2, 0], [0, 3]], 2) == ([1, 6], [])
     # the 1 of [[2, 3]] only appears once the general phase has begun
     assert _kernel_units([[2, 3]], 2) == ([1], [])
@@ -110,8 +124,12 @@ def test_smith_diagonal_reports_unit_pivot_rows():
     # column 2
     assert _kernel_units([[2, 3], [3, 2], [2, 2]], 2) == ([1, 1], [])
     # the +-1 entries of [[1, 1], [1, 2]] appear only once the content 2
-    # is divided out, and are +-2 in the input, so none is reported
-    assert _kernel_units([[2, 2], [2, 4]], 2) == ([2, 2], [])
+    # is divided out; a division scales every live row alike, so the
+    # unit pivots after it are reported
+    assert _kernel_units([[2, 2], [2, 4]], 2) == ([2, 2], [0, 1])
+    # twice the matrix above: the division leaves no +-1 pivot, and the
+    # general phase stops the recording
+    assert _kernel_units([[4, 6], [6, 4], [4, 4]], 2) == ([2, 2], [])
     rng = random.Random(101)
     for _ in range(150):
         m = rand_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
@@ -119,15 +137,7 @@ def test_smith_diagonal_reports_unit_pivot_rows():
         assert got == _backend.smith_diagonal(m.sparse_rows(), m.cols), m.data
         assert len(set(units)) == len(units) <= len(got), (m.data, units)
         assert all(0 <= i < m.rows for i in units), (m.data, units)
-        # any b with b m = 0 keeps its Smith diagonal without the
-        # columns at the reported rows
-        left = kernel_basis(_transpose(m))
-        if not left.cols:
-            continue
-        mix = IntMatrix([[rng.randint(-3, 3) for _ in range(left.cols)] for _ in range(3)])
-        b = mix.mul(_transpose(left))
-        kept = [{k: v for k, v in row.items() if k not in units} for row in b.sparse_rows()]
-        assert _backend.smith_diagonal(kept, b.cols) == smith_diagonal(b), (m.data, units)
+        _check_unit_rows_cancel(m, units, rng)
 
 
 @st.composite
@@ -169,14 +179,7 @@ def test_smith_diagonal_matches_sympy_on_unit_heavy_matrices(drawn):
     want = _sympy_diagonal(m)
     assert got == want
     assert len(set(units)) == len(units) <= len(got)
-    # any b with b m = 0 keeps its Smith diagonal without the columns at
-    # the reported rows
-    left = kernel_basis(_transpose(m))
-    if left.cols:
-        mix = IntMatrix([[rng.randint(-3, 3) for _ in range(left.cols)] for _ in range(3)])
-        b = mix.mul(_transpose(left))
-        kept = [{k: v for k, v in row.items() if k not in units} for row in b.sparse_rows()]
-        assert _backend.smith_diagonal(kept, b.cols) == smith_diagonal(b)
+    _check_unit_rows_cancel(m, units, rng)
 
 
 def _block_diagonal(a, b):
@@ -190,12 +193,14 @@ def _block_diagonal(a, b):
 @settings(max_examples=60)
 @given(unit_heavy_matrices(), unit_heavy_matrices(), st.sampled_from([2, 3, 4, 6]))
 def test_smith_diagonal_divides_out_the_content(first, second, k):
-    # Smith(kA) = k Smith(A), with no unit pivot to report; diag(2A, 3B)
-    # has content 1, so the general phase runs on a mix of both
-    a, b = first[0], second[0]
-    scaled, units = _kernel_units([[k * v for v in row] for row in a.data], a.cols)
+    # Smith(kA) = k Smith(A), and the unit rows taken after the division
+    # still cancel; diag(2A, 3B) has content 1, so the general phase runs
+    # on a mix of both
+    (a, rng), b = first, second[0]
+    ka = IntMatrix([[k * v for v in row] for row in a.data], a.rows, a.cols)
+    scaled, units = _kernel_units(ka.data, a.cols)
     assert scaled == [k * v for v in smith_diagonal(a)]
-    assert units == []
+    _check_unit_rows_cancel(ka, units, rng)
     mix = _block_diagonal(
         IntMatrix([[2 * v for v in row] for row in a.data], a.rows, a.cols),
         IntMatrix([[3 * v for v in row] for row in b.data], b.rows, b.cols),
@@ -308,23 +313,17 @@ def test_peel_phase_keeps_the_smith_diagonal(drawn):
     assert not any(cascade.intersection(row) for row in rows)
     assert not doubled & set(peeled)
     assert units[: len(peeled)] == peeled
-    # any b with b m = 0 keeps its Smith diagonal without the columns at
-    # the reported rows
-    left = kernel_basis(_transpose(m))
-    if left.cols:
-        mix = IntMatrix([[rng.randint(-3, 3) for _ in range(left.cols)] for _ in range(3)])
-        b = mix.mul(_transpose(left))
-        kept = [{k: v for k, v in row.items() if k not in units} for row in b.sparse_rows()]
-        assert _backend.smith_diagonal(kept, b.cols) == smith_diagonal(b)
+    _check_unit_rows_cancel(m, units, rng)
 
 
 def test_peel_leaves_non_unit_singletons_and_drops_dead_columns():
     # [[1, 0], [5, 2], [0, 2]]: row 0 peels column 0, which leaves rows
-    # 1 and 2 as the +-2 singletons {1: 2}, never peeled
+    # 1 and 2 as the +-2 singletons {1: 2}, never peeled; divided by
+    # their content 2, row 1 is a unit pivot
     rows = IntMatrix([[1, 0], [5, 2], [0, 2]]).sparse_rows()
     assert _elim_py._peel(rows) == [0]
     assert rows == [{}, {1: 2}, {1: 2}]
-    assert _kernel_units([[1, 0], [5, 2], [0, 2]], 2) == ([1, 2], [0])
+    assert _kernel_units([[1, 0], [5, 2], [0, 2]], 2) == ([1, 2], [0, 1])
     # a cascade peels whole, in order
     assert _kernel_units([[1, 0, 0], [3, -1, 0], [2, 7, 1]], 3) == ([1, 1, 1], [0, 1, 2])
 

@@ -25,7 +25,7 @@ from tatekit.modpres import (
 from tatekit.resolve import resolution_step, syzygy
 from tatekit.tate import _presentation_lattices
 
-from oracles import DenseIntMatrix, oracle_homology, tensor_complex
+from oracles import DenseIntMatrix, oracle_antipode_transpose, oracle_homology, tensor_complex
 
 
 def two_periodic_circle(p):
@@ -297,6 +297,20 @@ def test_dual_complex_squares_to_zero_and_reflects_degrees():
     # circle dualizes to the same cohomology: H^0 = Z, H^1 = Z
     assert homology(d, -1).free_rank == 1
     assert homology(d, 0).free_rank == 1
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]),
+    st.lists(st.integers(0, 3), min_size=2, max_size=4),
+    st.integers(0, 30),
+)
+def test_dual_complex_dualizes_each_map_entrywise(pr, ranks, seed):
+    c = _random_complex(pr, ranks, seed)
+    d = dual_complex(c)
+    assert {i: d.rank(-i) for i in c.degrees()} == {i: c.rank(i) for i in c.degrees()}
+    for i, di in c.diffs.items():
+        assert d.differential(1 - i) == oracle_antipode_transpose(di), i
 
 
 def test_tensor_complex_kunneth_on_circles():

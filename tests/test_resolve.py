@@ -17,6 +17,7 @@ from tatekit.exactlin import (
 from tatekit.gallery import product_complex
 from tatekit.groupring import (
     ElementaryAbelianGroup,
+    GroupRingElement,
     GroupRingMatrix,
     full_norm,
     norm_element,
@@ -36,7 +37,7 @@ from tatekit.resolve import (
 )
 from tatekit.tate import tate_cohomology_range
 
-from oracles import oracle_product_complex
+from oracles import oracle_antipode_transpose, oracle_product_complex
 
 
 def test_periodic_resolution_ranks_and_exactness():
@@ -343,7 +344,7 @@ def test_lift_chain_map_through_a_proper_generator_subset():
 
 
 def _clear_resolve_caches():
-    for cached in (resolve._check_strand, resolve._differential):
+    for cached in (resolve._check_strand, resolve._differential, resolve._multi_indices):
         cached.cache_clear()
 
 
@@ -611,6 +612,30 @@ def test_strand_follows_an_over_budget_group(cold_resolve, monkeypatch):
     for i in range(-4, 5):
         want = AbelianInvariants((5,) if i % 2 == 0 else ())
         assert table.invariant(i) == want, i
+
+
+@pytest.mark.parametrize("p, r, k", [(2, 1, 6), (2, 3, 5), (3, 2, 4), (5, 2, 3), (2, 4, 3)])
+def test_negative_degrees_invert_each_distinct_entry_once(p, r, k, cold_resolve, monkeypatch):
+    # d_(-n) dualizes d_n, whose at most 4r distinct entries are
+    # +-(g_i - 1) and +-N_i: from cold caches each is inverted once, and
+    # d_(-n) is still the entrywise antipode-transpose
+    calls = []
+    real = GroupRingElement.antipode
+
+    def counted(self):
+        calls.append(self.terms)
+        return real(self)
+
+    monkeypatch.setattr(GroupRingElement, "antipode", counted)
+    w = complete_resolution(ElementaryAbelianGroup(p, r), -k, k)
+    start = 0
+    for n in range(k - 1, 0, -1):  # the window dualizes d_(k-1) first
+        distinct = {e.terms for row in w.differential(n).entries for e in row.values()}
+        assert len(distinct) <= 4 * r, n
+        assert set(calls[start : start + len(distinct)]) == distinct, n
+        start += len(distinct)
+        assert w.differential(-n) == oracle_antipode_transpose(w.differential(n)), n
+    assert start == len(calls)
 
 
 def test_differential_hands_out_only_checked_maps(cold_resolve, monkeypatch):

@@ -4,11 +4,13 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from tatekit import tate
 from tatekit._backend import smith_diagonal
 from tatekit.errors import InfiniteLength, NotConcentrated
-from tatekit.exactlin import INFINITE, AbelianInvariants, IntMatrix
+from tatekit.exactlin import INFINITE, AbelianInvariants, IntMatrix, chain_diagonals
 from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup, GroupRingElement, GroupRingMatrix
 from tatekit.modpres import (
@@ -374,6 +376,47 @@ def test_cancelled_table_matches_full_reduction(pr, ranks, seed, n):
         window = complete_resolution(g, lo - 1, hi + 1)
         lattices = _presentation_lattices(m)
         assert _table(window, lattices, lo, hi) == _full_table(window, lattices, lo, hi)
+
+
+def _recording(maps, sent):
+    """``maps``, with every set sent into it appended to ``sent``."""
+    cancelled = None
+    while True:
+        try:
+            item = maps.send(cancelled)
+        except StopIteration:
+            return
+        cancelled = yield item
+        sent.append(cancelled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]),
+    st.booleans(),
+    st.integers(-4, 2),
+    st.integers(0, 3),
+)
+def test_chain_diagonals_of_trivial_coefficient_tables_match_sympy(pr, fp, lo, width):
+    # over trivial Z every coboundary has entries 0 and +-p only, so each
+    # map is divided by its content p before any unit pivot, and the
+    # chain cancels with the unit rows taken after the division; each
+    # diagonal is still sympy's diagonal of the whole map
+    g = ElementaryAbelianGroup(*pr)
+    m = ModulePresentation(g, 1, IntMatrix([[g.p]])) if fp else trivial_module(g)
+    hi = lo + width
+    lattices = _presentation_lattices(m)
+    window = complete_resolution(g, lo - 1, hi + max(lattices))
+    whole = list(_total_maps(window, lattices, lo, hi))
+    want = [
+        [int(f) for f in invariant_factors(Matrix(len(rows), dim, lambda i, j: rows[i].get(j, 0)),
+                                           domain=ZZ) if f]
+        for rows, dim in whole
+    ]
+    sent = []
+    assert list(chain_diagonals(_recording(_total_maps(window, lattices, lo, hi), sent))) == want
+    if not fp:
+        assert any(sent) == any(any(rows) for rows, _ in whole)
 
 
 def _drawn_maps(window, lattices, lo, hi, pick):

@@ -16,10 +16,13 @@ diagonals sorted.  A refactor that leaves the elimination work alone
 prints the same lines before and after; when the input digest changes,
 the nonzero count shows whether the kernels were handed more or less.
 A change of pivot order legitimately moves the input digest of later
-kernel calls, and a chain read in the other direction (its maps
-transposed) moves the call order and so ``out``, but the diagonals are
-invariants of each map, so the ``sorted`` digest must not move while
-the same maps are reduced.  A change that reduces fewer maps, such as a
+kernel calls.  So does a kernel that reports more unit pivot rows: a
+chain then hands the next map fewer columns, which moves the input
+digest and lowers the nonzero count, but never ``out`` or ``sorted``.
+A chain read in the other direction (its maps transposed) moves the
+call order and so ``out``, but the diagonals are invariants of each
+map, so the ``sorted`` digest must not move while the same maps are
+reduced.  A change that reduces fewer maps, such as a
 table that no longer reads its top map or a certificate that checks a
 map's entries against a rule instead of reducing its expansion,
 legitimately moves ``sorted`` too; then the call count and the tables
