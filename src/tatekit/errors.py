@@ -47,14 +47,6 @@ class InfiniteLength(TatekitError):
     """An operation needs a bounded complex but got a window of one."""
 
 
-class LiftObstruction(TatekitError):
-    """A chain-map lift does not exist at some degree."""
-
-    def __init__(self, message, degree=None):
-        super().__init__(message)
-        self.degree = degree
-
-
 class GapViolation(TatekitError):
     """Gluing requires vanishing homology strictly between the two degrees."""
 

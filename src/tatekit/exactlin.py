@@ -53,7 +53,9 @@ class IntMatrix:
         if rows is None:
             rows = len(data)
         if cols is None:
-            cols = len(data[0]) if rows else 0
+            cols = len(data[0]) if data else 0
+        if len(data) != rows and cols:  # a k x 0 matrix may omit its empty rows
+            raise ValueError(f"got {len(data)} data rows for a {rows}-row matrix")
         self.rows = rows
         self.cols = cols
         self.columns = [{} for _ in range(cols)]

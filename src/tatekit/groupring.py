@@ -16,10 +16,10 @@ representation, one |G| x |G| block per entry, read off one translation
 row h -> g h per term g, and is the only code that writes that
 expansion; ``sparse_columns`` transposes it, and ``expand`` is those
 columns as an ``IntMatrix``.  The identity-basis columns of the
-expansion carry the ring data: ``encode_columns`` writes them and
-``decode_columns`` reads them back, which is how every module-level
-computation round-trips.  ``act_rows`` applies a group generator to
-ZG^k as a permutation of rows.
+expansion carry the ring data, and ``decode_columns`` reads them back:
+it turns integer vectors, such as cycles, into the group-ring columns
+that map free generators onto them.  ``act_rows`` applies a group
+generator to ZG^k as a permutation of rows.
 """
 
 from .errors import ResourceLimit
@@ -364,25 +364,12 @@ class GroupRingMatrix:
         return f"GroupRingMatrix({self.group!r}, rows={self.rows}, cols={self.cols})"
 
 
-def encode_columns(ring_matrix):
-    """Identity-basis columns of the expansion of a group-ring matrix:
-    column c of the result stacks the coefficients of column c."""
-    n = ring_matrix.group.order
-    cols = [{} for _ in range(ring_matrix.cols)]
-    for b, row in enumerate(ring_matrix.entries):
-        for c, e in row.items():
-            col = cols[c]
-            for h, v in e.terms:
-                col[b * n + h] = v
-    return IntMatrix.from_sparse(cols, ring_matrix.rows * n)
-
-
 def decode_columns(group, mat, row_blocks):
-    """Inverse of :func:`encode_columns`.
+    """The group-ring matrix whose expansion agrees with ``mat`` on
+    identity-basis columns.
 
     ``mat`` has ``row_blocks * |G|`` rows; column ``c`` is read as the
-    image of a free-module generator, giving the group-ring matrix
-    whose expansion agrees with ``mat`` on identity-basis columns.
+    image of a free-module generator.
     """
     n = group.order
     if mat.rows != row_blocks * n:

@@ -275,7 +275,9 @@ class FreeChainComplex:
     ``ranks`` maps degree to a nonnegative rank, zero ranks dropped;
     ``diffs`` maps degree i to the GroupRingMatrix of d_i : degree i ->
     degree i-1.  ``d o d = 0`` is checked in the group ring on
-    construction, except for a ``_Window``, exact as built.
+    construction, except for a ``_Window``, exact as built; the
+    intermediate complexes of ``surgery.glue``, built without maps and
+    given them after, are checked once glued.
     """
 
     def __init__(self, group, ranks, diffs):

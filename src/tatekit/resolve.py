@@ -35,20 +35,12 @@ No |G|-fold expansion is reduced.
 from functools import cache
 from math import comb
 
-from .errors import LiftObstruction, NoSolution
-from .exactlin import (
-    IntMatrix,
-    kernel_basis,
-    lattice_basis,
-    solve_in_lattice,
-    solve_preimage,
-)
+from .errors import NoSolution
+from .exactlin import IntMatrix, kernel_basis, lattice_basis, solve_in_lattice
 from .groupring import (
     ElementaryAbelianGroup,
     GroupRingMatrix,
     act_rows,
-    decode_columns,
-    encode_columns,
     full_norm,
     norm_element,
 )
@@ -255,39 +247,3 @@ def syzygy(module, n):
     for _ in range(n):
         current = resolution_step(current).kernel
     return current
-
-
-def lift_chain_map(resolution, complex_, m, n, cycle_basis):
-    """Lift the identity on H_m through a partial free resolution.
-
-    ``resolution`` has degrees m..n-1 and resolves H_m(complex_); its
-    degree-m generators correspond to the columns of ``cycle_basis``
-    (expanded cycle representatives in degree m of ``complex_``).
-    Returns group-ring matrices f_m..f_{n-1} with d o f_{i} = f_{i-1} o d
-    and f_m the inclusion of the chosen cycles.
-    """
-    group = complex_.group
-    for k in range(m + 1, n):
-        if not homology(complex_, k).is_trivial():
-            raise LiftObstruction(
-                f"homology of the target is nonzero at degree {k}", degree=k
-            )
-    maps = [decode_columns(group, cycle_basis, complex_.rank(m))]
-    for i in range(m + 1, n):
-        df = resolution.differential(i)
-        if df is None:
-            maps.append(
-                GroupRingMatrix.zero(
-                    group, complex_.rank(i), resolution.rank(i)
-                )
-            )
-            continue
-        rhs = encode_columns(maps[-1].mul(df))
-        try:
-            sol = solve_preimage(complex_.expanded(i), rhs)
-        except NoSolution as exc:
-            raise LiftObstruction(
-                f"no preimage when lifting to degree {i}: {exc}", degree=i
-            ) from exc
-        maps.append(decode_columns(group, sol, complex_.rank(i)))
-    return maps

@@ -1,11 +1,19 @@
 """Gluing of homology up a free complex, and its consequences.
 
-glue(C, m, n) kills H_m by resolving it freely through degrees m..n-1,
-lifting the resolution into C, and taking the mapping cone.  The
-certificate re-verifies the three structural claims: homology outside
-[m, n] untouched, homology inside killed, and H_n(D) an extension of
-the syzygy of H_m(C) by H_n(C) -- witnessed by an explicitly
-constructed short exact sequence, not just order bookkeeping.
+glue(C, m, n) kills H_m in n - m attachments: for k = m, ..., n - 1
+it covers H_k of the complex so far by ``resolution_step`` and attaches
+one free cell in degree k + 1 per chosen generator, bounding its
+cycle.  H_k is then 0, and as H_(k+1)(C) = 0 for k + 1 < n, the new
+homology at k + 1 is exactly the kernel of the cover, which the next
+attachment covers in turn: the cells are a free resolution of H_m,
+and the result is the mapping cone of its lift into C, D_i being C_i
+followed by the new cells.  A new cell bounds a cycle, so d o d = 0
+holds by construction and is checked once, when the returned cone is
+built.  The certificate re-verifies the three structural claims:
+homology outside [m, n] untouched, homology inside killed, and H_n(D)
+an extension of the syzygy of H_m(C) by H_n(C) -- witnessed by an
+explicitly constructed short exact sequence, not just order
+bookkeeping.
 
 glue_rows iterates glue over a schedule; dimension_rows produces the
 degree rows of a product of spheres; filtration_exponent_check and
@@ -41,7 +49,7 @@ from .modpres import (
     homology,
     homology_module,
 )
-from .resolve import lift_chain_map, resolution_step
+from .resolve import resolution_step
 from .tate import tate_cohomology
 
 
@@ -94,67 +102,35 @@ class GluingCertificate:
         return f"GluingCertificate(m={self.m}, n={self.n}, {state})"
 
 
-def _resolve_through(complex_, m, n):
-    """Partial free resolution of H_m(complex_) in degrees m..n-1.
+def _attach(complex_, k):
+    """Cover H_k(complex_) by free cells in degree k + 1.
 
-    Returns the resolution, the cycle basis presenting its degree-m
-    generators inside complex_, and the kernel lattice of the last
-    step (the (n-m)-th syzygy of H_m, up to free summands).  Each
-    degree covers the previous kernel by the generators its
-    resolution step chose, so d_(m+s) sends them to the matching
-    columns of the previous kernel basis.
+    One cell per generator that ``resolution_step`` chooses, bounding
+    its cycle: d_(k+1) gains one column per cell and d_(k+2) one zero
+    row.  Returns the step and a plain complex, its degree k + 1 the old
+    cells followed by the new ones, which is not checked again: d o d = 0
+    by construction.
     """
     group = complex_.group
-    cycles, current = _homology_data(complex_, m)
-    steps = []
-    for _ in range(n - m):
-        step = resolution_step(current)
-        steps.append(step)
-        current = step.kernel
-    cycles = cycles.submatrix(range(cycles.rows), steps[0].generators)
-    ranks = {m + s: step.rank for s, step in enumerate(steps)}
-    diffs = {}
-    for s in range(1, n - m):
-        prev, step = steps[s - 1], steps[s]
-        basis = prev.kernel_basis
-        chosen = basis.submatrix(range(basis.rows), step.generators)
-        diffs[m + s] = decode_columns(group, chosen, prev.rank)
-    resolution = FreeChainComplex(group, ranks, diffs)
-    return resolution, cycles, steps[-1].kernel_basis
-
-
-def _mapping_cone(complex_, resolution, maps, m, n):
-    """The cone D_i = C_i + F_{i-1} of the lifted chain map."""
-    group = complex_.group
-    lo = min(complex_.lo, m)
-    hi = max(complex_.hi, n)
-    ranks = {}
-    for i in range(lo, hi + 1):
-        k = complex_.rank(i) + resolution.rank(i - 1)
-        if k:
-            ranks[i] = k
-    diffs = {}
-    for i in range(lo + 1, hi + 1):
-        rc_t = complex_.rank(i - 1)
-        rf_t = resolution.rank(i - 2)
-        rc_s = complex_.rank(i)
-        rf_s = resolution.rank(i - 1)
-        if (rc_t + rf_t) == 0 or (rc_s + rf_s) == 0:
-            continue
-        rows = [{} for _ in range(rc_t + rf_t)]
-        dc = complex_.differential(i)
-        if dc is not None:
-            for row, d_row in zip(rows, dc.entries):
-                row.update(d_row)
-        if rf_s and m <= i - 1 <= n - 1:
-            for row, f_row in zip(rows, maps[i - 1 - m].entries):
-                row.update((rc_s + b, e) for b, e in f_row.items())
-        df = resolution.differential(i - 1)
-        if df is not None:
-            for row, d_row in zip(rows[rc_t:], df.entries):
-                row.update((rc_s + b, -e) for b, e in d_row.items())
-        diffs[i] = GroupRingMatrix(group, rows, rc_t + rf_t, rc_s + rf_s)
-    return FreeChainComplex(group, ranks, diffs)
+    cycles, module = _homology_data(complex_, k)
+    step = resolution_step(module)
+    ranks, diffs = dict(complex_.ranks), dict(complex_.diffs)
+    if step.rank:
+        below, old = complex_.rank(k), complex_.rank(k + 1)
+        chosen = cycles.submatrix(range(cycles.rows), step.generators)
+        d = complex_.differential(k + 1)
+        rows = [{} for _ in range(below)] if d is None else [dict(r) for r in d.entries]
+        for row, cell in zip(rows, decode_columns(group, chosen, below).entries):
+            row.update((old + j, e) for j, e in cell.items())
+        ranks[k + 1] = old + step.rank
+        diffs[k + 1] = GroupRingMatrix(group, rows, below, ranks[k + 1])
+        up = complex_.differential(k + 2)
+        if up is not None:
+            rows = up.entries + [{}] * step.rank
+            diffs[k + 2] = GroupRingMatrix(group, rows, ranks[k + 1], up.cols)
+    out = FreeChainComplex(group, ranks, {})  # no maps, so nothing to check
+    out.diffs = diffs
+    return out, step
 
 
 def _verify_ses(complex_, cone, n, top_basis):
@@ -197,9 +173,13 @@ def _verify_ses(complex_, cone, n, top_basis):
 def glue(complex_, m, n):
     """Kill H_m by gluing it to degree n along a free resolution.
 
-    Returns the mapping cone D together with a certificate verifying
-    that homology outside [m, n] is unchanged, homology at m..n-1 is
-    gone, and H_n(D) extends the (n-m)-th syzygy of H_m(C) by H_n(C).
+    Attaches cells in degrees m+1..n, one degree at a time (see the
+    module docstring): the last step's kernel lattice is the (n-m)-th
+    syzygy of H_m(C) inside the new cells of degree n.  Returns the
+    cone D, a plain ``FreeChainComplex`` whose constructor checks
+    d o d = 0, together with a certificate verifying that homology
+    outside [m, n] is unchanged, homology at m..n-1 is gone, and H_n(D)
+    extends that syzygy by H_n(C).
     """
     if m >= n:
         raise ValueError("glue needs m < n")
@@ -211,9 +191,11 @@ def glue(complex_, m, n):
                 f"{m} to {n}",
                 degree=k,
             )
-    resolution, cycles, top_basis = _resolve_through(complex_, m, n)
-    maps = lift_chain_map(resolution, complex_, m, n, cycles)
-    cone = _mapping_cone(complex_, resolution, maps, m, n)
+    cone = complex_
+    for k in range(m, n):
+        cone, step = _attach(cone, k)
+    cone = FreeChainComplex(cone.group, cone.ranks, cone.diffs)
+    top_basis = step.kernel_basis
 
     # m and n may lie outside both supports, where H_m = 0
     lo = min(complex_.lo, cone.lo, m)

@@ -14,8 +14,9 @@ complete resolution instead, so each checks the other.
 integer matrices and lattice solvers as they were before matrices kept
 sparse columns: dense row lists, with the same elimination kernels.
 ``oracle_random_free_complex`` is ``random_free_complex`` written on
-them.  The sparse code is checked against them.  Slow and simple on
-purpose.
+them.  The sparse code is checked against them.  ``encode_columns``
+writes the identity-basis columns that ``groupring.decode_columns``
+reads back.  Slow and simple on purpose.
 """
 
 import random
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from tatekit import _elim_py
 from tatekit.errors import NoSolution, SublatticeViolation
-from tatekit.exactlin import homology_invariants
+from tatekit.exactlin import IntMatrix, homology_invariants
 from tatekit.groupring import (
     ElementaryAbelianGroup,
     GroupRingElement,
@@ -385,6 +386,20 @@ def oracle_expand(ring_matrix):
                     ]
                     out[b * n + group.index_of(prod)][c * n + h] += v
     return out
+
+
+def encode_columns(ring_matrix):
+    """Identity-basis columns of the expansion of a group-ring matrix:
+    column c of the result stacks the coefficients of column c.  The
+    round-trip reference for ``groupring.decode_columns``."""
+    n = ring_matrix.group.order
+    cols = [{} for _ in range(ring_matrix.cols)]
+    for b, row in enumerate(ring_matrix.entries):
+        for c, e in row.items():
+            col = cols[c]
+            for h, v in e.terms:
+                col[b * n + h] = v
+    return IntMatrix.from_sparse(cols, ring_matrix.rows * n)
 
 
 def oracle_antipode_transpose(ring_matrix):

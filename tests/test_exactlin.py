@@ -611,6 +611,16 @@ def _same_outcome(sparse, dense):
     return _same(sparse[1], dense[1])
 
 
+def test_int_matrix_rejects_a_data_row_count_other_than_rows():
+    with pytest.raises(ValueError, match="got 3 data rows for a 2-row matrix"):
+        IntMatrix([[1, 2], [3, 4], [5, 6]], 2, 2)
+    with pytest.raises(ValueError, match="got 1 data rows for a 3-row matrix"):
+        IntMatrix([[1, 2]], 3, 2)
+    # a k x 0 matrix may omit its empty rows
+    assert IntMatrix([], 3, 0) == IntMatrix([], 3) == IntMatrix.zeros(3, 0)
+    assert IntMatrix([[], []], 2, 0).data == [[], []]
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.data())
 def test_sparse_matrix_algebra_matches_dense(data):

@@ -14,7 +14,6 @@ from tatekit.groupring import (
     act_rows,
     antipode,
     decode_columns,
-    encode_columns,
     full_norm,
     norm_element,
 )
@@ -22,7 +21,7 @@ from tatekit.groupring import (
 from tatekit.modpres import FreeChainComplex
 from tatekit.resolve import _differential
 
-from oracles import oracle_expand
+from oracles import encode_columns, oracle_expand
 
 
 def rand_element(rng, group, lo=-3, hi=3):

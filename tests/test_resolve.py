@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from tatekit import _backend, groupring, resolve
 from tatekit._backend import smith_diagonal
-from tatekit.errors import LiftObstruction, WindowViolation
+from tatekit.errors import WindowViolation
 from tatekit.exactlin import (
     AbelianInvariants,
     IntMatrix,
@@ -31,7 +31,6 @@ from tatekit.modpres import (
 )
 from tatekit.resolve import (
     complete_resolution,
-    lift_chain_map,
     resolution_step,
     syzygy,
 )
@@ -207,44 +206,6 @@ def test_syzygy_of_cyclic_group_is_periodic():
     assert o2.invariants().torsion == ()
 
 
-def test_lift_chain_map_commutes():
-    # the sphere complex of lens(2,3) is exact in degrees 1..4, so the
-    # identity on H_0 lifts across 0..4; check every square on the nose
-    from tatekit.gallery import lens_complex
-    from tatekit.surgery import _resolve_through
-
-    c = lens_complex(2, 3)
-    resolution, cycles, top_basis = _resolve_through(c, 0, 4)
-    maps = lift_chain_map(resolution, c, 0, 4, cycles)
-    assert len(maps) == 4  # f_0 .. f_3
-    for i in range(1, 4):
-        lhs = c.differential(i).mul(maps[i])
-        rhs = maps[i - 1].mul(resolution.differential(i))
-        assert lhs == rhs, i
-    # f_0 includes the chosen cycles: identity-basis columns agree
-    f0 = maps[0].expand()
-    for col in range(cycles.cols):
-        got = [f0.data[i][col * c.group.order] for i in range(f0.rows)]
-        want = [cycles.data[i][col] for i in range(cycles.rows)]
-        assert got == want
-
-
-def test_lift_obstruction_when_gap_has_homology():
-    from tatekit.modpres import _homology_data
-
-    g = ElementaryAbelianGroup(2, 1)
-    # no differentials at all: H_1 = ZG is stuck in the gap
-    c = FreeChainComplex(g, {0: 1, 1: 1, 2: 1}, {})
-    cycles, _ = _homology_data(c, 0)
-    w = complete_resolution(g, 0, 3)
-    try:
-        lift_chain_map(w, c, 0, 2, cycles)
-    except LiftObstruction as exc:
-        assert exc.degree == 1
-    else:
-        raise AssertionError("expected LiftObstruction")
-
-
 def test_resolution_step_on_presented_torsion_module():
     g = ElementaryAbelianGroup(2, 1)
     m = ModulePresentation(g, 1, IntMatrix([[2]]))
@@ -319,28 +280,6 @@ def test_resolution_step_of_free_module_is_free():
     assert step.generators == [0, g.order]
     assert step.kernel.gens == 0
     assert step.kernel_basis.cols == 0
-
-
-def test_lift_chain_map_through_a_proper_generator_subset():
-    # H_1 of this product has 17 Z-generators but one generates it over
-    # ZG; the lift and the glue must follow the chosen subset
-    from tatekit.gallery import product_complex
-    from tatekit.modpres import homology_module
-    from tatekit.surgery import _resolve_through, glue
-
-    c = product_complex(2, [2, 2, 1])
-    h1 = homology_module(c, 1)
-    assert h1.gens == 17
-    assert len(resolution_step(h1).generators) < h1.gens
-    resolution, cycles, _ = _resolve_through(c, 1, 3)
-    assert [resolution.rank(i) for i in (1, 2)] == [1, 3]
-    assert cycles.cols == 1
-    maps = lift_chain_map(resolution, c, 1, 3, cycles)
-    lhs = c.differential(2).mul(maps[1])
-    rhs = maps[0].mul(resolution.differential(2))
-    assert lhs == rhs
-    _, cert = glue(c, 1, 3)
-    assert cert.ok
 
 
 def _clear_resolve_caches():

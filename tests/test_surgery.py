@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatekit import surgery
 from tatekit.errors import (
@@ -11,7 +13,7 @@ from tatekit.errors import (
     NotNonnegative,
 )
 from tatekit.exactlin import IntMatrix, exponent
-from tatekit.gallery import lens_complex, product_complex
+from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup
 from tatekit.modpres import (
     FreeChainComplex,
@@ -26,7 +28,10 @@ from tatekit.surgery import (
     glue,
     glue_rows,
 )
+from tatekit.resolve import resolution_step
 from tatekit.tate import tate_cohomology
+
+from oracles import oracle_homology
 
 
 def test_glue_collapses_the_range_and_certifies():
@@ -80,6 +85,75 @@ def test_glue_requires_trivial_homology_in_the_gap():
         assert exc.degree == 1
     else:
         raise AssertionError("expected GapViolation")
+
+
+def test_glue_covers_h1_by_a_proper_generator_subset():
+    # H_1 of this product has 17 Z-generators but one generates it over
+    # ZG: glue attaches one cell for it in degree 2, then three cells in
+    # degree 3 for the kernel of that cover
+    c = product_complex(2, [2, 2, 1])
+    h1 = homology_module(c, 1)
+    assert h1.gens == 17
+    assert resolution_step(h1).generators == [0]
+    d, cert = glue(c, 1, 3)
+    assert [d.rank(i) - c.rank(i) for i in range(8)] == [0, 0, 1, 3, 0, 0, 0, 0]
+    assert [d.rank(i) for i in range(8)] == [1, 3, 6, 10, 7, 5, 3, 1]
+    assert cert.ok
+
+
+_GALLERY = [
+    lens_complex(2, 2),
+    lens_complex(3, 2),
+    product_complex(2, [1, 1]),
+    product_complex(2, [2, 1]),
+    product_complex(3, [1, 1]),
+]
+
+
+def _leading_block(d, rows, cols):
+    return [{j: e for j, e in row.items() if j < cols} for row in d.entries[:rows]]
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(
+        st.builds(
+            random_free_complex,
+            st.sampled_from([(2, 1), (3, 1), (2, 2)]).map(
+                lambda pr: ElementaryAbelianGroup(*pr)
+            ),
+            st.lists(st.integers(0, 3), min_size=2, max_size=5),
+            st.integers(0, 30),
+        ),
+        st.sampled_from(_GALLERY),
+    )
+)
+def test_glue_by_attached_cells_matches_the_oracle(c):
+    # every glue whose gap has zero homology: the cone's homology is the
+    # oracle's at every degree, the certificate holds, and the cone is C
+    # with free cells attached in degrees m+1..n only, C a subcomplex
+    lo, hi = c.lo, c.hi + 1
+    for m in range(lo, hi):
+        for n in range(m + 1, hi + 1):
+            if any(not homology(c, k).is_trivial() for k in range(m + 1, n)):
+                continue
+            d, cert = glue(c, m, n)
+            assert cert.ok, (m, n)
+            for i in range(d.lo - 1, d.hi + 2):
+                torsion, free = oracle_homology(d, i)
+                h = homology(d, i)
+                assert (h.torsion, h.free_rank) == (tuple(torsion), free), (m, n, i)
+            for i in range(min(c.lo, d.lo) - 1, max(c.hi, d.hi) + 2):
+                assert d.rank(i) >= c.rank(i), (m, n, i)
+                assert d.rank(i) == c.rank(i) or m < i <= n, (m, n, i)
+                dd, dc = d.differential(i), c.differential(i)
+                if dd is None:
+                    assert dc is None, (m, n, i)
+                    continue
+                want = dc.entries if dc is not None else [{}] * c.rank(i - 1)
+                assert _leading_block(dd, c.rank(i - 1), c.rank(i)) == want, (m, n, i)
+                for row in dd.entries[c.rank(i - 1) :]:
+                    assert all(j >= c.rank(i) for j in row), (m, n, i)
 
 
 def test_glue_rejects_bad_degrees():
@@ -330,11 +404,14 @@ def _last_dropped(basis):
 )
 def test_ses_certificate_rejects_a_wrong_syzygy_basis(c, m, n, tamper):
     # the exact sequence 0 -> H_n(C) -> H_n(D) -> Omega^(n-m) H_m(C) -> 0
-    # holds with the syzygy lattice of the resolution, and fails with a
-    # proper sublattice of it or one lattice vector short
-    resolution, cycles, top_basis = surgery._resolve_through(c, m, n)
-    maps = surgery.lift_chain_map(resolution, c, m, n, cycles)
-    cone = surgery._mapping_cone(c, resolution, maps, m, n)
+    # holds with the kernel lattice of the last attach step, on the cone
+    # that glue returns, and fails with a proper sublattice of it or one
+    # lattice vector short
+    cone = c
+    for k in range(m, n):
+        cone, step = surgery._attach(cone, k)
+    assert cone.diffs == glue(c, m, n)[0].diffs
+    top_basis = step.kernel_basis
     assert top_basis.cols
     assert surgery._verify_ses(c, cone, n, top_basis)
     assert not surgery._verify_ses(c, cone, n, tamper(top_basis))
