@@ -14,12 +14,13 @@ has cancelled the previous map's unit pivots, most maps are nearly all
 such collapses.  The unit phase that follows takes the pivots, not the
 entries: it queues rows, each at most once, and in each popped row
 pivots on the +-1 entry whose column has the fewest live rows, a local
-Markowitz choice that costs one pass over the row.  Before its general
-phase it divides out the content, the gcd of the live entries, since
-Smith(gA) = g Smith(A) (Dumas, Saunders & Villard, J. Symbolic Comput.
-32, 2001): a Tate coboundary with trivial coefficients has entries 0
-and +-p only, and divided by p it is all unit pivots, which still
-cancel columns of the next map of a chain.
+Markowitz choice that costs one pass over the row.  When no +-1 is
+left, it queues every live row again and divides out the content, the
+gcd of the live entries, before its general phase, whose row updates
+are ``hermite``'s, since Smith(gA) = g Smith(A) (Dumas, Saunders &
+Villard, J. Symbolic Comput. 32, 2001): a Tate coboundary with trivial
+coefficients has entries 0 and +-p only, and divided by p it is all
+unit pivots, which still cancel columns of the next map of a chain.
 """
 
 from collections import defaultdict, deque
@@ -153,12 +154,13 @@ def smith_diagonal(rows, ncols, unit_rows=None):
     operation gives it a new +-1 entry.  In a popped live row it pivots
     on the +-1 entry whose column has the fewest live rows (a local
     Markowitz choice, no heap), then clears that column.  When no live
-    row has a +-1 entry, the live rows form a direct summand.  If the
-    gcd g of their entries (read until it is 1) exceeds 1, they are
-    divided by g, a running scale is multiplied by g, and the unit
-    phase resumes on them; every later pivot v is recorded as
-    scale * v.  Otherwise the general phase pivots on the smallest
-    remaining entry, and the unit phase resumes.
+    row has a +-1 entry, the live rows form a direct summand, and they
+    are all queued again, in index order.  If the gcd g of their
+    entries (read until it is 1) exceeds 1, they are divided by g, a
+    running scale is multiplied by g, and the unit phase resumes on
+    them; every later pivot v is recorded as scale * v.  Otherwise the
+    general phase pivots on the smallest remaining entry, updating rows
+    by ``hermite``'s ``_axpy``, and the unit phase resumes.
 
     If ``unit_rows`` is a list, the row index of every +-1 pivot taken
     before the first general (non-unit) pivot is appended to it, in
@@ -192,21 +194,6 @@ def smith_diagonal(rows, ncols, unit_rows=None):
     queued = [False] * nrows
     for i in queue:
         queued[i] = True
-
-    def axpy(r, src, coef):
-        target = rows[r]
-        for k, v in rows[src].items():
-            new = target.get(k, 0) + coef * v
-            if new:
-                if k not in target:
-                    col_rows.setdefault(k, set()).add(r)
-                target[k] = new
-                if (new == 1 or new == -1) and not queued[r]:
-                    queued[r] = True
-                    queue.append(r)
-            elif k in target:
-                del target[k]
-                col_rows[k].discard(r)
 
     def retire(i):
         for k in rows[i]:
@@ -276,7 +263,12 @@ def smith_diagonal(rows, ncols, unit_rows=None):
         if best is None:
             break
         g, i, c = best
+        # The unit phase resumes on every live row, in index order, after
+        # a content division or a general pivot.
         live = [r for r in range(nrows) if row_alive[r] and rows[r]]
+        for r in live:
+            queued[r] = True
+        queue.extend(live)
         for r in live:
             if g == 1:
                 break
@@ -291,8 +283,6 @@ def smith_diagonal(rows, ncols, unit_rows=None):
                 row = rows[r]
                 for k in row:
                     row[k] //= g
-                queued[r] = True
-            queue.extend(live)
             continue
         # From here on rows are combined with non-unit pivot rows, so
         # later unit pivots are not recorded.
@@ -308,7 +298,7 @@ def smith_diagonal(rows, ncols, unit_rows=None):
                 for r in sorted(live - {r0}):
                     q = rows[r][c] // v0
                     if q:
-                        axpy(r, r0, -q)
+                        _axpy(rows, col_rows, r, r0, -q, ncols)
             (i,) = live
             if rows[i][c] < 0:
                 _negate_row(rows[i])
@@ -346,7 +336,7 @@ def smith_diagonal(rows, ncols, unit_rows=None):
                 tail.append(scale * v)
                 retire(i)
                 break
-            axpy(i, violator, 1)
+            _axpy(rows, col_rows, i, violator, 1, ncols)
 
     # Each recorded pivot divides every later one, so sorting puts the
     # units of each scale in their place in the chain.

@@ -5,18 +5,19 @@ ordered lexicographically; the element with exponents (e_1, ..., e_r)
 sits at index e_1*p^(r-1) + ... + e_r.  A ring element keeps only its
 terms, the (index, coefficient) pairs with nonzero coefficient, indices
 ascending.  Products work on indices: the product of the elements at
-i and j is at i XOR j for p = 2, and at the digitwise sum mod p of i
-and j in base p otherwise, so no ring operation allocates |G| entries.
+i and j sits at entry j of the translation row h -> i h of i, which the
+group caches and the expansion reads too.
 
 A ``GroupRingMatrix`` keeps only its nonzero entries, one
 ``{col: element}`` dict per row, so products, duals and expansions cost
 O(nnz).  ``GroupRingMatrix.sparse_rows`` turns a ring matrix into the
 sparse rows of an integer matrix through the left regular
-representation, one |G| x |G| block per entry, read off one translation
-row h -> g h per term g, and is the only code that writes that
-expansion; ``sparse_columns`` transposes it, and ``expand`` is those
-columns as an ``IntMatrix``.  The identity-basis columns of the
-expansion carry the ring data, and ``decode_columns`` reads them back:
+representation, one |G| x |G| block per entry, read off the same
+translation rows, one per term g, and is the only code that writes that
+expansion; ``expand`` transposes it into the one column form of a ring
+matrix, an ``IntMatrix`` cached on the matrix whose columns callers
+share and only read.  The identity-basis columns of the expansion carry
+the ring data, and ``decode_columns`` reads them back:
 it turns integer vectors, such as cycles, into the group-ring columns
 that map free generators onto them.  ``act_rows`` applies a group
 generator to ZG^k as a permutation of rows.
@@ -44,41 +45,41 @@ def _is_prime(n):
 TABLE_BUDGET = 1 << 22
 
 
-def _digit_sum(p, i, j):
-    """Index of the product of the elements at i and j: their base-p
-    digits added mod p."""
-    k, w = 0, 1
-    while i or j:
-        i, a = divmod(i, p)
-        j, b = divmod(j, p)
-        k += (a + b) % p * w
-        w *= p
-    return k
-
-
 class ElementaryAbelianGroup:
     """The group (Z/p)^r with its fixed element order.
 
     Expanding a dense ring element, such as the full norm d_0, writes
     a |G| x |G| block, so a group whose |G|^2 exceeds ``TABLE_BUDGET``
     raises ResourceLimit before anything is allocated, unless
-    ``allow_large`` is set.
+    ``allow_large`` is set.  The budget is applied before p is tested
+    for primality, so a huge p or r is refused at once.  With
+    ``allow_large`` a huge p is still tested by trial division, and a
+    product still reads a |G|-entry translation row per left term.
     """
 
     def __init__(self, p, r, allow_large=False):
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
         if r < 1:
             raise ValueError(f"r must be positive, got {r}")
+        # p^(2r) >= 2^(2r (b - 1)) for a b-bit p >= 2, so a huge p or r is
+        # refused without forming the power.
+        if not allow_large and p >= 2 and (
+            2 * r * (p.bit_length() - 1) >= TABLE_BUDGET.bit_length()
+            or p ** (2 * r) > TABLE_BUDGET
+        ):
+            if 2 * r * p.bit_length() <= 256:
+                order, square = p**r, p ** (2 * r)
+            else:
+                order, square = f"{p}^{r}", f"{p}^{2 * r}"
+            raise ResourceLimit(
+                f"(Z/{p})^{r}: |G| = {order}, so a dense ring element such as "
+                f"the full norm expands to {square} entries, over the budget "
+                f"of {TABLE_BUDGET}; allow_large=True (--allow-large) lifts it"
+            )
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.r = r
         self.order = p**r
-        if self.order**2 > TABLE_BUDGET and not allow_large:
-            raise ResourceLimit(
-                f"(Z/{p})^{r}: |G| = {self.order}, so a dense ring element such as "
-                f"the full norm expands to {self.order**2} entries, over the budget "
-                f"of {TABLE_BUDGET}; allow_large=True (--allow-large) lifts it"
-            )
         self._translations = {}
 
     def exponents(self, index):
@@ -171,11 +172,12 @@ class GroupRingElement:
         if isinstance(other, int):
             return GroupRingElement(self.group, {i: other * a for i, a in self.terms})
         self._check(other)
-        p = self.group.p
+        translation = self.group._translation
         out = {}
         for i, a in self.terms:
+            row = translation(i)
             for j, b in other.terms:
-                k = i ^ j if p == 2 else _digit_sum(p, i, j)
+                k = row[j]
                 out[k] = out.get(k, 0) + a * b
         return GroupRingElement(self.group, out)
 
@@ -332,23 +334,19 @@ class GroupRingMatrix:
                         block[gh][h] = v
         return rows
 
-    def sparse_columns(self):
-        """Fresh {row: value} columns of :meth:`sparse_rows`, the rows of
-        the transposed expansion."""
-        rows = self.sparse_rows()
-        cols = [{} for _ in range(self.cols * self.group.order)]
-        for i, row in enumerate(rows):
-            rows[i] = None  # freed as it is read
-            for c, v in row.items():
-                cols[c][i] = v
-        return cols
-
     def expand(self):
-        """Integer matrix of the map on underlying Z-modules, the sparse
-        columns of :meth:`sparse_rows`, cached on the matrix."""
+        """Integer matrix of the map on underlying Z-modules, cached on
+        the matrix: the one column form of a ring matrix, the transpose
+        of :meth:`sparse_rows`.  Its columns are shared, so callers only
+        read them."""
         if self._expanded is None:
-            rows = self.rows * self.group.order
-            self._expanded = IntMatrix.from_sparse(self.sparse_columns(), rows)
+            rows = self.sparse_rows()
+            cols = [{} for _ in range(self.cols * self.group.order)]
+            for i, row in enumerate(rows):
+                rows[i] = None  # freed as it is read
+                for c, v in row.items():
+                    cols[c][i] = v
+            self._expanded = IntMatrix.from_sparse(cols, len(rows))
         return self._expanded
 
     def __eq__(self, other):

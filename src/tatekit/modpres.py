@@ -37,7 +37,9 @@ class ModulePresentation:
         self._elt_actions = {}
         self._ring_actions = {}
         if not isinstance(self, _Derived):
-            require_valid(self)
+            problems = validate(self)
+            if problems:
+                raise InvalidPresentation(problems)
 
     def invariants(self):
         """Invariant factors of the underlying abelian group."""
@@ -263,12 +265,6 @@ def validate(module):
     return problems
 
 
-def require_valid(module):
-    problems = validate(module)
-    if problems:
-        raise InvalidPresentation(problems)
-
-
 class FreeChainComplex:
     """A finite complex of free ZG-modules.
 
@@ -348,13 +344,6 @@ class FreeChainComplex:
         if d is None:
             return [{} for _ in range(self.rank(i - 1) * self.group.order)]
         return d.sparse_rows()
-
-    def sparse_columns(self, i):
-        """Fresh sparse columns of expand(d_i), all empty when d_i is absent."""
-        d = self.diffs.get(i)
-        if d is None:
-            return [{} for _ in range(self.rank(i) * self.group.order)]
-        return d.sparse_columns()
 
     def _diagonals(self):
         """Smith diagonal of expand(d_i) for lo < i <= hi, from one

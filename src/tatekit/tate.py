@@ -100,7 +100,9 @@ def _presentation_lattices(module):
 
 def _free_lattices(complex_):
     """The nonzero degrees of a free complex as lattices; x acts on ZG^k
-    by its left-regular expansion, cached per degree on ``x.terms``."""
+    by its left-regular expansion, cached per degree on ``x.terms``.
+    The action and d_j are the columns of ``expand()``, shared and only
+    read."""
     group = complex_.group
     lattices = {}
     for j in complex_.degrees():
@@ -109,10 +111,10 @@ def _free_lattices(complex_):
         def act(x, k=k, cache=cache):
             cols = cache.get(x.terms)
             if cols is None:
-                cols = cache[x.terms] = GroupRingMatrix.scalar(group, k, x).sparse_columns()
+                cols = cache[x.terms] = GroupRingMatrix.scalar(group, k, x).expand().columns
             return cols
 
-        lattices[j] = (k * group.order, act, complex_.sparse_columns(j))
+        lattices[j] = (k * group.order, act, complex_.expanded(j).columns)
     return lattices
 
 
@@ -128,7 +130,8 @@ def _total_maps(window, lattices, lo, hi):
     ``lattices`` maps each degree j of C, ascending, to ``(dim, act,
     d)``: the Z-rank of C_j, the sparse {row: value} columns of a ring
     element acting on it, and the sparse columns of d_j : C_j -> C_{j-1}
-    (unread in the lowest degree).  Tot^n is the sum of the
+    (unread in the lowest degree).  These columns may be shared with
+    cached matrices, so they are only read.  Tot^n is the sum of the
     Hom_G(F_{n+j}, C_j) that have F-degree inside ``window``, and
     delta^n = delta_0 - (-1)^n delta_1.
 

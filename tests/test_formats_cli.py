@@ -1,6 +1,9 @@
 """File-format round trips and end-to-end runs of the command line."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -418,6 +421,20 @@ def test_cli_refuses_a_group_over_the_size_budget(capsys):
     assert cli.main(["tate", "--p", "2", "--r", "1", "--module", "trivial",
                      "--allow-large", "--deg", "-1..0"]) == 0
     assert "Ĥ^0  = Z/2" in capsys.readouterr().out
+
+
+def test_cli_refuses_a_huge_prime_before_testing_it():
+    # 2^89 - 1 is prime, and trial division would not finish, so the
+    # command runs in a child that the timeout stops.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "tatekit.cli", "tate", "--p", "618970019642690137449562111",
+         "--r", "1", "--module", "trivial", "--deg", "0..0"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 2
+    assert "(Z/618970019642690137449562111)^1" in run.stderr
+    assert "over the budget" in run.stderr and "--allow-large" in run.stderr
 
 
 def test_cli_reads_back_an_over_budget_complex_with_the_override(tmp_path, capsys):

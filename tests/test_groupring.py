@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tatekit
 from tatekit.errors import ResourceLimit, TatekitError
 from tatekit.exactlin import IntMatrix
 from tatekit.groupring import (
@@ -359,3 +363,32 @@ def test_groups_over_the_table_budget_are_refused_before_allocating():
     for p, r in [(2, 12), (3, 7), (5, 5), (7, 4)]:
         with pytest.raises(ResourceLimit):
             ElementaryAbelianGroup(p, r)
+
+
+def test_a_huge_group_is_refused_before_its_primality_test():
+    # The budget is applied before trial division, and |G| is never
+    # formed or printed in full when it is huge.
+    with pytest.raises(ResourceLimit) as exc:
+        ElementaryAbelianGroup(2, 10**6)
+    assert "(Z/2)^1000000" in str(exc.value) and "2^2000000" in str(exc.value)
+    with pytest.raises(ValueError, match="r must be positive"):
+        ElementaryAbelianGroup(4, 0)
+    with pytest.raises(ValueError, match="p must be prime"):
+        ElementaryAbelianGroup(4, 1)
+    # A hang here would be the trial division of 2^89 - 1 or the power
+    # 3^(10^8), so these run in a child that the timeout stops.
+    src = os.path.dirname(os.path.dirname(tatekit.__file__))
+    code = (
+        "import sys\n"
+        "from tatekit.errors import ResourceLimit\n"
+        "from tatekit.groupring import ElementaryAbelianGroup\n"
+        "try:\n"
+        "    ElementaryAbelianGroup(int(sys.argv[1]), int(sys.argv[2]))\n"
+        "except ResourceLimit:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    for p, r in [(3, 10**8), (2**89 - 1, 1)]:
+        run = subprocess.run([sys.executable, "-c", code, str(p), str(r)], env=env, timeout=30)
+        assert run.returncode == 0, (p, r)

@@ -13,7 +13,10 @@ sweep stops unless the product is 8, it divides, and every gluing
 certificate is ok), ``syzygy(Z, n)`` over (Z/2)^2 for n = 1..6, the
 Tate table of Z on [-2, 2] over (Z/2)^r for r = 5..11, and the
 hypercohomology table of ``product_complex(2, [2,2,1])`` on [-w, w]
-for w = 1..4, whose cost is the totalization's elimination.
+for w = 1..4, whose cost is the totalization's elimination, and the
+Tate table on [-2, 2] of H_1 of ``random_free_complex((Z/2)^3,
+[1,3,2], 0)``, whose actions are not exact, so the Smith kernel takes
+its general phase there (63 general pivots).
 Each of the ``REPEAT`` runs of a point is a fresh interpreter with the
 ``src`` next to this script first on ``PYTHONPATH``, so the module-level
 caches start cold; it times the call alone, after the import and the input set-up, with
@@ -30,7 +33,7 @@ which tree goes first on every repeat; each point then also records the
 other tree's runs, median and answer under ``against``, and the output
 goes to BENCH_sweep_pair.json unless ``--out`` names a file.  ``--kind``
 keeps only the points of the given kinds (browder, pipeline, syzygy,
-tate, hyper).
+tate, hyper, general).
 """
 
 import argparse
@@ -51,6 +54,7 @@ RANKS = range(5, 12)
 TATE_RANGE = (-2, 2)
 HYPER = [2, 2, 1]
 WIDTHS = range(1, 5)
+GENERAL = [1, 3, 2]
 TIMEOUT_S = 900
 REPEAT = 3
 
@@ -63,6 +67,8 @@ def points():
     out += [(f"syzygy (Z/2)^2 n={n}", "syzygy", n) for n in SYZYGY]
     out += [(f"tate Z (Z/2)^{r} {list(TATE_RANGE)}", "tate", r) for r in RANKS]
     out += [(f"hyper product(2,{HYPER}) [-{w}, {w}]", "hyper", w) for w in WIDTHS]
+    out.append((f"general H_1 random((Z/2)^3,{GENERAL},0) {list(TATE_RANGE)}", "general",
+                GENERAL))
     return out
 
 
@@ -91,6 +97,13 @@ def run_point(kind, arg):
         z = T.trivial_module(g)
         start = time.perf_counter()
         table = T.tate_cohomology_range(g, z, *TATE_RANGE)
+        seconds = time.perf_counter() - start
+        return seconds, {"invariants": [str(v) for v in table.invariants]}
+    if kind == "general":
+        g = T.ElementaryAbelianGroup(2, 3)
+        module = T.homology_module(T.random_free_complex(g, arg, 0), 1)
+        start = time.perf_counter()
+        table = T.tate_cohomology_range(g, module, *TATE_RANGE)
         seconds = time.perf_counter() - start
         return seconds, {"invariants": [str(v) for v in table.invariants]}
     if kind == "hyper":
@@ -139,7 +152,7 @@ def main(argv=None):
     parser.add_argument("--out")
     parser.add_argument("--against", metavar="CHECKOUT")
     parser.add_argument("--kind", action="append",
-                        choices=("browder", "pipeline", "syzygy", "tate", "hyper"))
+                        choices=("browder", "pipeline", "syzygy", "tate", "hyper", "general"))
     parser.add_argument("--point", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.point:
