@@ -5,15 +5,15 @@ ordered lexicographically; the element with exponents (e_1, ..., e_r)
 sits at index e_1*p^(r-1) + ... + e_r.  A ring element keeps only its
 terms, the (index, coefficient) pairs with nonzero coefficient, indices
 ascending.  Products work on indices: the product of the elements at
-i and j sits at entry j of the translation row h -> i h of i, which the
-group caches and the expansion reads too.
+i and j sits at the digitwise sum mod p of i and j in base p (for p = 2,
+i XOR j), so no ring product allocates |G| entries.
 
 A ``GroupRingMatrix`` keeps only its nonzero entries, one
 ``{col: element}`` dict per row, so products, duals and expansions cost
 O(nnz).  ``GroupRingMatrix.sparse_rows`` turns a ring matrix into the
 sparse rows of an integer matrix through the left regular
-representation, one |G| x |G| block per entry, read off the same
-translation rows, one per term g, and is the only code that writes that
+representation, one |G| x |G| block per entry, read off one translation
+row h -> g h per term g, and is the only code that writes that
 expansion; ``expand`` transposes it into the one column form of a ring
 matrix, an ``IntMatrix`` cached on the matrix whose columns callers
 share and only read.  The identity-basis columns of the expansion carry
@@ -45,6 +45,18 @@ def _is_prime(n):
 TABLE_BUDGET = 1 << 22
 
 
+def _digit_sum(p, i, j):
+    """Index of the product of the elements at i and j: their base-p
+    digits added mod p."""
+    k, w = 0, 1
+    while i or j:
+        i, a = divmod(i, p)
+        j, b = divmod(j, p)
+        k += (a + b) % p * w
+        w *= p
+    return k
+
+
 class ElementaryAbelianGroup:
     """The group (Z/p)^r with its fixed element order.
 
@@ -53,8 +65,7 @@ class ElementaryAbelianGroup:
     raises ResourceLimit before anything is allocated, unless
     ``allow_large`` is set.  The budget is applied before p is tested
     for primality, so a huge p or r is refused at once.  With
-    ``allow_large`` a huge p is still tested by trial division, and a
-    product still reads a |G|-entry translation row per left term.
+    ``allow_large`` a huge p is still tested by trial division.
     """
 
     def __init__(self, p, r, allow_large=False):
@@ -172,12 +183,11 @@ class GroupRingElement:
         if isinstance(other, int):
             return GroupRingElement(self.group, {i: other * a for i, a in self.terms})
         self._check(other)
-        translation = self.group._translation
+        p = self.group.p
         out = {}
         for i, a in self.terms:
-            row = translation(i)
             for j, b in other.terms:
-                k = row[j]
+                k = _digit_sum(p, i, j)
                 out[k] = out.get(k, 0) + a * b
         return GroupRingElement(self.group, out)
 

@@ -356,6 +356,8 @@ def test_groups_over_the_table_budget_are_refused_before_allocating():
     made = [gen, big.identity(), norm_element(big, 3), antipode(gen)]
     assert all(len(e.terms) <= big.p for e in made)
     assert ((gen - big.identity()) * norm_element(big, 3)).is_zero()
+    # and their products are index arithmetic: no |G|-entry row is built
+    assert big._translations == {}
     # the rank sweep up to (Z/2)^10 and every group of the tests and the
     # benchmark fit; so do the largest at each small prime
     for p, r in [(2, 10), (2, 11), (3, 6), (5, 4), (7, 3)]:
