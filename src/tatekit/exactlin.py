@@ -11,10 +11,11 @@ sparse kernels of :mod:`tatekit._elim_py`:
   :func:`lattice_basis`, and, with each column tagged by its index,
   :func:`kernel_basis` and :func:`solve_preimage`;
 - ``smith_diagonal``: :func:`smith_diagonal`,
-  :func:`cokernel_invariants`, :func:`quotient_invariants` and
-  :func:`chain_diagonals`, the one reduction of a chain of maps that
-  cancels unit pivots from one map to the next: it sends the generator
-  of the maps the columns to leave out of the next one.
+  :func:`cokernel_invariants`, :func:`quotient_invariants`,
+  :func:`unit_block_rows` and :func:`chain_diagonals`, the one
+  reduction of a chain of maps that cancels unit pivots from one map to
+  the next: it sends the generator of the maps the columns to leave out
+  of the next one.
 
 :func:`homology_invariants` reads a homology group off the diagonals
 of the maps into and out of it; every invariant here is read that way.
@@ -352,7 +353,24 @@ def homology_invariants(dim, into, outof):
     return AbelianInvariants.from_diagonal(into, dim - len(into) - len(outof))
 
 
-def chain_diagonals(maps):
+def unit_block_rows(rows, ncols):
+    """Rows of the +-1 pivots that a Smith pass of the sparse map ``(rows,
+    ncols)`` takes before any content division or general pivot, which
+    consumes the rows; with their pivot columns they index a unimodular
+    block of the map.
+
+    With P the row operations of the pass (see ``chain_diagonals``), the
+    block of PA is triangular in pivot order with +-1 on its diagonal,
+    and on these rows P only adds earlier ones to later ones, so the
+    block of A is unimodular too.  They are the diagonal's leading ones:
+    a pivot after a content division by g is a multiple of g, and the
+    recording stops at the first general pivot.
+    """
+    units = []
+    return units[: _backend.smith_diagonal(rows, ncols, units).count(1)]
+
+
+def chain_diagonals(maps, trimmed=False):
     """Smith diagonal of each sparse map ``(rows, ncols)`` of a chain,
     in order; each map must compose to zero with the one before it, and
     its rows are consumed.
@@ -375,6 +393,18 @@ def chain_diagonals(maps):
     kills B with those columns deleted, so the cancellation chains.  A
     zero map has no pivots, so it cancels nothing in the map after it.
 
+    The same holds for any unimodular block A[Y, X], whatever A's other
+    rows: adding multiples of the rows Y clears the columns X off them,
+    a unimodular P, and B drops its columns Y.  Transposed, a
+    unimodular block of the map after B lets B drop rows; ``tate``
+    hands out such maps.  If ``trimmed``,
+    the maps may have lost rows that way, left empty, and the kernel is
+    handed the other rows only.  Then the row operations above never
+    touch the lost rows, so the pivot columns need not vanish there,
+    and each map passes on only the pivot rows taken before any content
+    division, ``unit_block_rows`` of it, whose block is unimodular by
+    itself.
+
     ``maps`` is a generator that is sent the set of deleted columns
     before each map but the first is drawn, and leaves them out of it;
     a generator that kept them would read the same diagonals, slower.
@@ -386,8 +416,14 @@ def chain_diagonals(maps):
             rows, ncols = maps.send(cancelled)
         except StopIteration:
             return
+        if trimmed:
+            live = [i for i, row in enumerate(rows) if row]
+            rows = [rows[i] for i in live]
         units = []
         diagonal = _backend.smith_diagonal(rows, ncols, units)
         del rows  # a suspended chain keeps no spent map
         yield diagonal
-        cancelled = set(units)
+        if trimmed:
+            cancelled = {live[i] for i in units[: diagonal.count(1)]}
+        else:
+            cancelled = set(units)

@@ -19,15 +19,22 @@ top degree of a table needs no delta^hi, and no Tot^(hi+1).  The
 codifferentials delta^{lo-1}, ..., delta^(hi-1) form one chain for
 ``exactlin.chain_diagonals``, which reduces each only on the
 coordinates that the unit pivots of the one before it left alive.
+
+The +-1 pivots of C's own differentials, a matching of the double
+complex (Sköldberg, "Morse theory from an algebraic viewpoint", Trans.
+AMS 358, 2006), are found once per table and reused in every copy of
+F, so no map of the chain starts cold (see ``_table``).
 """
 
 from . import exactlin
 from .errors import InfiniteLength, NotConcentrated
 from .exactlin import (
     AbelianInvariants,
+    IntMatrix,
     chain_diagonals,
     homology_invariants,
     solve_in_lattice,
+    unit_block_rows,
 )
 from .groupring import GroupRingMatrix
 from .modpres import _Derived, _Window, homology, homology_module
@@ -106,16 +113,27 @@ def _free_lattices(complex_):
     group = complex_.group
     lattices = {}
     for j in complex_.degrees():
-        k, cache = complex_.rank(j), {}
-
-        def act(x, k=k, cache=cache):
-            cols = cache.get(x.terms)
-            if cols is None:
-                cols = cache[x.terms] = GroupRingMatrix.scalar(group, k, x).expand().columns
-            return cols
-
+        k = complex_.rank(j)
+        act = _cached(lambda x, k=k: GroupRingMatrix.scalar(group, k, x).expand().columns)
         lattices[j] = (k * group.order, act, complex_.expanded(j).columns)
     return lattices
+
+
+def _cached(columns, dead=()):
+    """The action ``columns`` with the rows ``dead`` left out of each
+    column, cached on ``x.terms`` and shared, so only read."""
+    cache = {}
+
+    def act(x):
+        cols = cache.get(x.terms)
+        if cols is None:
+            cols = columns(x)
+            if dead:
+                cols = [{i: v for i, v in col.items() if i not in dead} for col in cols]
+            cache[x.terms] = cols
+        return cols
+
+    return act
 
 
 def _dimension(window, lattices, n):
@@ -123,7 +141,7 @@ def _dimension(window, lattices, n):
     return sum(window.rank(n + j) * dim for j, (dim, _, _) in lattices.items())
 
 
-def _total_maps(window, lattices, lo, hi):
+def _total_maps(window, lattices, lo, hi, first=None):
     """Sparse rows and source dimension of each delta^n : Tot^n ->
     Tot^{n+1} for n in [lo - 1, hi - 1], ascending.
 
@@ -137,10 +155,11 @@ def _total_maps(window, lattices, lo, hi):
 
     A set sent into the generator after delta^(n-1) names coordinates
     of Tot^n that delta^n leaves out; ``chain_diagonals`` sends the
-    unit pivot rows of delta^(n-1).  delta^n is written column by
-    column over the other coordinates only, ascending, so each row gets
-    its keys in ascending order and no entry of a left-out column is
-    made.
+    unit pivot rows of delta^(n-1).  ``first`` maps degrees j to
+    coordinates of C_j whose copies in Tot^(lo-1) delta^(lo-1) leaves
+    out.  delta^n is written column by column over the other
+    coordinates only, ascending, so each row gets its keys in ascending
+    order and no entry of a left-out column is made.
     """
 
     def offsets(n):
@@ -151,7 +170,12 @@ def _total_maps(window, lattices, lo, hi):
         return out
 
     src = offsets(lo - 1)
-    cancelled = set()
+    cancelled = {
+        src[j] + b * lattices[j][0] + t
+        for j, coords in (first or {}).items()
+        for b in range(window.rank(lo - 1 + j))
+        for t in coords
+    }
     for n in range(lo - 1, hi):
         dst = offsets(n + 1)
         rows = [{} for _ in range(_dimension(window, lattices, n + 1))]
@@ -182,14 +206,59 @@ def _total_maps(window, lattices, lo, hi):
         src = dst
 
 
+def _unit_blocks(lattices):
+    """For each degree j of C whose d_j has a +-1 entry, the rows and,
+    from d_j transposed, the columns of a unimodular block of d_j: the
+    +-1 pivots of a Smith pass before any content division."""
+    rows_of, cols_of = {}, {}
+    for j, (dim, _, d) in lattices.items():
+        if j - 1 in lattices and any(v in (1, -1) for col in d for v in col.values()):
+            m = IntMatrix.from_sparse(d, lattices[j - 1][0])
+            rows_of[j] = set(unit_block_rows(m.sparse_rows(), dim))
+            cols_of[j] = set(unit_block_rows(m.sparse_columns(), m.rows))
+    return rows_of, cols_of
+
+
 def _table(window, lattices, lo, hi):
     """Invariants from the ranks and Smith diagonals of Tot Hom_G(F, C).
 
     Ĥ^hi is the torsion of coker delta^(hi-1).  That rests on Ĥ* having
     free rank 0, which each degree below hi checks: raise ValueError
     naming the degree if it does not hold.
+
+    The +-1 pivots of C's own differentials shrink every delta^n before
+    it is reduced, and keep its Smith diagonal.  Take a unimodular block
+    d_j[R, T] of each d_j.  In any delta^m their copies, one per
+    generator of F_(m+j), form a block whose delta_0 part is I (x)
+    d_j[R, T] at each j, and whose delta_1 part only raises the
+    F-degree: it sends the columns of the block of d_j to rows of the
+    block of d_(j+1).  So that block is block-triangular in j with
+    determinant +-1.  A unimodular block A[Y, X] of the map A before B
+    lets B drop its columns Y (``exactlin.chain_diagonals``);
+    transposed, a unimodular block of the map after B lets B drop its
+    rows at the block's columns.  Both hold for the maps of the whole
+    complete resolution, inside the window or not.  The pass of
+    d_(j+1) finds a block with rows R_(j+1) in C_j: delta^(lo-1) drops
+    its columns at their copies, by delta^(lo-2), which is not built.
+    The pass of d_j transposed finds a block with columns T_j in C_j:
+    every delta^n drops its rows at their copies, by delta^(n+1), so
+    the action on C_j and d_(j+1) are read without the rows T_j, once
+    per degree.  A map that lost rows passes on to the chain only the
+    unit rows it takes before any content division.  A C with no +-1
+    entry costs no kernel call and leaves its columns as they are.
     """
-    diags = list(chain_diagonals(_total_maps(window, lattices, lo, hi)))
+    rows_of, cols_of = _unit_blocks(lattices)
+    trimmed = {}
+    for j, (dim, act, d) in lattices.items():
+        if j in cols_of:
+            act = _cached(act, cols_of[j])
+        if j - 1 in cols_of:
+            d = [{i: v for i, v in col.items() if i not in cols_of[j - 1]} for col in d]
+        trimmed[j] = (dim, act, d)
+    lattices = trimmed
+    first = {j - 1: rows for j, rows in rows_of.items()}
+    maps = _total_maps(window, lattices, lo, hi, first)
+    diags = list(chain_diagonals(maps, trimmed=bool(cols_of)))
     invs = []
     for n in range(lo, hi):
         h = homology_invariants(

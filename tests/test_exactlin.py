@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -23,6 +24,7 @@ from tatekit.exactlin import (
     smith_diagonal,
     solve_in_lattice,
     solve_preimage,
+    unit_block_rows,
 )
 
 from tatekit.gallery import random_free_complex
@@ -138,6 +140,45 @@ def test_smith_diagonal_reports_unit_pivot_rows():
         assert len(set(units)) == len(units) <= len(got), (m.data, units)
         assert all(0 <= i < m.rows for i in units), (m.data, units)
         _check_unit_rows_cancel(m, units, rng)
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * (a[-1][-1] if n else 1)
+
+
+def test_unit_block_rows_index_a_unimodular_block():
+    # only the +-1 pivots from before any content division: [[1, 1],
+    # [0, 2]] keeps row 0 and not row 1, a unit pivot only once divided
+    # by 2, and [[2, 2], [2, 4]] keeps none, though the chain passes on
+    # both of their rows
+    assert unit_block_rows([{0: 1, 1: 1}, {1: 2}], 2) == [0]
+    assert unit_block_rows([{0: 2, 1: 2}, {0: 2, 1: 4}], 2) == []
+    assert unit_block_rows([{0: 2, 1: 3}, {0: 3, 1: 2}, {0: 2, 1: 2}], 2) == []
+    rng = random.Random(29)
+    for _ in range(150):
+        m = rand_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
+        units = unit_block_rows(m.sparse_rows(), m.cols)
+        assert len(set(units)) == len(units), m.data
+        block = [m.data[i] for i in units]
+        assert any(
+            abs(_det([[row[j] for j in cols] for row in block])) == 1
+            for cols in itertools.combinations(range(m.cols), len(units))
+        ), (m.data, units)
 
 
 @st.composite

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
+from oracles import oracle_smith_diagonal
 from tatekit import tate
 from tatekit._backend import smith_diagonal
 from tatekit.errors import InfiniteLength, NotConcentrated
@@ -333,14 +334,15 @@ def test_dimension_shift_and_periodicity(pr, ranks, seed, n):
             assert table.invariants[:3] == table.invariants[2:]
 
 
-def _full_table(window, lattices, lo, hi):
-    """Reference for ``_table``: every delta^n reduced whole, delta^hi
-    too, so the top degree is read off two ranks as well."""
+def _full_table(window, lattices, lo, hi, diagonal=smith_diagonal):
+    """Reference for ``_table``: every delta^n reduced whole by
+    ``diagonal``, delta^hi too, so the top degree is read off two ranks
+    as well."""
     dims, diag = {}, {}
     maps = _total_maps(window, lattices, lo, hi + 1)
     for n, (rows, dim) in zip(range(lo - 1, hi + 1), maps):
         dims[n] = dim
-        diag[n] = smith_diagonal(rows, dim)
+        diag[n] = diagonal(rows, dim)
     invs = []
     for i in range(lo, hi + 1):
         free = dims[i] - len(diag[i - 1]) - len(diag[i])
@@ -467,6 +469,130 @@ def test_total_maps_write_no_entry_in_a_cancelled_column():
                 assert not any(sent.intersection(row) for row in rows)
                 assert rows == [{k: v for k, v in row.items() if k not in sent} for row in whole]
                 assert all(list(row) == sorted(row) for row in rows)
+
+
+def _chained(window, lattices, lo, hi):
+    """The table ``_table`` reads, the diagonal of each map its chain
+    reduces, and whether C's unit blocks trimmed the maps."""
+    seen, flags = [], []
+
+    def recording(maps, trimmed=False):
+        flags.append(trimmed)
+        for diagonal in chain_diagonals(maps, trimmed):
+            seen.append(diagonal)
+            yield diagonal
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tate, "chain_diagonals", recording)
+        table = _table(window, lattices, lo, hi)
+    return table, seen, flags == [True]
+
+
+def _oracle_diagonal(rows, dim):
+    return sorted(oracle_smith_diagonal([[row.get(k, 0) for k in range(dim)] for row in rows]))
+
+
+@pytest.mark.parametrize(
+    "pr, ranks, diagonal",
+    [((2, 2), [1, 2, 2, 1], _oracle_diagonal), ((3, 2), [1, 2, 1], smith_diagonal)],
+)
+def test_hyper_tables_that_lose_rows_match_the_whole_maps(pr, ranks, diagonal):
+    # C's +-1 pivots, taken before any content division, delete rows of
+    # every Tot map and columns of the first, and such a map passes on
+    # only its own unit rows from before a division; each diagonal and
+    # the table equal those of the whole maps, reduced one by one.  The
+    # dense oracle's entries grow past 20 bits on the (Z/3)^2 maps, so
+    # there the whole maps go to the sparse kernel, unchained
+    g = ElementaryAbelianGroup(*pr)
+    lo, hi = -2, 2
+    losses = 0
+    for seed in range(1, 15):
+        c = random_free_complex(g, ranks, seed)
+        window = complete_resolution(g, lo - 1 + c.lo, hi + 1 + c.hi)
+        lattices = _free_lattices(c)
+        table, seen, trimmed = _chained(window, lattices, lo, hi)
+        losses += trimmed
+        whole = [diagonal(rows, dim) for rows, dim in _total_maps(window, lattices, lo, hi)]
+        assert seen == whole, seed
+        assert table == _full_table(window, lattices, lo, hi, diagonal), seed
+    assert losses >= 10
+
+
+def _unit_entry(columns):
+    return any(v in (1, -1) for col in columns for v in col.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    st.sampled_from([[1, 1], [2, 1], [1, 2, 1], [2, 2, 1], [1, 3, 2]]),
+    st.integers(0, 20),
+    st.integers(-3, 1),
+)
+def test_trimmed_tot_maps_keep_every_diagonal(pr, ranks, seed, lo):
+    # two paths to each Tot map's diagonal: the chain over maps without
+    # the copies of C's unit blocks, and the whole map alone; on a free
+    # complex and on its unpruned homology modules whose relation basis
+    # has a +-1 entry, so their lattice complex L -> Z^gens has one
+    g = ElementaryAbelianGroup(*pr)
+    c = random_free_complex(g, ranks, seed)
+    hi = lo + 2
+    cases = [(complete_resolution(g, lo - 1 + c.lo, hi + 1 + c.hi), _free_lattices(c))]
+    for j in c.degrees():
+        m = homology_module(c, j)
+        if m.acts_exactly() and _unit_entry(m.relation_basis().columns):
+            cases.append((complete_resolution(g, lo - 1, hi + 2), _presentation_lattices(m)))
+    for window, lattices in cases:
+        _check_every_diagonal(window, lattices, lo, hi)
+
+
+def test_trimmed_gallery_tables_keep_every_diagonal():
+    for p, ks in [(2, [1, 1]), (3, [1, 1]), (2, [2, 1]), (5, [2, 1])]:
+        c = product_complex(p, ks)
+        window = complete_resolution(c.group, -3 + c.lo, 3 + c.hi)
+        assert _check_every_diagonal(window, _free_lattices(c), -2, 2)
+
+
+def _check_every_diagonal(window, lattices, lo, hi):
+    """Each diagonal of the chain, and the table, against the whole
+    maps reduced one by one; returns whether the maps were trimmed."""
+    table, seen, trimmed = _chained(window, lattices, lo, hi)
+    assert seen == [smith_diagonal(rows, dim) for rows, dim in _total_maps(window, lattices, lo, hi)]
+    assert table == _full_table(window, lattices, lo, hi)
+    return trimmed
+
+
+def test_tables_with_no_unit_entry_in_c_read_their_columns_as_they_are():
+    # no +-1 in any d_j: no kernel call for C, the lattices go to
+    # _total_maps as given, no first columns are left out, and the chain
+    # passes on every unit row
+    g = ElementaryAbelianGroup(2, 2)
+    two = GroupRingMatrix(g, [{0: g.identity() + g.identity()}], 1, 1)
+    complex_ = FreeChainComplex(g, {0: 1, 1: 1}, {1: two})
+    cases = [
+        (complete_resolution(g, -3, 3), _presentation_lattices(trivial_module(g))),
+        (complete_resolution(g, -3, 3), _presentation_lattices(cyclic_module(g, 4))),
+        (complete_resolution(g, -3, 4), _free_lattices(complex_)),
+    ]
+    for window, lattices in cases:
+        assert not any(d and _unit_entry(d) for _, _, d in lattices.values())
+        drawn, chains = [], []
+        real_maps, real_chain = tate._total_maps, tate.chain_diagonals
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tate, "unit_block_rows", lambda *a: pytest.fail("reduced C"))
+            mp.setattr(
+                tate, "_total_maps",
+                lambda w, lat, lo, hi, first: drawn.append((lat, first)) or real_maps(w, lat, lo, hi),
+            )
+            mp.setattr(
+                tate, "chain_diagonals",
+                lambda maps, trimmed=False: chains.append(trimmed) or real_chain(maps),
+            )
+            _table(window, lattices, -2, 2)
+        ((read, first),) = drawn
+        assert first == {} and chains == [False]
+        assert read.keys() == lattices.keys()
+        assert all(x is y for j in lattices for x, y in zip(read[j], lattices[j]))
 
 
 def test_free_lattice_action_is_cached_on_the_element_terms(monkeypatch):

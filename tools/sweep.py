@@ -11,9 +11,10 @@ The points are ``browder_check`` of ``product_complex(2, ks)`` for ks in
 ``dimension_rows(3, [5,3,3]).schedule()``, then ``browder_check``; the
 sweep stops unless the product is 8, it divides, and every gluing
 certificate is ok), ``syzygy(Z, n)`` over (Z/2)^2 for n = 1..6, the
-Tate table of Z on [-2, 2] over (Z/2)^r for r = 5..11, and the
+Tate table of Z on [-2, 2] over (Z/2)^r for r = 5..11, the
 hypercohomology table of ``product_complex(2, [2,2,1])`` on [-w, w]
-for w = 1..4, whose cost is the totalization's elimination, and the
+for w = 1..4 and of ``product_complex(2, [3,2,2])`` on [-1, 1], whose
+cost is the totalization's elimination, and the
 Tate table on [-2, 2] of H_1 of ``random_free_complex((Z/2)^3,
 [1,3,2], 0)``, whose actions are not exact, so the Smith kernel takes
 its general phase there (63 general pivots).
@@ -54,6 +55,7 @@ RANKS = range(5, 12)
 TATE_RANGE = (-2, 2)
 HYPER = [2, 2, 1]
 WIDTHS = range(1, 5)
+HYPER_LARGE = [[3, 2, 2], 1]
 GENERAL = [1, 3, 2]
 TIMEOUT_S = 900
 REPEAT = 3
@@ -67,6 +69,8 @@ def points():
     out += [(f"syzygy (Z/2)^2 n={n}", "syzygy", n) for n in SYZYGY]
     out += [(f"tate Z (Z/2)^{r} {list(TATE_RANGE)}", "tate", r) for r in RANKS]
     out += [(f"hyper product(2,{HYPER}) [-{w}, {w}]", "hyper", w) for w in WIDTHS]
+    ks, w = HYPER_LARGE
+    out.append((f"hyper product(2,{ks}) [-{w}, {w}]", "hyper", HYPER_LARGE))
     out.append((f"general H_1 random((Z/2)^3,{GENERAL},0) {list(TATE_RANGE)}", "general",
                 GENERAL))
     return out
@@ -107,9 +111,10 @@ def run_point(kind, arg):
         seconds = time.perf_counter() - start
         return seconds, {"invariants": [str(v) for v in table.invariants]}
     if kind == "hyper":
-        c = T.product_complex(2, HYPER)
+        ks, w = arg if isinstance(arg, list) else (HYPER, arg)
+        c = T.product_complex(2, ks)
         start = time.perf_counter()
-        table = T.tate_hypercohomology_range(c.group, c, -arg, arg)
+        table = T.tate_hypercohomology_range(c.group, c, -w, w)
         seconds = time.perf_counter() - start
         return seconds, {"invariants": [str(v) for v in table.invariants]}
     z = T.trivial_module(T.ElementaryAbelianGroup(2, 2))
