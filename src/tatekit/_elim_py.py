@@ -16,8 +16,8 @@ entries: it queues rows, each at most once, and in each popped row
 pivots on the +-1 entry whose column has the fewest live rows, a local
 Markowitz choice that costs one pass over the row.  When no +-1 is
 left, it queues every live row again and divides out the content, the
-gcd of the live entries, before its general phase, whose row updates
-are ``hermite``'s, since Smith(gA) = g Smith(A) (Dumas, Saunders &
+gcd of the live entries, before its general phase, whose column step
+is ``hermite``'s, since Smith(gA) = g Smith(A) (Dumas, Saunders &
 Villard, J. Symbolic Comput. 32, 2001): a Tate coboundary with trivial
 coefficients has entries 0 and +-p only, and divided by p it is all
 unit pivots, which still cancel columns of the next map of a chain.
@@ -53,21 +53,9 @@ def hermite(rows, ncols):
     active = set(range(len(rows)))
     pivots = []
     for c in sorted(col_rows):
-        live = col_rows[c]
-        while len(live) > 1:
-            r0 = min(live, key=lambda r: (abs(rows[r][c]), r))
-            if rows[r0][c] < 0:
-                _negate_row(rows[r0])
-            v0 = rows[r0][c]
-            for r in sorted(live - {r0}):
-                q = rows[r][c] // v0
-                if q:
-                    _axpy(rows, col_rows, r, r0, -q, ncols)
-        if not live:
+        r0 = _euclid_column(rows, col_rows, c, ncols)
+        if r0 is None:
             continue
-        (r0,) = live
-        if rows[r0][c] < 0:
-            _negate_row(rows[r0])
         for k in rows[r0]:
             if k < ncols:
                 col_rows[k].discard(r0)
@@ -76,6 +64,27 @@ def hermite(rows, ncols):
 
     free_rows = [rows[i] for i in sorted(active)]
     return pivots, free_rows
+
+
+def _euclid_column(rows, col_rows, c, ncols):
+    """Euclid steps down column ``c`` until one live row is left in it;
+    return that row, its entry made positive, or None if there is none."""
+    live = col_rows[c]
+    while len(live) > 1:
+        r0 = min(live, key=lambda r: (abs(rows[r][c]), r))
+        if rows[r0][c] < 0:
+            _negate_row(rows[r0])
+        v0 = rows[r0][c]
+        for r in sorted(live - {r0}):
+            q = rows[r][c] // v0
+            if q:
+                _axpy(rows, col_rows, r, r0, -q, ncols)
+    if not live:
+        return None
+    (r0,) = live
+    if rows[r0][c] < 0:
+        _negate_row(rows[r0])
+    return r0
 
 
 def _axpy(rows, col_rows, r, src, coef, ncols):
@@ -95,8 +104,8 @@ def _axpy(rows, col_rows, r, src, coef, ncols):
 
 def _peel(rows):
     """The peel phase of :func:`smith_diagonal`: pivot on every +-1 that
-    is, or becomes, the only live entry of its row, and return the rows
-    so peeled, in pivot order.
+    is, or becomes, the only live entry of its row, and return the
+    ``(row, column)`` pairs so peeled, in pivot order.
 
     Such a pivot's column is cleared by adding multiples of its row,
     which is zero off the pivot in the live columns, so the column just
@@ -122,7 +131,7 @@ def _peel(rows):
             continue  # its last live column was peeled meanwhile
         c = colsum[i]
         count[i] = 0
-        peeled.append(i)
+        peeled.append((i, c))
         for r in col_rows.pop(c):
             n = count[r] - 1
             if n < 0:
@@ -159,26 +168,27 @@ def smith_diagonal(rows, ncols, unit_rows=None):
     entries (read until it is 1) exceeds 1, they are divided by g, a
     running scale is multiplied by g, and the unit phase resumes on
     them; every later pivot v is recorded as scale * v.  Otherwise the
-    general phase pivots on the smallest remaining entry, updating rows
-    by ``hermite``'s ``_axpy``, and the unit phase resumes.
+    general phase reduces the column of the smallest remaining entry by
+    ``hermite``'s Euclid step, and the unit phase resumes.
 
-    If ``unit_rows`` is a list, the row index of every +-1 pivot taken
-    before the first general (non-unit) pivot is appended to it, in
-    pivot order, the peeled rows first.  A content division scales all
-    live rows by the same g, so a later "row r += c row y" on divided
-    rows is that same integer operation on the undivided ones, and a
-    pivot that is +-1 after divisions by g_1, g_2, ... is the nonzero
-    +-g_1 g_2 ... of the undivided rows.  So until the general phase
-    every row operation, on the undivided rows, adds a multiple of one
-    of these rows, and each of their pivot columns is left nonzero at
-    its own row and elsewhere only at rows pivoted before it: a retired
-    row keeps its entries in the columns still live.  For a peeled row
-    those row operations are implied, not made: they would only zero
-    its column, since the earlier peels leave the row zero off its
-    pivot.  ``exactlin.chain_diagonals``, the only caller that asks for
-    them, relies on both to shrink the next map of a chain.  The
-    general phase combines rows with rows that are not pivots, so it
-    stops the recording.
+    If ``unit_rows`` is a list, the ``(row, column)`` pair of every +-1
+    pivot taken before the first general (non-unit) pivot is appended
+    to it, in pivot order, the peeled pairs first.  A content division
+    scales all live rows by the same g, so a later "row r += c row y"
+    on divided rows is that same integer operation on the undivided
+    ones, and a pivot that is +-1 after divisions by g_1, g_2, ... is
+    the nonzero +-g_1 g_2 ... of the undivided rows.  So until the
+    general phase every row operation, on the undivided rows, adds a
+    multiple of one of these rows, and each of their pivot columns is
+    left nonzero at its own row and elsewhere only at rows pivoted
+    before it: a retired row keeps its entries in the columns still
+    live.  For a peeled row those row operations are implied, not
+    made: they would only zero its column, since the earlier peels
+    leave the row zero off its pivot.  ``exactlin.chain_diagonals``
+    relies on both to shrink the next map of a chain, and
+    ``exactlin.unit_block`` reads a unimodular block off the pairs.
+    The general phase combines rows with rows that are not pivots, so
+    it stops the recording.
     """
     peeled = _peel(rows)
     if unit_rows is not None:
@@ -223,7 +233,7 @@ def smith_diagonal(rows, ncols, unit_rows=None):
             retire(i)
             ones += 1
             if unit_rows is not None:
-                unit_rows.append(i)
+                unit_rows.append((i, c))
             others = col_rows.pop(c)
             if not others:
                 continue
@@ -289,19 +299,7 @@ def smith_diagonal(rows, ncols, unit_rows=None):
         unit_rows = None
 
         while True:
-            live = col_rows[c]
-            while len(live) > 1:
-                r0 = min(live, key=lambda r: (abs(rows[r][c]), r))
-                if rows[r0][c] < 0:
-                    _negate_row(rows[r0])
-                v0 = rows[r0][c]
-                for r in sorted(live - {r0}):
-                    q = rows[r][c] // v0
-                    if q:
-                        _axpy(rows, col_rows, r, r0, -q, ncols)
-            (i,) = live
-            if rows[i][c] < 0:
-                _negate_row(rows[i])
+            i = _euclid_column(rows, col_rows, c, ncols)
             v = rows[i][c]
 
             # The pivot column is clean, so clearing the pivot row by

@@ -10,12 +10,11 @@ sparse kernels of :mod:`tatekit._elim_py`:
 - ``hermite`` on the columns of the matrix: :func:`rank`,
   :func:`lattice_basis`, and, with each column tagged by its index,
   :func:`kernel_basis` and :func:`solve_preimage`;
-- ``smith_diagonal``: :func:`smith_diagonal`,
-  :func:`cokernel_invariants`, :func:`quotient_invariants`,
-  :func:`unit_block_rows` and :func:`chain_diagonals`, the one
-  reduction of a chain of maps that cancels unit pivots from one map to
-  the next: it sends the generator of the maps the columns to leave out
-  of the next one.
+- ``smith_diagonal``: :func:`smith_diagonal`, :func:`cokernel_invariants`,
+  :func:`quotient_invariants`, :func:`unit_block` and
+  :func:`chain_diagonals`, the one reduction of a chain of maps that
+  cancels unit pivots from one map to the next: it sends the generator
+  of the maps the columns to leave out of the next one.
 
 :func:`homology_invariants` reads a homology group off the diagonals
 of the maps into and out of it; every invariant here is read that way.
@@ -353,11 +352,10 @@ def homology_invariants(dim, into, outof):
     return AbelianInvariants.from_diagonal(into, dim - len(into) - len(outof))
 
 
-def unit_block_rows(rows, ncols):
-    """Rows of the +-1 pivots that a Smith pass of the sparse map ``(rows,
-    ncols)`` takes before any content division or general pivot, which
-    consumes the rows; with their pivot columns they index a unimodular
-    block of the map.
+def unit_block(rows, ncols):
+    """The ``(row, column)`` pairs of the +-1 pivots a Smith pass of the
+    sparse map ``(rows, ncols)``, consuming the rows, takes before any
+    content division or general pivot: a unimodular block of the map.
 
     With P the row operations of the pass (see ``chain_diagonals``), the
     block of PA is triangular in pivot order with +-1 on its diagonal,
@@ -370,7 +368,7 @@ def unit_block_rows(rows, ncols):
     return units[: _backend.smith_diagonal(rows, ncols, units).count(1)]
 
 
-def chain_diagonals(maps, trimmed=False):
+def chain_diagonals(maps):
     """Smith diagonal of each sparse map ``(rows, ncols)`` of a chain,
     in order; each map must compose to zero with the one before it, and
     its rows are consumed.
@@ -397,13 +395,17 @@ def chain_diagonals(maps, trimmed=False):
     rows: adding multiples of the rows Y clears the columns X off them,
     a unimodular P, and B drops its columns Y.  Transposed, a
     unimodular block of the map after B lets B drop rows; ``tate``
-    hands out such maps.  If ``trimmed``,
-    the maps may have lost rows that way, left empty, and the kernel is
-    handed the other rows only.  Then the row operations above never
-    touch the lost rows, so the pivot columns need not vanish there,
-    and each map passes on only the pivot rows taken before any content
-    division, ``unit_block_rows`` of it, whose block is unimodular by
-    itself.
+    hands out such maps, the lost rows left empty.  They still pass on
+    every unit row if the block U = B[Y, X] that lets A lose its rows X
+    has no row that B lost.  With K the columns of B off X, so that A'
+    = A[K, :] is A as reduced (less any columns it dropped, which keeps
+    all that follows), the rows Y clear the columns X off B's other kept
+    rows Z and leave the Schur complement S = B[Z, K] -
+    B[Z, X] U^-1 B[Y, K], so Smith(B) is Smith(S) and |X| ones.  Rows Y
+    of BA = 0 give A[X, :] = -U^-1 B[Y, K] A', and then rows Z give
+    S A' = 0, so S drops the columns at every unit row of A', as above.
+    These rows lie in K, since A' is empty at X, so B without them
+    keeps U and has S without them as its Schur complement.
 
     ``maps`` is a generator that is sent the set of deleted columns
     before each map but the first is drawn, and leaves them out of it;
@@ -416,14 +418,8 @@ def chain_diagonals(maps, trimmed=False):
             rows, ncols = maps.send(cancelled)
         except StopIteration:
             return
-        if trimmed:
-            live = [i for i, row in enumerate(rows) if row]
-            rows = [rows[i] for i in live]
         units = []
         diagonal = _backend.smith_diagonal(rows, ncols, units)
         del rows  # a suspended chain keeps no spent map
         yield diagonal
-        if trimmed:
-            cancelled = {live[i] for i in units[: diagonal.count(1)]}
-        else:
-            cancelled = set(units)
+        cancelled = {row for row, _ in units}

@@ -442,7 +442,9 @@ def _homology_data(complex_, n):
     gens, nb = cycles.cols, boundaries.cols
     relations = exactlin.lattice_basis(block(0, nb))
     actions = [block(nb + i * gens, gens) for i in range(group.r)]
-    return cycles, _Derived(group, gens, relations, actions)
+    module = _Derived(group, gens, relations, actions)
+    module._relation_basis = relations  # an echelon basis already
+    return cycles, module
 
 
 def homology_module(complex_, n):

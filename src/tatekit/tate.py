@@ -20,10 +20,11 @@ codifferentials delta^{lo-1}, ..., delta^(hi-1) form one chain for
 ``exactlin.chain_diagonals``, which reduces each only on the
 coordinates that the unit pivots of the one before it left alive.
 
-The +-1 pivots of C's own differentials, a matching of the double
-complex (Sköldberg, "Morse theory from an algebraic viewpoint", Trans.
-AMS 358, 2006), are found once per table and reused in every copy of
-F, so no map of the chain starts cold (see ``_table``).
+The +-1 pivots of C's own differentials, one acyclic matching of the
+double complex (Sköldberg, "Morse theory from an algebraic viewpoint",
+Trans. AMS 358, 2006), are found once per table, one Smith pass per
+differential, and reused in every copy of F, so no map of the chain
+starts cold (see ``_table``).
 """
 
 from . import exactlin
@@ -34,7 +35,7 @@ from .exactlin import (
     chain_diagonals,
     homology_invariants,
     solve_in_lattice,
-    unit_block_rows,
+    unit_block,
 )
 from .groupring import GroupRingMatrix
 from .modpres import _Derived, _Window, homology, homology_module
@@ -207,16 +208,24 @@ def _total_maps(window, lattices, lo, hi, first=None):
 
 
 def _unit_blocks(lattices):
-    """For each degree j of C whose d_j has a +-1 entry, the rows and,
-    from d_j transposed, the columns of a unimodular block of d_j: the
-    +-1 pivots of a Smith pass before any content division."""
-    rows_of, cols_of = {}, {}
-    for j, (dim, _, d) in lattices.items():
+    """C's unit blocks, one acyclic matching, and ``lattices`` trimmed
+    by it.  In ascending degree, each d_j whose rows have a +-1 entry
+    gets one Smith pass on its rows, those at T_(j-1) left empty: its
+    pairs from before any content division (``exactlin.unit_block``),
+    under j, have rows R_j, disjoint from T_(j-1), and columns T_j, at
+    which the action on C_j and d_(j+1) lose their rows.
+    """
+    trimmed, blocks, dead = {}, {}, {}
+    for j, (dim, act, d) in lattices.items():
+        if j - 1 in dead:
+            d = [{i: v for i, v in col.items() if i not in dead[j - 1]} for col in d]
         if j - 1 in lattices and any(v in (1, -1) for col in d for v in col.values()):
-            m = IntMatrix.from_sparse(d, lattices[j - 1][0])
-            rows_of[j] = set(unit_block_rows(m.sparse_rows(), dim))
-            cols_of[j] = set(unit_block_rows(m.sparse_columns(), m.rows))
-    return rows_of, cols_of
+            rows = IntMatrix.from_sparse(d, lattices[j - 1][0]).sparse_rows()
+            blocks[j] = unit_block(rows, dim)
+            dead[j] = {t for _, t in blocks[j]}
+            act = _cached(act, dead[j])
+        trimmed[j] = (dim, act, d)
+    return trimmed, blocks
 
 
 def _table(window, lattices, lo, hi):
@@ -227,38 +236,32 @@ def _table(window, lattices, lo, hi):
     naming the degree if it does not hold.
 
     The +-1 pivots of C's own differentials shrink every delta^n before
-    it is reduced, and keep its Smith diagonal.  Take a unimodular block
-    d_j[R, T] of each d_j.  In any delta^m their copies, one per
-    generator of F_(m+j), form a block whose delta_0 part is I (x)
-    d_j[R, T] at each j, and whose delta_1 part only raises the
-    F-degree: it sends the columns of the block of d_j to rows of the
-    block of d_(j+1).  So that block is block-triangular in j with
-    determinant +-1.  A unimodular block A[Y, X] of the map A before B
-    lets B drop its columns Y (``exactlin.chain_diagonals``);
-    transposed, a unimodular block of the map after B lets B drop its
-    rows at the block's columns.  Both hold for the maps of the whole
-    complete resolution, inside the window or not.  The pass of
-    d_(j+1) finds a block with rows R_(j+1) in C_j: delta^(lo-1) drops
-    its columns at their copies, by delta^(lo-2), which is not built.
-    The pass of d_j transposed finds a block with columns T_j in C_j:
-    every delta^n drops its rows at their copies, by delta^(n+1), so
-    the action on C_j and d_(j+1) are read without the rows T_j, once
-    per degree.  A map that lost rows passes on to the chain only the
-    unit rows it takes before any content division.  A C with no +-1
-    entry costs no kernel call and leaves its columns as they are.
+    it is reduced, and keep its Smith diagonal.  ``_unit_blocks`` takes
+    a unimodular block d_j[R_j, T_j] of each d_j, R_j in C_(j-1) and T_j
+    in C_j, with R_(j+1) and T_j disjoint.  In any delta^m their copies,
+    one per generator of F_(m+j), form a block whose delta_0 part is
+    I (x) d_j[R_j, T_j] at each j, and whose delta_1 part only raises
+    the F-degree, sending the columns of the block of d_j to rows of
+    the block of d_(j+1): it is block-triangular with determinant +-1.
+    A unimodular block A[Y, X] of the map A before B lets B drop its
+    columns Y (``exactlin.chain_diagonals``); transposed, one of the map
+    after B lets B drop its rows at the block's columns, for the maps
+    of the whole complete resolution, inside the window or not.  So
+    delta^(lo-1) drops its columns at the R-copies in Tot^(lo-1), by
+    delta^(lo-2), which is not built, and every delta^n its rows at the
+    T-copies in Tot^(n+1), by delta^(n+1).  As R_(j+1) and T_j are
+    disjoint, that row trim leaves whole the block of delta^n at the
+    R-copies of Tot^(n+1) and the T-copies of Tot^n, where delta^(n-1)
+    is empty, so delta^n drops the columns at every unit row of
+    delta^(n-1), those taken after a content division too: the Schur
+    complement of that block kills the trimmed delta^(n-1) (see
+    ``chain_diagonals``).  The first map's dropped columns, the R-copies
+    of Tot^(lo-1), never meet T-copies either.
     """
-    rows_of, cols_of = _unit_blocks(lattices)
-    trimmed = {}
-    for j, (dim, act, d) in lattices.items():
-        if j in cols_of:
-            act = _cached(act, cols_of[j])
-        if j - 1 in cols_of:
-            d = [{i: v for i, v in col.items() if i not in cols_of[j - 1]} for col in d]
-        trimmed[j] = (dim, act, d)
-    lattices = trimmed
-    first = {j - 1: rows for j, rows in rows_of.items()}
+    lattices, blocks = _unit_blocks(lattices)
+    first = {j - 1: {r for r, _ in pairs} for j, pairs in blocks.items()}
     maps = _total_maps(window, lattices, lo, hi, first)
-    diags = list(chain_diagonals(maps, trimmed=bool(cols_of)))
+    diags = list(chain_diagonals(maps))
     invs = []
     for n in range(lo, hi):
         h = homology_invariants(

@@ -2,8 +2,10 @@
 
 Everything here is written against dense row-lists with deliberately
 different algorithms from the library code: Smith form by recursive
-corner reduction, rank over the rationals via Fraction Gaussian
-elimination, and homology read off those two primitives.  The one
+corner reduction, or over Z/p^e by least-valuation pivots where the
+invariant factors are known to divide p^(e-1), rank over the rationals
+via Fraction Gaussian elimination, and homology read off those
+primitives.  The one
 exception is the tensor oracle: ``tensor_complex`` is the generic
 tensor product of free complexes, with a block layout and Koszul
 signs, and ``oracle_product_complex`` folds it over hand-written lens
@@ -331,6 +333,44 @@ def oracle_smith_diagonal(mat):
         diag.append(abs(piv))
         a = [row[1:] for row in a[1:]]
     return diag
+
+
+def oracle_local_smith_diagonal(rows, ncols, p, e):
+    """Smith diagonal of the sparse map ``(rows, ncols)`` over Z/p^e, by
+    dense elimination that pivots on an entry of least p-valuation.
+
+    That entry divides every other one in Z/p^e, so clearing its row and
+    column records it and leaves a smaller matrix.  The result is the
+    integer Smith diagonal whenever every invariant factor divides
+    p^(e-1), so that none vanishes mod p^e: the maps of a Tate table
+    over (Z/p)^r at e = r + 1, since |G| = p^r kills Tate cohomology.
+    Entries stay below p^e, so it does not stall on maps where
+    ``oracle_smith_diagonal`` grows its entries.
+    """
+    q = p**e
+    a = [[row.get(k, 0) % q for k in range(ncols)] for row in rows]
+    a = [r for r in a if any(r)]
+    diag = []
+    while a:
+        # every entry is nonzero mod p^e somewhere, so some v < e has one
+        # of valuation v, the least
+        for v in range(e):
+            step = p ** (v + 1)
+            i, j = next(
+                ((i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x % step),
+                (None, None),
+            )
+            if i is not None:
+                break
+        pivot = a.pop(i)
+        scale = pow(pivot[j] // p**v, -1, q)
+        for r in a:
+            if r[j]:
+                f = r[j] // p**v * scale % q
+                r[:] = [(x - f * y) % q for x, y in zip(r, pivot)]
+        a = [r for r in a if any(r)]
+        diag.append(p**v)
+    return sorted(diag)
 
 
 def oracle_rank(mat):

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -24,7 +23,7 @@ from tatekit.exactlin import (
     smith_diagonal,
     solve_in_lattice,
     solve_preimage,
-    unit_block_rows,
+    unit_block,
 )
 
 from tatekit.gallery import random_free_complex
@@ -40,6 +39,7 @@ from oracles import (
     dense_solve_in_lattice,
     dense_solve_preimage,
     oracle_cokernel,
+    oracle_local_smith_diagonal,
     oracle_rank,
     oracle_smith_diagonal,
 )
@@ -92,7 +92,41 @@ def test_smith_diagonal_matches_oracle():
     assert max(got) > 2**100
 
 
+def _unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1: the identity
+    under random row additions and sign changes."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, k = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == k:
+            rows[i] = [-v for v in rows[i]]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [v + c * w for v, w in zip(rows[i], rows[k])]
+    return IntMatrix(rows, n, n)
+
+
+def test_local_smith_oracle_reads_back_p_power_diagonals():
+    # U D V with D a diagonal of powers of p and U, V unimodular: over
+    # Z/p^e, e one above the largest power, the oracle reads D back
+    rng = random.Random(7)
+    for _ in range(80):
+        p = rng.choice((2, 3, 5))
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        powers = sorted(rng.randint(0, 3) for _ in range(rng.randint(0, min(n, m))))
+        d = IntMatrix(
+            [[p ** powers[i] if i == j < len(powers) else 0 for j in range(m)] for i in range(n)]
+        )
+        a = _unimodular(rng, n).mul(d).mul(_unimodular(rng, m))
+        e = max(powers, default=0) + 1
+        want = [p**v for v in powers]
+        assert oracle_local_smith_diagonal(a.sparse_rows(), m, p, e) == want, (a.data, p, e)
+        assert smith_diagonal(a) == want
+
+
 def _kernel_units(data, ncols):
+    """The Smith diagonal and the (row, column) unit pivot pairs the
+    kernel reports."""
     units = []
     rows = IntMatrix(data, len(data), ncols).sparse_rows()
     return _backend.smith_diagonal(rows, ncols, units), units
@@ -104,7 +138,8 @@ def _transpose(m):
 
 def _check_unit_rows_cancel(m, units, rng):
     """Any b with b m = 0 keeps its Smith diagonal without the columns
-    at the unit rows ``units`` reported for ``m``."""
+    at the rows of the unit pivot pairs ``units`` reported for ``m``."""
+    units = {i for i, _ in units}
     left = kernel_basis(_transpose(m))
     if not left.cols:
         return
@@ -115,9 +150,10 @@ def _check_unit_rows_cancel(m, units, rng):
 
 
 def test_smith_diagonal_reports_unit_pivot_rows():
-    # row 1 is {1: 2} once row 0 pivots; divided by its content 2 it is
-    # a unit pivot, and reported
-    assert _kernel_units([[1, 1], [0, 2]], 2) == ([1, 2], [0, 1])
+    # row 1 is {1: 2} once row 0 pivots on column 0, the column with
+    # fewer live rows; divided by its content 2 it is a unit pivot, and
+    # reported with its column
+    assert _kernel_units([[1, 1], [0, 2]], 2) == ([1, 2], [(0, 0), (1, 1)])
     assert _kernel_units([[2, 0], [0, 3]], 2) == ([1, 6], [])
     # the 1 of [[2, 3]] only appears once the general phase has begun
     assert _kernel_units([[2, 3]], 2) == ([1], [])
@@ -128,7 +164,7 @@ def test_smith_diagonal_reports_unit_pivot_rows():
     # the +-1 entries of [[1, 1], [1, 2]] appear only once the content 2
     # is divided out; a division scales every live row alike, so the
     # unit pivots after it are reported
-    assert _kernel_units([[2, 2], [2, 4]], 2) == ([2, 2], [0, 1])
+    assert _kernel_units([[2, 2], [2, 4]], 2) == ([2, 2], [(0, 0), (1, 1)])
     # twice the matrix above: the division leaves no +-1 pivot, and the
     # general phase stops the recording
     assert _kernel_units([[4, 6], [6, 4], [4, 4]], 2) == ([2, 2], [])
@@ -137,8 +173,10 @@ def test_smith_diagonal_reports_unit_pivot_rows():
         m = rand_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
         got, units = _kernel_units(m.data, m.cols)
         assert got == _backend.smith_diagonal(m.sparse_rows(), m.cols), m.data
-        assert len(set(units)) == len(units) <= len(got), (m.data, units)
-        assert all(0 <= i < m.rows for i in units), (m.data, units)
+        for side, bound in ((0, m.rows), (1, m.cols)):
+            picked = [pair[side] for pair in units]
+            assert len(set(picked)) == len(picked) <= len(got), (m.data, units)
+            assert all(0 <= k < bound for k in picked), (m.data, units)
         _check_unit_rows_cancel(m, units, rng)
 
 
@@ -161,24 +199,22 @@ def _det(rows):
     return sign * (a[-1][-1] if n else 1)
 
 
-def test_unit_block_rows_index_a_unimodular_block():
+def test_unit_block_pairs_index_a_unimodular_block():
     # only the +-1 pivots from before any content division: [[1, 1],
-    # [0, 2]] keeps row 0 and not row 1, a unit pivot only once divided
-    # by 2, and [[2, 2], [2, 4]] keeps none, though the chain passes on
-    # both of their rows
-    assert unit_block_rows([{0: 1, 1: 1}, {1: 2}], 2) == [0]
-    assert unit_block_rows([{0: 2, 1: 2}, {0: 2, 1: 4}], 2) == []
-    assert unit_block_rows([{0: 2, 1: 3}, {0: 3, 1: 2}, {0: 2, 1: 2}], 2) == []
+    # [0, 2]] keeps the pair (0, 0) and not row 1, a unit pivot only
+    # once divided by 2, and [[2, 2], [2, 4]] keeps none, though the
+    # chain passes on both of their rows.  The rows and the columns of
+    # the pairs index a block with determinant +-1, read off one pass
+    assert unit_block([{0: 1, 1: 1}, {1: 2}], 2) == [(0, 0)]
+    assert unit_block([{0: 2, 1: 2}, {0: 2, 1: 4}], 2) == []
+    assert unit_block([{0: 2, 1: 3}, {0: 3, 1: 2}, {0: 2, 1: 2}], 2) == []
     rng = random.Random(29)
     for _ in range(150):
         m = rand_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
-        units = unit_block_rows(m.sparse_rows(), m.cols)
-        assert len(set(units)) == len(units), m.data
-        block = [m.data[i] for i in units]
-        assert any(
-            abs(_det([[row[j] for j in cols] for row in block])) == 1
-            for cols in itertools.combinations(range(m.cols), len(units))
-        ), (m.data, units)
+        pairs = unit_block(m.sparse_rows(), m.cols)
+        rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
+        assert len(set(rows)) == len(set(cols)) == len(pairs), m.data
+        assert abs(_det([[m.data[i][j] for j in cols] for i in rows])) == 1, (m.data, pairs)
 
 
 @st.composite
@@ -352,7 +388,8 @@ def test_peel_phase_keeps_the_smith_diagonal(drawn):
     peeled = _elim_py._peel(rows)
     assert len(peeled) >= len(cascade)
     assert not any(cascade.intersection(row) for row in rows)
-    assert not doubled & set(peeled)
+    assert not doubled & {i for i, _ in peeled}
+    assert all(abs(m.data[i][c]) == 1 for i, c in peeled)
     assert units[: len(peeled)] == peeled
     _check_unit_rows_cancel(m, units, rng)
 
@@ -362,11 +399,13 @@ def test_peel_leaves_non_unit_singletons_and_drops_dead_columns():
     # 1 and 2 as the +-2 singletons {1: 2}, never peeled; divided by
     # their content 2, row 1 is a unit pivot
     rows = IntMatrix([[1, 0], [5, 2], [0, 2]]).sparse_rows()
-    assert _elim_py._peel(rows) == [0]
+    assert _elim_py._peel(rows) == [(0, 0)]
     assert rows == [{}, {1: 2}, {1: 2}]
-    assert _kernel_units([[1, 0], [5, 2], [0, 2]], 2) == ([1, 2], [0, 1])
+    assert _kernel_units([[1, 0], [5, 2], [0, 2]], 2) == ([1, 2], [(0, 0), (1, 1)])
     # a cascade peels whole, in order
-    assert _kernel_units([[1, 0, 0], [3, -1, 0], [2, 7, 1]], 3) == ([1, 1, 1], [0, 1, 2])
+    assert _kernel_units([[1, 0, 0], [3, -1, 0], [2, 7, 1]], 3) == (
+        [1, 1, 1], [(0, 0), (1, 1), (2, 2)]
+    )
 
 
 def _live_chain(maps, finished=None):

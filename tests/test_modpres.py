@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tatekit import _backend
+from tatekit import _backend, exactlin
 from tatekit.errors import InvalidPresentation
 from tatekit.exactlin import IntMatrix
 from tatekit.gallery import product_complex, random_free_complex
@@ -150,6 +150,23 @@ def test_homology_range_agrees_with_pointwise():
         assert rng_table[i] == homology(c, i)
 
 
+def test_homology_module_keeps_the_relation_basis_it_was_built_on(monkeypatch):
+    # the relations of a homology module are an echelon basis already,
+    # so relation_basis() hands them back with no second Hermite pass
+    c = random_free_complex(ElementaryAbelianGroup(2, 2), [1, 3, 2], 0)
+    modules = [homology_module(c, j) for j in c.degrees()]
+    assert any(m.relations.cols for m in modules)
+    real = _backend.hermite
+    calls = []
+    monkeypatch.setattr(_backend, "hermite", lambda *a: calls.append(1) or real(*a))
+    bases = [m.relation_basis() for m in modules]
+    assert not calls
+    monkeypatch.undo()
+    for m, basis in zip(modules, bases):
+        assert basis is m.relations
+        assert basis == exactlin.lattice_basis(m.relations)
+
+
 def test_homology_leaves_out_the_columns_at_unit_rows_of_the_map_above(monkeypatch):
     # the chain reads d_hi, ..., d_(lo+1) top-down; the unit pivot rows
     # of each map are basis elements of the degree below it, which the
@@ -162,7 +179,7 @@ def test_homology_leaves_out_the_columns_at_unit_rows_of_the_map_above(monkeypat
     def spy(rows, ncols, unit_rows=None):
         cols = set().union(*rows)
         diagonal = real(rows, ncols, unit_rows)
-        calls.append((cols, set(unit_rows)))
+        calls.append((cols, {i for i, _ in unit_rows}))
         return diagonal
 
     monkeypatch.setattr(_backend, "smith_diagonal", spy)

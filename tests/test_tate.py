@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from oracles import oracle_smith_diagonal
-from tatekit import tate
+from oracles import oracle_local_smith_diagonal, oracle_smith_diagonal
+from tatekit import _backend, tate
 from tatekit._backend import smith_diagonal
 from tatekit.errors import InfiniteLength, NotConcentrated
 from tatekit.exactlin import INFINITE, AbelianInvariants, IntMatrix, chain_diagonals
@@ -473,36 +473,51 @@ def test_total_maps_write_no_entry_in_a_cancelled_column():
 
 def _chained(window, lattices, lo, hi):
     """The table ``_table`` reads, the diagonal of each map its chain
-    reduces, and whether C's unit blocks trimmed the maps."""
-    seen, flags = [], []
+    reduces, whether C's unit blocks trimmed the maps, and how many maps
+    passed on a unit row pivoted after a content division."""
+    seen, late, chain = [], [], []
+    real_kernel = _backend.smith_diagonal
 
-    def recording(maps, trimmed=False):
-        flags.append(trimmed)
-        for diagonal in chain_diagonals(maps, trimmed):
+    def recording(maps):
+        chain.append(True)  # C's passes are done
+        for diagonal in chain_diagonals(maps):
             seen.append(diagonal)
             yield diagonal
 
+    def kernel(rows, ncols, unit_rows=None):
+        diagonal = real_kernel(rows, ncols, unit_rows)
+        if chain:
+            # the ones of a diagonal are the units from before any division
+            late.append(len(unit_rows) > diagonal.count(1))
+        return diagonal
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tate, "chain_diagonals", recording)
+        mp.setattr(_backend, "smith_diagonal", kernel)
         table = _table(window, lattices, lo, hi)
-    return table, seen, flags == [True]
+    return table, seen, bool(tate._unit_blocks(lattices)[1]), sum(late)
 
 
 def _oracle_diagonal(rows, dim):
     return sorted(oracle_smith_diagonal([[row.get(k, 0) for k in range(dim)] for row in rows]))
 
 
+def _local_oracle_diagonal(rows, dim):
+    # |G| = 9 kills every Tate group over (Z/3)^2, so Z/27 reads the maps
+    return oracle_local_smith_diagonal(rows, dim, 3, 3)
+
+
 @pytest.mark.parametrize(
     "pr, ranks, diagonal",
-    [((2, 2), [1, 2, 2, 1], _oracle_diagonal), ((3, 2), [1, 2, 1], smith_diagonal)],
+    [((2, 2), [1, 2, 2, 1], _oracle_diagonal), ((3, 2), [1, 2, 1], _local_oracle_diagonal)],
 )
 def test_hyper_tables_that_lose_rows_match_the_whole_maps(pr, ranks, diagonal):
     # C's +-1 pivots, taken before any content division, delete rows of
-    # every Tot map and columns of the first, and such a map passes on
-    # only its own unit rows from before a division; each diagonal and
-    # the table equal those of the whole maps, reduced one by one.  The
-    # dense oracle's entries grow past 20 bits on the (Z/3)^2 maps, so
-    # there the whole maps go to the sparse kernel, unchained
+    # every Tot map and columns of the first, and such a map still
+    # passes on all its unit rows; each diagonal and the table equal an
+    # oracle's on the whole maps, reduced one by one.  The dense
+    # oracle's entries grow past 20 bits on the (Z/3)^2 maps, so there
+    # the oracle works over Z/3^3
     g = ElementaryAbelianGroup(*pr)
     lo, hi = -2, 2
     losses = 0
@@ -510,7 +525,7 @@ def test_hyper_tables_that_lose_rows_match_the_whole_maps(pr, ranks, diagonal):
         c = random_free_complex(g, ranks, seed)
         window = complete_resolution(g, lo - 1 + c.lo, hi + 1 + c.hi)
         lattices = _free_lattices(c)
-        table, seen, trimmed = _chained(window, lattices, lo, hi)
+        table, seen, trimmed, _ = _chained(window, lattices, lo, hi)
         losses += trimmed
         whole = [diagonal(rows, dim) for rows, dim in _total_maps(window, lattices, lo, hi)]
         assert seen == whole, seed
@@ -550,22 +565,100 @@ def test_trimmed_gallery_tables_keep_every_diagonal():
     for p, ks in [(2, [1, 1]), (3, [1, 1]), (2, [2, 1]), (5, [2, 1])]:
         c = product_complex(p, ks)
         window = complete_resolution(c.group, -3 + c.lo, 3 + c.hi)
-        assert _check_every_diagonal(window, _free_lattices(c), -2, 2)
+        assert _check_every_diagonal(window, _free_lattices(c), -2, 2)[0]
 
 
 def _check_every_diagonal(window, lattices, lo, hi):
     """Each diagonal of the chain, and the table, against the whole
-    maps reduced one by one; returns whether the maps were trimmed."""
-    table, seen, trimmed = _chained(window, lattices, lo, hi)
+    maps reduced one by one; returns whether the maps were trimmed and
+    how many passed on a unit row pivoted after a content division."""
+    table, seen, trimmed, late = _chained(window, lattices, lo, hi)
     assert seen == [smith_diagonal(rows, dim) for rows, dim in _total_maps(window, lattices, lo, hi)]
     assert table == _full_table(window, lattices, lo, hi)
-    return trimmed
+    return trimmed, late
+
+
+def _check_acyclic_matching(group, lattices):
+    """C's unit blocks against the matching they must form: one kernel
+    pass per d_j whose rows, those at T_(j-1) left out, have a +-1
+    entry; rows R_j and columns T_j distinct and as many, d_j[R_j, T_j]
+    unimodular by the oracle, R_j disjoint from T_(j-1), and the trimmed
+    action and d_(j+1) empty at T_j.  Returns the number of degrees
+    where R_j met a nonempty T_(j-1) to be disjoint from."""
+    passes = []
+    real = tate.unit_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tate, "unit_block", lambda *a: passes.append(1) or real(*a))
+        trimmed, blocks = tate._unit_blocks(lattices)
+    assert len(passes) == len(blocks)
+    assert set(blocks) == {
+        j for j, (_, _, d) in trimmed.items() if j - 1 in trimmed and _unit_entry(d)
+    }
+    met = 0
+    for j, pairs in blocks.items():
+        rows, cols = [r for r, _ in pairs], [t for _, t in pairs]
+        assert len(set(rows)) == len(set(cols)) == len(pairs) > 0
+        d = lattices[j][2]
+        block = [[d[t].get(r, 0) for t in cols] for r in rows]
+        assert oracle_smith_diagonal(block) == [1] * len(pairs), j
+        below = {t for _, t in blocks.get(j - 1, ())}
+        assert not below & set(rows), j
+        met += bool(below)
+        act = trimmed[j][1]
+        up = trimmed[j + 1][2] if j + 1 in trimmed else []
+        for col in up + act(group.generator(1) - group.identity()):
+            assert not set(col) & set(cols), j
+    return met
+
+
+def test_unit_blocks_of_gallery_products_form_an_acyclic_matching():
+    met = 0
+    for p, ks in [(2, [1, 1]), (3, [1, 1]), (2, [2, 1]), (5, [2, 1]), (2, [2, 2, 1])]:
+        c = product_complex(p, ks)
+        met += _check_acyclic_matching(c.group, _free_lattices(c))
+    assert met
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]),
+    st.lists(st.integers(1, 3), min_size=2, max_size=4),
+    st.integers(0, 30),
+)
+def test_unit_blocks_of_random_complexes_and_modules_form_an_acyclic_matching(pr, ranks, seed):
+    # a random free complex and the lattice complexes L -> Z^gens of its
+    # unpruned homology modules
+    g = ElementaryAbelianGroup(*pr)
+    c = random_free_complex(g, ranks, seed)
+    _check_acyclic_matching(g, _free_lattices(c))
+    for j in c.degrees():
+        m = homology_module(c, j)
+        if m.acts_exactly():
+            _check_acyclic_matching(g, _presentation_lattices(m))
+
+
+def test_trimmed_chains_pass_on_unit_rows_taken_after_a_content_division():
+    # module tables whose relation basis has a +-1 entry: trimmed Tot
+    # maps pass on unit rows pivoted after a content division, which the
+    # disjoint matching allows, and every diagonal and the table still
+    # equal those of the whole maps
+    late = 0
+    for pr, ranks, seed in [((2, 2), [1, 2, 1], 0), ((2, 2), [1, 2, 1], 1), ((5, 1), [2, 2, 1], 0)]:
+        g = ElementaryAbelianGroup(*pr)
+        c = random_free_complex(g, ranks, seed)
+        for j in c.degrees():
+            m = homology_module(c, j)
+            if m.acts_exactly() and _unit_entry(m.relation_basis().columns):
+                window = complete_resolution(g, -3, 2)
+                trimmed, n = _check_every_diagonal(window, _presentation_lattices(m), -2, 0)
+                assert trimmed
+                late += n
+    assert late
 
 
 def test_tables_with_no_unit_entry_in_c_read_their_columns_as_they_are():
     # no +-1 in any d_j: no kernel call for C, the lattices go to
-    # _total_maps as given, no first columns are left out, and the chain
-    # passes on every unit row
+    # _total_maps as given, and no first columns are left out
     g = ElementaryAbelianGroup(2, 2)
     two = GroupRingMatrix(g, [{0: g.identity() + g.identity()}], 1, 1)
     complex_ = FreeChainComplex(g, {0: 1, 1: 1}, {1: two})
@@ -576,21 +669,17 @@ def test_tables_with_no_unit_entry_in_c_read_their_columns_as_they_are():
     ]
     for window, lattices in cases:
         assert not any(d and _unit_entry(d) for _, _, d in lattices.values())
-        drawn, chains = [], []
-        real_maps, real_chain = tate._total_maps, tate.chain_diagonals
+        drawn = []
+        real_maps = tate._total_maps
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tate, "unit_block_rows", lambda *a: pytest.fail("reduced C"))
+            mp.setattr(tate, "unit_block", lambda *a: pytest.fail("reduced C"))
             mp.setattr(
                 tate, "_total_maps",
                 lambda w, lat, lo, hi, first: drawn.append((lat, first)) or real_maps(w, lat, lo, hi),
             )
-            mp.setattr(
-                tate, "chain_diagonals",
-                lambda maps, trimmed=False: chains.append(trimmed) or real_chain(maps),
-            )
             _table(window, lattices, -2, 2)
         ((read, first),) = drawn
-        assert first == {} and chains == [False]
+        assert first == {}
         assert read.keys() == lattices.keys()
         assert all(x is y for j in lattices for x, y in zip(read[j], lattices[j]))
 

@@ -27,10 +27,10 @@ table that no longer reads its top map or a certificate that checks a
 map's entries against a rule instead of reducing its expansion,
 legitimately moves ``sorted`` too; then the call count and the tables
 themselves are what to compare.  So does a table that first reduces
-the differentials of its coefficient complex, twice each, to trim its
-totalization, as hyper tables do: more calls, far fewer nonzeros, and
-the same diagonals for the totalization's maps, with those of the
-coefficient reductions added.
+the differentials of its coefficient complex, in one acyclic pass each
+on their rows, to trim its totalization, as hyper tables do: more
+calls, far fewer nonzeros, and the same diagonals for the
+totalization's maps, with those of the coefficient reductions added.
 
 ``tatekit`` is imported from the ``src`` next to this script and the
 workloads are only read, never changed.
