@@ -112,16 +112,19 @@ def _peel(rows):
     dies: each row keeps the count of its live entries and the sum of
     their columns, which names the last one when the count reaches 1.
     At the end the peeled rows are emptied and the others lose their
-    dead columns, once.
+    dead columns, once.  Empty rows keep their index and are never read.
     """
+    live = [i for i, row in enumerate(rows) if row]
     # Rows whose one entry is +-1; the first map of a chain often has none.
-    stack = [i for i, row in enumerate(rows) if len(row) == 1 and abs(sum(row.values())) == 1]
+    stack = [i for i in live if len(rows[i]) == 1 and abs(sum(rows[i].values())) == 1]
     if not stack:
         return []
-    count = [len(row) for row in rows]
-    colsum = [sum(row) for row in rows]
+    count, colsum = [0] * len(rows), [0] * len(rows)
     col_rows = defaultdict(list)
-    for i, row in enumerate(rows):
+    for i in live:
+        row = rows[i]
+        count[i] = len(row)
+        colsum[i] = sum(row)
         for c in row:
             col_rows[c].append(i)
     peeled = []
@@ -140,7 +143,8 @@ def _peel(rows):
             colsum[r] -= c
             if n == 1 and rows[r][colsum[r]] in (1, -1):
                 stack.append(r)
-    for i, row in enumerate(rows):
+    for i in live:
+        row = rows[i]
         if count[i] != len(row):
             rows[i] = {k: v for k, v in row.items() if k in col_rows} if count[i] else {}
     return peeled
@@ -194,13 +198,16 @@ def smith_diagonal(rows, ncols, unit_rows=None):
     if unit_rows is not None:
         unit_rows += peeled
     nrows = len(rows)
+    # Row operations only combine rows that hold entries, so a row empty
+    # now stays empty, and only these rows are ever read.
+    nonempty = [i for i, row in enumerate(rows) if row]
     col_rows = {}
-    for i, row in enumerate(rows):
-        for c in row:
+    for i in nonempty:
+        for c in rows[i]:
             col_rows.setdefault(c, set()).add(i)
 
     row_alive = [True] * nrows
-    queue = deque(sorted((i for i in range(nrows) if rows[i]), key=lambda i: len(rows[i])))
+    queue = deque(sorted(nonempty, key=lambda i: len(rows[i])))
     queued = [False] * nrows
     for i in queue:
         queued[i] = True
@@ -263,7 +270,7 @@ def smith_diagonal(rows, ncols, unit_rows=None):
 
         # General phase: smallest remaining entry becomes the pivot.
         best = None
-        for i in range(nrows):
+        for i in nonempty:
             if not row_alive[i]:
                 continue
             for c, v in rows[i].items():
@@ -275,7 +282,7 @@ def smith_diagonal(rows, ncols, unit_rows=None):
         g, i, c = best
         # The unit phase resumes on every live row, in index order, after
         # a content division or a general pivot.
-        live = [r for r in range(nrows) if row_alive[r] and rows[r]]
+        live = [r for r in nonempty if row_alive[r] and rows[r]]
         for r in live:
             queued[r] = True
         queue.extend(live)
@@ -321,7 +328,7 @@ def smith_diagonal(rows, ncols, unit_rows=None):
 
             # Pivot isolated; make it divide everything that remains.
             violator = None
-            for r in range(nrows):
+            for r in nonempty:
                 if r == i or not row_alive[r]:
                     continue
                 for w in rows[r].values():

@@ -9,7 +9,8 @@ sparse kernels of :mod:`tatekit._elim_py`:
 
 - ``hermite`` on the columns of the matrix: :func:`rank`,
   :func:`lattice_basis`, and, with each column tagged by its index,
-  :func:`kernel_basis` and :func:`solve_preimage`;
+  :func:`image_and_kernel`, :func:`kernel_basis` and
+  :func:`solve_preimage`;
 - ``smith_diagonal``: :func:`smith_diagonal`, :func:`cokernel_invariants`,
   :func:`quotient_invariants`, :func:`unit_block` and
   :func:`chain_diagonals`, the one reduction of a chain of maps that
@@ -262,11 +263,23 @@ def solve_preimage(a, b):
     return IntMatrix.from_sparse(transform, a.cols).mul(coords)
 
 
+def image_and_kernel(a):
+    """The echelon basis of the column span of ``a`` that
+    :func:`lattice_basis` returns, and a basis of the integer kernel of
+    ``a``, both from one tagged Hermite form: its pivot rows span the
+    image, and its rows with no support in ``a``'s rows are the kernel.
+    The columns of ``a`` span Z^rows exactly when the image basis has
+    ``a.rows`` columns and each leading entry is 1."""
+    pivots, free = _augmented_hermite(a)
+    m = a.rows
+    image = [{i: v for i, v in row.items() if i < m} for _, row in pivots]
+    kernel = [{i - m: v for i, v in row.items()} for row in free]
+    return IntMatrix.from_sparse(image, m), IntMatrix.from_sparse(kernel, a.cols)
+
+
 def kernel_basis(a):
     """Basis of the integer kernel lattice of ``a``, as matrix columns."""
-    _, free = _augmented_hermite(a)
-    columns = [{i - a.rows: v for i, v in row.items()} for row in free]
-    return IntMatrix.from_sparse(columns, a.cols)
+    return image_and_kernel(a)[1]
 
 
 def lattice_basis(a):

@@ -35,8 +35,13 @@ No |G|-fold expansion is reduced.
 from functools import cache
 from math import comb
 
-from .errors import NoSolution
-from .exactlin import IntMatrix, kernel_basis, lattice_basis, solve_in_lattice
+from .exactlin import (
+    IntMatrix,
+    cokernel_invariants,
+    image_and_kernel,
+    lattice_basis,
+    solve_in_lattice,
+)
 from .groupring import (
     ElementaryAbelianGroup,
     GroupRingMatrix,
@@ -178,13 +183,14 @@ class ResolutionStep:
     """One stage of a free resolution of a presented module.
 
     ``generators`` holds the indices of the module generators the cover
-    sends its free generators to, in order; together they generate the
-    module over ZG.  ``rank`` is their number.  ``cover`` is the integer
-    matrix of ZG^rank -> Z^gens, whose column ``j * |G| + h`` is group
-    element ``h`` applied to generator ``generators[j]``.  ``kernel`` is
-    the kernel of the cover as a presented module (Z-free, so with an
-    empty relation matrix) and ``kernel_basis`` its lattice basis inside
-    Z^(rank * |G|).
+    sends its free generators to, ascending; together they generate the
+    module over ZG, so the cover is onto over Z.  ``rank`` is their
+    number, d(M) = dim_Fp M/(pM + IM) unless the cover was topped up.
+    ``cover`` is the integer matrix of ZG^rank -> Z^gens, whose column
+    ``j * |G| + h`` is group element ``h`` applied to generator
+    ``generators[j]``.  ``kernel`` is the kernel of the cover as a
+    presented module (Z-free, so with an empty relation matrix) and
+    ``kernel_basis`` its lattice basis inside Z^(rank * |G|).
     """
 
     __slots__ = ("rank", "generators", "cover", "kernel", "kernel_basis")
@@ -197,36 +203,75 @@ class ResolutionStep:
         self.kernel_basis = kernel_basis
 
 
+def _nakayama_choice(module):
+    """The c with e_c not the lead (largest index) of a vector of an F_p
+    echelon form of the relations and the columns of A_i - I, mod p:
+    the e_c an index-order walk keeps mod (p, I), a basis of M/(pM + IM)."""
+    p = module.group.p
+    vectors = list(module.relations.columns)
+    for a in module.actions:
+        vectors += [{**col, c: col.get(c, 0) - 1} for c, col in enumerate(a.columns)]
+    leads = {}  # lead -> its echelon vector, 1 at the lead
+    for v in vectors:
+        v = {i: x % p for i, x in v.items() if x % p}
+        while v:
+            top = max(v)
+            if top not in leads:
+                f = pow(v[top], -1, p)
+                leads[top] = {i: x * f % p for i, x in v.items()}
+                break
+            f = v[top]
+            for i, x in leads[top].items():
+                v[i] = y = (v.get(i, 0) - f * x) % p
+                if not y:
+                    del v[i]
+    return [c for c in range(module.gens) if c not in leads]
+
+
+def _orbit(module, c):
+    """Column c of the action of each element h, in index order: with
+    h = g_j h', g_j the last generator in h, A_j times the column of h',
+    the product ``act_element`` forms, taken on one vector."""
+    p, r = module.group.p, module.group.r
+    out = [{c: 1}]
+    for h in range(1, module.group.order):
+        place, j = 1, r - 1
+        while h // place % p == 0:
+            place, j = place * p, j - 1
+        col = {}
+        for k, x in out[h - place].items():
+            for i, v in module.actions[j].columns[k].items():
+                col[i] = col.get(i, 0) + v * x
+        out.append({i: v for i, v in col.items() if v})
+    return IntMatrix.from_sparse(out, module.gens)
+
+
 def resolution_step(module):
     """Cover a module by a free module on a ZG-generating subset.
 
-    Walks the generators in order and skips generator ``c`` when e_c
-    already lies in the Z-span of the relations and of the G-orbits of
-    the generators chosen before it.  The cover ZG^rank -> M sends the
-    free generators to the chosen ones, so its kernel is the syzygy of
-    M up to free summands (Schanuel's lemma), which Tate cohomology
+    For a p-group, Z_(p)G is local with maximal ideal (p, I), I the
+    augmentation ideal, so any lift of an F_p-basis of M/(pM + IM)
+    generates M_(p) (Nakayama; Benson, *Representations and Cohomology
+    I*, ch. 1), and the cover starts on :func:`_nakayama_choice`: its
+    cokernel over Z is finite, of order prime to p.  The Hermite form
+    that gives the kernel reads the image too; while the cover is not
+    onto over Z, it takes the e_c whose orbit leaves the smallest
+    cokernel, ties to the lowest index.  So its kernel is the syzygy
+    of M up to free summands (Schanuel's lemma), which Tate cohomology
     cannot see.
     """
-    group = module.group
-    k = module.gens
-    n = group.order
-    chosen = []
-    columns = []
-    span = module.relation_basis()
-    for c in range(k):
-        if span.cols:
-            try:
-                solve_in_lattice(span, IntMatrix.from_sparse([{c: 1}], k))
-                continue
-            except NoSolution:
-                pass
-        orbit = [module.act_element(h).columns[c] for h in range(n)]
-        chosen.append(c)
-        columns.extend(orbit)
-        span = lattice_basis(span.hstack(IntMatrix.from_sparse(orbit, k)))
+    group, k, n = module.group, module.gens, module.group.order
+    chosen = _nakayama_choice(module)
+    orbit = cache(lambda c: _orbit(module, c))
+    while True:
+        cover = IntMatrix.from_sparse([v for c in chosen for v in orbit(c).columns], k)
+        image, full = image_and_kernel(cover.hstack(module.relations))
+        if image.cols == k and all(col[j] == 1 for j, col in enumerate(image.columns)):
+            break
+        rest = [c for c in range(k) if c not in chosen]
+        size = [(cokernel_invariants(image.hstack(orbit(c))).order(), c) for c in rest]
+        chosen = sorted(chosen + [min(size)[1]])
     s = len(chosen)
-    cover = IntMatrix.from_sparse(columns, k)
-    full = kernel_basis(cover.hstack(module.relations))
     basis = lattice_basis(full.submatrix(range(s * n), range(full.cols)))
     gens = range(1, group.r + 1)
     actions = [solve_in_lattice(basis, act_rows(group, i, basis)) for i in gens]

@@ -18,7 +18,10 @@ sparse columns: dense row lists, with the same elimination kernels.
 ``oracle_random_free_complex`` is ``random_free_complex`` written on
 them.  The sparse code is checked against them.  ``encode_columns``
 writes the identity-basis columns that ``groupring.decode_columns``
-reads back.  Slow and simple on purpose.
+reads back.  ``greedy_generators`` is the cover ``resolve`` took
+before its covers were minimal, and ``oracle_generator_count`` the
+minimal number, d(M), by a dense rank over F_p.  Slow and simple on
+purpose.
 """
 
 import random
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from tatekit import _elim_py
 from tatekit.errors import NoSolution, SublatticeViolation
-from tatekit.exactlin import IntMatrix, homology_invariants
+from tatekit.exactlin import IntMatrix, homology_invariants, lattice_basis, solve_in_lattice
 from tatekit.groupring import (
     ElementaryAbelianGroup,
     GroupRingElement,
@@ -395,6 +398,61 @@ def oracle_rank(mat):
         row += 1
         rank += 1
     return rank
+
+
+def oracle_rank_mod_p(columns, nrows, p):
+    """Rank over F_p of sparse ``{row: value}`` columns, by dense
+    Gaussian elimination on rows, pivots taken left to right."""
+    a = [[col.get(i, 0) % p for col in columns] for i in range(nrows)]
+    rank = 0
+    for col in range(len(columns)):
+        piv = next((i for i in range(rank, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        for i in range(rank + 1, nrows):
+            if a[i][col]:
+                f = a[i][col] * inv
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_generator_count(module):
+    """d(M) = dim_Fp M/(pM + IM), the number of generators a minimal
+    cover of M by free ZG-modules needs (Nakayama): ``gens`` less the
+    F_p rank of the relations and the columns of A_i - I."""
+    k = module.gens
+    columns = list(module.relations.columns)
+    for a in module.actions:
+        for c in range(k):
+            col = dict(a.columns[c])
+            col[c] = col.get(c, 0) - 1
+            columns.append(col)
+    return k - oracle_rank_mod_p(columns, k, module.group.p)
+
+
+def greedy_generators(module):
+    """The generators a walk in index order keeps: e_c is skipped when it
+    lies in the Z-span of the relations and of the G-orbits of the
+    generators kept before it.  They generate the module over ZG, but
+    their number need not be minimal.  The reference for
+    ``resolve.resolution_step``, whose cover it once was."""
+    k = module.gens
+    chosen = []
+    span = module.relation_basis()
+    for c in range(k):
+        if span.cols:
+            try:
+                solve_in_lattice(span, IntMatrix.from_sparse([{c: 1}], k))
+                continue
+            except NoSolution:
+                pass
+        orbit = [module.act_element(h).columns[c] for h in range(module.group.order)]
+        chosen.append(c)
+        span = lattice_basis(span.hstack(IntMatrix.from_sparse(orbit, k)))
+    return chosen
 
 
 def oracle_cokernel(mat, nrows):

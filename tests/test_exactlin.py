@@ -408,6 +408,26 @@ def test_peel_leaves_non_unit_singletons_and_drops_dead_columns():
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(peelable_matrices(), st.data())
+def test_empty_rows_keep_their_index_and_change_nothing(drawn, data):
+    # a trimmed Tot map reaches the kernel with empty rows, which its
+    # set-up skips: with 0-2 empty rows spliced in before each row, the
+    # diagonal is the same, and so are the unit pairs, each row at its
+    # new index
+    m = drawn[0]
+    got, units = _kernel_units(m.data, m.cols)
+    gaps = data.draw(st.lists(st.integers(0, 2), min_size=m.rows, max_size=m.rows))
+    rows, index = [], []
+    for gap, row in zip(gaps, m.sparse_rows()):
+        rows += [{} for _ in range(gap)]
+        index.append(len(rows))
+        rows.append(row)
+    spliced = []
+    assert _backend.smith_diagonal(rows, m.cols, spliced) == got
+    assert spliced == [(index[i], c) for i, c in units]
+
+
 def _live_chain(maps, finished=None):
     """The sparse rows of each integer matrix in ``maps`` without the
     columns sent back into it, as ``chain_diagonals`` draws them; if

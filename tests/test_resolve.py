@@ -14,7 +14,7 @@ from tatekit.exactlin import (
     lattice_basis,
     solve_in_lattice,
 )
-from tatekit.gallery import product_complex
+from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import (
     ElementaryAbelianGroup,
     GroupRingElement,
@@ -27,6 +27,7 @@ from tatekit.modpres import (
     ModulePresentation,
     free_module_presentation,
     homology,
+    homology_module,
     trivial_module,
 )
 from tatekit.resolve import (
@@ -36,7 +37,12 @@ from tatekit.resolve import (
 )
 from tatekit.tate import tate_cohomology_range
 
-from oracles import oracle_antipode_transpose, oracle_product_complex
+from oracles import (
+    greedy_generators,
+    oracle_antipode_transpose,
+    oracle_generator_count,
+    oracle_product_complex,
+)
 
 
 def test_periodic_resolution_ranks_and_exactness():
@@ -265,7 +271,8 @@ def test_syzygy_tate_table_matches_all_generators_cover(pr, n, mod_p):
 
 def test_syzygy_generator_counts_over_klein_four():
     # the all-generators cover gives 3^n; the minimal resolution has
-    # rank n+1, and the greedy cover keeps the syzygy at 2n+1
+    # rank n+1, and the Nakayama cover, n+1 generators at each step,
+    # keeps the syzygy at 2n+1
     g = ElementaryAbelianGroup(2, 2)
     om = trivial_module(g)
     for n in range(1, 7):
@@ -280,6 +287,76 @@ def test_resolution_step_of_free_module_is_free():
     assert step.generators == [0, g.order]
     assert step.kernel.gens == 0
     assert step.kernel_basis.cols == 0
+
+
+def _cover_of(module, generators):
+    """The cover on these generators, its columns read off
+    ``act_element``: group element h applied to each generator."""
+    n = module.group.order
+    cols = [module.act_element(h).columns[c] for c in generators for h in range(n)]
+    return IntMatrix.from_sparse(cols, module.gens)
+
+
+_GALLERY_COMPLEXES = [
+    lens_complex(2, 2),
+    lens_complex(3, 2),
+    product_complex(2, [1, 1]),
+    product_complex(2, [2, 1]),
+    product_complex(3, [1, 1]),
+    product_complex(2, [2, 2, 1]),
+]
+
+
+@st.composite
+def _modules(draw):
+    """A gallery module (a homology module of a gallery complex, Z or
+    F_p), or a homology module of a random complex over Z/2, Z/3,
+    (Z/2)^2 or (Z/3)^2, one on nonzero generators (Z if there is none),
+    then its syzygy of index 0, 1 or 2."""
+    kind = draw(st.sampled_from(["gallery", "coefficients", "random"]))
+    g = ElementaryAbelianGroup(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])))
+    if kind == "coefficients":
+        m = _coefficients(g, draw(st.booleans()))
+    else:
+        if kind == "gallery":
+            c = draw(st.sampled_from(_GALLERY_COMPLEXES))
+        else:
+            ranks = draw(st.lists(st.integers(0, 2), min_size=2, max_size=4))
+            c = random_free_complex(g, ranks, draw(st.integers(0, 30)))
+        nonzero = [h for h in (homology_module(c, j) for j in c.degrees()) if h.gens]
+        m = draw(st.sampled_from(nonzero)) if nonzero else trivial_module(c.group)
+    return syzygy(m, draw(st.integers(0, 2)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_modules())
+def test_cover_is_minimal_mod_p_and_onto_over_z(m):
+    # at least d(M) = dim_Fp M/(pM + IM) generators, by Nakayama, at most
+    # the greedy walk's, and onto over Z; the cover's columns are the
+    # orbits act_element gives
+    step = resolution_step(m)
+    assert step.cover == _cover_of(m, step.generators)
+    assert oracle_generator_count(m) <= step.rank <= len(greedy_generators(m))
+    assert cokernel_invariants(step.cover.hstack(m.relations)).is_trivial()
+    image = step.cover.mul(step.kernel_basis)
+    assert m.in_relation_span(image) is None
+
+
+def test_a_cover_not_onto_over_z_is_topped_up():
+    # H_1 of this complex is finite: the Nakayama choice, one generator,
+    # leaves the cokernel Z/3 + Z/3, prime to 2, and the top-up adds the
+    # generator that leaves the smallest cokernel, so two suffice where
+    # the greedy walk took three
+    g = ElementaryAbelianGroup(2, 3)
+    h1 = homology_module(random_free_complex(g, [1, 3, 2], 0), 1)
+    choice = resolve._nakayama_choice(h1)
+    assert len(choice) == oracle_generator_count(h1) == 1
+    left = cokernel_invariants(_cover_of(h1, choice).hstack(h1.relations))
+    assert left == AbelianInvariants((3, 3))
+    step = resolution_step(h1)
+    assert step.rank <= 2 < len(greedy_generators(h1))
+    assert set(choice) <= set(step.generators)
+    assert cokernel_invariants(step.cover.hstack(h1.relations)).is_trivial()
 
 
 def _clear_resolve_caches():

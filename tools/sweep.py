@@ -17,13 +17,15 @@ for w = 1..4 and of ``product_complex(2, [3,2,2])`` on [-1, 1], whose
 cost is the totalization's elimination, and the
 Tate table on [-2, 2] of H_1 of ``random_free_complex((Z/2)^3,
 [1,3,2], 0)``, whose actions are not exact, so the Smith kernel takes
-its general phase there (63 general pivots).
+its general phase there (63 general pivots), and the third syzygy of
+that H_1 (``torsion``), whose first cover by Nakayama is not onto over
+Z and is topped up.
 Each of the ``REPEAT`` runs of a point is a fresh interpreter with the
 ``src`` next to this script first on ``PYTHONPATH``, so the module-level
 caches start cold; it times the call alone, after the import and the input set-up, with
 ``time.perf_counter``.  The output records every run, its median, and
-the answer (the verdict, the syzygy's generator count, or the table's
-invariants), so sweeps of two trees can be compared point by point.  The times are raw wall-clock
+the answer (the verdict, the table's invariants, or a syzygy's
+generator count and the cover rank of each of its steps), so sweeps of two trees can be compared point by point.  The times are raw wall-clock
 seconds of this host, which the file names; compare only runs taken on
 one host, on trees in the same ``__pycache__`` state.
 
@@ -34,7 +36,7 @@ which tree goes first on every repeat; each point then also records the
 other tree's runs, median and answer under ``against``, and the output
 goes to BENCH_sweep_pair.json unless ``--out`` names a file.  ``--kind``
 keeps only the points of the given kinds (browder, pipeline, syzygy,
-tate, hyper, general).
+tate, hyper, general, torsion).
 """
 
 import argparse
@@ -57,6 +59,8 @@ HYPER = [2, 2, 1]
 WIDTHS = range(1, 5)
 HYPER_LARGE = [[3, 2, 2], 1]
 GENERAL = [1, 3, 2]
+TORSION = [GENERAL, 3]
+KINDS = ("browder", "pipeline", "syzygy", "tate", "hyper", "general", "torsion")
 TIMEOUT_S = 900
 REPEAT = 3
 
@@ -73,6 +77,8 @@ def points():
     out.append((f"hyper product(2,{ks}) [-{w}, {w}]", "hyper", HYPER_LARGE))
     out.append((f"general H_1 random((Z/2)^3,{GENERAL},0) {list(TATE_RANGE)}", "general",
                 GENERAL))
+    ks, n = TORSION
+    out.append((f"torsion syzygy(H_1 random((Z/2)^3,{ks},0), {n})", "torsion", TORSION))
     return out
 
 
@@ -117,11 +123,19 @@ def run_point(kind, arg):
         table = T.tate_hypercohomology_range(c.group, c, -w, w)
         seconds = time.perf_counter() - start
         return seconds, {"invariants": [str(v) for v in table.invariants]}
-    z = T.trivial_module(T.ElementaryAbelianGroup(2, 2))
+    if kind == "torsion":
+        (ks, n), g = arg, T.ElementaryAbelianGroup(2, 3)
+        module = T.homology_module(T.random_free_complex(g, ks, 0), 1)
+    else:  # syzygy
+        module, n = T.trivial_module(T.ElementaryAbelianGroup(2, 2)), arg
+    ranks = []
     start = time.perf_counter()
-    module = T.syzygy(z, arg)
+    for _ in range(n):  # syzygy(module, n), one step at a time
+        step = T.resolution_step(module)
+        ranks.append(step.rank)
+        module = step.kernel
     seconds = time.perf_counter() - start
-    return seconds, {"gens": module.gens}
+    return seconds, {"gens": module.gens, "ranks": ranks}
 
 
 def cold_run(kind, arg, root=ROOT):
@@ -156,8 +170,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out")
     parser.add_argument("--against", metavar="CHECKOUT")
-    parser.add_argument("--kind", action="append",
-                        choices=("browder", "pipeline", "syzygy", "tate", "hyper", "general"))
+    parser.add_argument("--kind", action="append", choices=KINDS)
     parser.add_argument("--point", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.point:
