@@ -10,16 +10,17 @@ i XOR j), so no ring product allocates |G| entries.
 
 A ``GroupRingMatrix`` keeps only its nonzero entries, one
 ``{col: element}`` dict per row, so products, duals and expansions cost
-O(nnz).  ``GroupRingMatrix.sparse_rows`` turns a ring matrix into the
-sparse rows of an integer matrix through the left regular
-representation, one |G| x |G| block per entry, read off one translation
-row h -> g h per term g, and is the only code that writes that
-expansion; ``expand`` transposes it into the one column form of a ring
-matrix, an ``IntMatrix`` cached on the matrix whose columns callers
-share and only read.  The identity-basis columns of the expansion carry
-the ring data, and ``decode_columns`` reads them back:
-it turns integer vectors, such as cycles, into the group-ring columns
-that map free generators onto them.  ``act_rows`` applies a group
+O(nnz).  ``left_regular`` reads a ring element's left-regular action on
+ZG off the group's translation rows h -> g h, one per term g.
+``GroupRingMatrix.sparse_rows`` writes it into the sparse rows of an
+integer matrix, one |G| x |G| block per entry; ``expand`` transposes
+those into the one column form of a ring matrix, an ``IntMatrix``
+cached on the matrix whose columns callers share and only read.  A
+scalar acts on ZG^k as k copies of one |G| block, which is how ``tate``
+reads the action of its free coefficients.  The identity-basis columns
+of the expansion carry the ring data, and ``decode_columns`` reads them
+back: it turns integer vectors, such as cycles, into the group-ring
+columns that map free generators onto them.  ``act_rows`` applies a group
 generator to ZG^k as a permutation of rows.
 """
 
@@ -333,14 +334,13 @@ class GroupRingMatrix:
         keys in ascending g.  Zero coefficients write nothing.
         """
         n = self.group.order
-        translation = self.group._translation
         rows = [{} for _ in range(self.rows * n)]
         for i, entry_row in enumerate(self.entries):
             block = rows[i * n : (i + 1) * n]
             for j, e in entry_row.items():
                 base = j * n
-                for g, v in e.terms:
-                    for h, gh in enumerate(translation(g), base):
+                for row, v in left_regular(e):
+                    for h, gh in enumerate(row, base):
                         block[gh][h] = v
         return rows
 
@@ -370,6 +370,15 @@ class GroupRingMatrix:
 
     def __repr__(self):
         return f"GroupRingMatrix({self.group!r}, rows={self.rows}, cols={self.cols})"
+
+
+def left_regular(element):
+    """The left-regular action of ``element`` on ZG, one ``(row, coeff)``
+    pair per term g: ``row`` is the group's cached translation row
+    h -> g h, so column h of the action holds ``coeff`` at ``row[h]``.
+    The rows are shared, so callers only read them."""
+    translation = element.group._translation
+    return [(translation(g), v) for g, v in element.terms]
 
 
 def decode_columns(group, mat, row_blocks):

@@ -256,21 +256,29 @@ def resolution_step(module):
     cokernel over Z is finite, of order prime to p.  The Hermite form
     that gives the kernel reads the image too; while the cover is not
     onto over Z, it takes the e_c whose orbit leaves the smallest
-    cokernel, ties to the lowest index.  So its kernel is the syzygy
-    of M up to free summands (Schanuel's lemma), which Tate cohomology
-    cannot see.
+    cokernel, ties to the lowest index, and tracks the image by its
+    echelon basis alone; one more Hermite form then gives the kernel of
+    the final cover.  So its kernel is the syzygy of M up to free
+    summands (Schanuel's lemma), which Tate cohomology cannot see.
     """
     group, k, n = module.group, module.gens, module.group.order
     chosen = _nakayama_choice(module)
     orbit = cache(lambda c: _orbit(module, c))
-    while True:
-        cover = IntMatrix.from_sparse([v for c in chosen for v in orbit(c).columns], k)
-        image, full = image_and_kernel(cover.hstack(module.relations))
-        if image.cols == k and all(col[j] == 1 for j, col in enumerate(image.columns)):
-            break
+
+    def cover_of(chosen):
+        return IntMatrix.from_sparse([v for c in chosen for v in orbit(c).columns], k)
+
+    cover = cover_of(chosen)
+    image, full = image_and_kernel(cover.hstack(module.relations))
+    while not (image.cols == k and all(col[j] == 1 for j, col in enumerate(image.columns))):
         rest = [c for c in range(k) if c not in chosen]
         size = [(cokernel_invariants(image.hstack(orbit(c))).order(), c) for c in rest]
-        chosen = sorted(chosen + [min(size)[1]])
+        c = min(size)[1]
+        chosen = sorted(chosen + [c])
+        image, full = lattice_basis(image.hstack(orbit(c))), None
+    if full is None:
+        cover = cover_of(chosen)
+        full = image_and_kernel(cover.hstack(module.relations))[1]
     s = len(chosen)
     basis = lattice_basis(full.submatrix(range(s * n), range(full.cols)))
     gens = range(1, group.r + 1)

@@ -12,6 +12,11 @@ complex L --B--> Z^gens in degrees 1 and 0, B a basis of the relation
 lattice.  Every total complex is free abelian, so every table is read
 off Smith diagonals and ranks.
 
+A ring element x acts on a free C_j = ZG^k as k copies of its
+left-regular action on ZG, so delta_1 reads x off one |G| block, built
+once per table and written at each of the k offsets of C_j; a module's
+lattice is one block.
+
 Ĥ*(G; C) is killed by |G| (Brown, *Cohomology of Groups*, ch. VI), so
 it has free rank 0 in every degree.  So ker delta^n is the saturation
 of im delta^(n-1), and Ĥ^n is the torsion of coker delta^(n-1): the
@@ -27,6 +32,8 @@ differential, and reused in every copy of F, so no map of the chain
 starts cold (see ``_table``).
 """
 
+from collections import namedtuple
+
 from . import exactlin
 from .errors import InfiniteLength, NotConcentrated
 from .exactlin import (
@@ -37,7 +44,7 @@ from .exactlin import (
     solve_in_lattice,
     unit_block,
 )
-from .groupring import GroupRingMatrix
+from .groupring import left_regular
 from .modpres import _Derived, _Window, homology, homology_module
 from .resolve import complete_resolution, resolution_step
 
@@ -90,11 +97,20 @@ def _trivial_table(lo, hi):
     return CohomologyTable(lo, hi, [AbelianInvariants() for _ in range(hi - lo + 1)])
 
 
+# One degree j of the coefficient complex C.  C_j has Z-rank ``dim``, made
+# of dim // block copies of one block of ``block`` coordinates on which a
+# ring element x acts alike; ``act(x)`` gives the sparse {row: value}
+# columns of x on that block, and ``d`` the sparse columns of d_j : C_j ->
+# C_(j-1), None in the lowest degree.  Columns are shared, so only read.
+_Lattice = namedtuple("_Lattice", "dim block act d")
+
+
 def _presentation_lattices(module):
     """M = Z^gens / L as the lattice complex L --B--> Z^gens in degrees 1
     and 0, with B the relation basis and L acted on by the X_i with
-    B X_i = A_i B."""
-    lattices = {0: (module.gens, module.act_columns, None)}
+    B X_i = A_i B.  Each is one block of its own size; Z^0 has no copy
+    of a block of size 1."""
+    lattices = {0: _Lattice(module.gens, max(module.gens, 1), module.act_columns, None)}
     basis = module.relation_basis()
     if basis.cols:
         lattice = _Derived(
@@ -102,86 +118,101 @@ def _presentation_lattices(module):
             basis.cols,
             actions=[solve_in_lattice(basis, a.mul(basis)) for a in module.actions],
         )
-        lattices[1] = (basis.cols, lattice.act_columns, basis.columns)
+        lattices[1] = _Lattice(basis.cols, basis.cols, lattice.act_columns, basis.columns)
     return lattices
 
 
 def _free_lattices(complex_):
-    """The nonzero degrees of a free complex as lattices; x acts on ZG^k
-    by its left-regular expansion, cached per degree on ``x.terms``.
-    The action and d_j are the columns of ``expand()``, shared and only
-    read."""
-    group = complex_.group
-    lattices = {}
-    for j in complex_.degrees():
-        k = complex_.rank(j)
-        act = _cached(lambda x, k=k: GroupRingMatrix.scalar(group, k, x).expand().columns)
-        lattices[j] = (k * group.order, act, complex_.expanded(j).columns)
-    return lattices
-
-
-def _cached(columns, dead=()):
-    """The action ``columns`` with the rows ``dead`` left out of each
-    column, cached on ``x.terms`` and shared, so only read."""
+    """The nonzero degrees of a free complex as lattices.  A ring element
+    x acts on ZG^k as k copies of one |G| block, its left-regular action
+    on ZG (``groupring.left_regular``), built once per table on
+    ``x.terms`` and read by every degree.  d_j is the columns of
+    ``expand()``, shared and only read."""
+    n = complex_.group.order
     cache = {}
 
     def act(x):
-        cols = cache.get(x.terms)
-        if cols is None:
-            cols = columns(x)
-            if dead:
-                cols = [{i: v for i, v in col.items() if i not in dead} for col in cols]
-            cache[x.terms] = cols
-        return cols
+        block = cache.get(x.terms)
+        if block is None:
+            pairs = left_regular(x)
+            block = cache[x.terms] = [{row[h]: v for row, v in pairs} for h in range(n)]
+        return block
 
-    return act
+    return {
+        j: _Lattice(complex_.rank(j) * n, n, act, complex_.expanded(j).columns)
+        for j in complex_.degrees()
+    }
 
 
 def _dimension(window, lattices, n):
     """Z-rank of Tot^n, the sum of the Hom_G(F_{n+j}, C_j)."""
-    return sum(window.rank(n + j) * dim for j, (dim, _, _) in lattices.items())
+    return sum(window.rank(n + j) * lat.dim for j, lat in lattices.items())
 
 
-def _total_maps(window, lattices, lo, hi, first=None):
+def _total_maps(window, lattices, lo, hi, blocks=None):
     """Sparse rows and source dimension of each delta^n : Tot^n ->
     Tot^{n+1} for n in [lo - 1, hi - 1], ascending.
 
-    ``lattices`` maps each degree j of C, ascending, to ``(dim, act,
-    d)``: the Z-rank of C_j, the sparse {row: value} columns of a ring
-    element acting on it, and the sparse columns of d_j : C_j -> C_{j-1}
-    (unread in the lowest degree).  These columns may be shared with
-    cached matrices, so they are only read.  Tot^n is the sum of the
-    Hom_G(F_{n+j}, C_j) that have F-degree inside ``window``, and
-    delta^n = delta_0 - (-1)^n delta_1.
+    ``lattices`` maps each degree j of C, ascending, to its
+    ``_Lattice``.  Tot^n is the sum of the Hom_G(F_{n+j}, C_j) that
+    have F-degree inside ``window``, and delta^n = delta_0 - (-1)^n
+    delta_1.  delta_1 writes the columns of one block of C_j at each
+    offset of a copy, and delta_0 the columns of d_j.
 
-    A set sent into the generator after delta^(n-1) names coordinates
-    of Tot^n that delta^n leaves out; ``chain_diagonals`` sends the
-    unit pivot rows of delta^(n-1).  ``first`` maps degrees j to
-    coordinates of C_j whose copies in Tot^(lo-1) delta^(lo-1) leaves
-    out.  delta^n is written column by column over the other
-    coordinates only, ascending, so each row gets its keys in ascending
-    order and no entry of a left-out column is made.
+    ``blocks`` maps degrees j to C's unit pairs (r, t) from
+    ``_unit_blocks``, R_j in C_(j-1) and T_j in C_j (see ``_table``).
+    delta^(lo-1) leaves out its columns at the copies of each R_j in
+    Tot^(lo-1).  Every delta^n writes no entry in its rows at the copies
+    of each T_j in Tot^(n+1), and hands them out empty: the action skips
+    those rows where it writes them, and d_(j+1) drops them once per
+    table.  A set sent into the generator after delta^(n-1) names more
+    coordinates of Tot^n that delta^n leaves out; ``chain_diagonals``
+    sends the unit pivot rows of delta^(n-1).  No entry of a left-out
+    column is made.
+
+    delta^n is written column by column, one copy of a block of C_j at
+    a time and the generators of F in order inside it.  A row of the
+    summand at j gets its delta_1 entries from the one copy it lies in,
+    then its delta_0 entries, from the columns of the summand at j + 1
+    over the one generator of F it lies over, so each row gets its keys
+    in ascending order.
     """
+    blocks = blocks or {}
+    lost = {j: {t for _, t in pairs} for j, pairs in blocks.items()}
+    # Each copy of a block of C_j: its offset, a flag per coordinate that
+    # is True off T_j, and the columns of d_j on it without their rows in
+    # T_(j-1).
+    copies = {}
+    for j, lat in lattices.items():
+        tj, below = lost.get(j, ()), lost.get(j - 1, ())
+        copies[j] = []
+        for off in range(0, lat.dim, lat.block):
+            keep = [off + i not in tj for i in range(lat.block)]
+            d = None
+            if j - 1 in lattices:
+                d = [{r: v for r, v in col.items() if r not in below}
+                     for col in lat.d[off : off + lat.block]]
+            copies[j].append((off, keep, d))
 
     def offsets(n):
         out, off = {}, 0
-        for j, (dim, _, _) in lattices.items():
+        for j, lat in lattices.items():
             out[j] = off
-            off += window.rank(n + j) * dim
+            off += window.rank(n + j) * lat.dim
         return out
 
     src = offsets(lo - 1)
     cancelled = {
-        src[j] + b * lattices[j][0] + t
-        for j, coords in (first or {}).items()
-        for b in range(window.rank(lo - 1 + j))
-        for t in coords
+        src[j - 1] + b * lattices[j - 1].dim + r
+        for j, pairs in blocks.items()
+        for b in range(window.rank(lo - 2 + j))
+        for r, _ in pairs
     }
     for n in range(lo - 1, hi):
         dst = offsets(n + 1)
         rows = [{} for _ in range(_dimension(window, lattices, n + 1))]
         sign = -1 if n % 2 == 0 else 1
-        for j, (dim, act, d) in lattices.items():
+        for j, (dim, block, act, _) in lattices.items():
             # delta_1 pre-composes with the resolution differential into
             # degree n+j+1 and lands in the summand at j with sign
             # -(-1)^n; delta_0 post-composes with d_j, one copy per
@@ -189,43 +220,45 @@ def _total_maps(window, lattices, lo, hi, first=None):
             df = window.differential(n + j + 1)
             ups = df.entries if df is not None else [{}] * window.rank(n + j)
             down = j - 1 in lattices
-            tdim = lattices[j - 1][0] if down else 0
-            for b, drow in enumerate(ups):
-                base, dbase = src[j] + b * dim, dst.get(j - 1, 0) + b * tdim
-                terms = [(dst[j] + f2 * dim, act(elem)) for f2, elem in drow.items()]
-                for t in range(dim):
-                    k = base + t
-                    if k in cancelled:
-                        continue
-                    for tbase, cols in terms:
-                        for i, v in cols[t].items():
-                            rows[tbase + i][k] = sign * v
-                    if down:
-                        for rho, v in d[t].items():
-                            rows[dbase + rho][k] = v
+            tdim = lattices[j - 1].dim if down else 0
+            for off, keep, d in copies[j]:
+                sbase, tbase0 = src[j] + off, dst[j] + off
+                for b, drow in enumerate(ups):
+                    base, dbase = sbase + b * dim, dst.get(j - 1, 0) + b * tdim
+                    terms = [(tbase0 + f2 * dim, act(elem)) for f2, elem in drow.items()]
+                    for h in range(block):
+                        k = base + h
+                        if k in cancelled:
+                            continue
+                        for tbase, cols in terms:
+                            for i, v in cols[h].items():
+                                if keep[i]:
+                                    rows[tbase + i][k] = sign * v
+                        if down:
+                            for rho, v in d[h].items():
+                                rows[dbase + rho][k] = v
         cancelled = (yield rows, _dimension(window, lattices, n)) or set()
         src = dst
 
 
 def _unit_blocks(lattices):
-    """C's unit blocks, one acyclic matching, and ``lattices`` trimmed
-    by it.  In ascending degree, each d_j whose rows have a +-1 entry
-    gets one Smith pass on its rows, those at T_(j-1) left empty: its
-    pairs from before any content division (``exactlin.unit_block``),
-    under j, have rows R_j, disjoint from T_(j-1), and columns T_j, at
-    which the action on C_j and d_(j+1) lose their rows.
+    """C's unit blocks, one acyclic matching, as ``{j: pairs}``.  In
+    ascending degree, each d_j whose rows, those at T_(j-1) left empty,
+    have a +-1 entry gets one Smith pass on them: its pairs from before
+    any content division (``exactlin.unit_block``), under j, have rows
+    R_j, disjoint from T_(j-1), and columns T_j, the coordinates of C_j
+    whose copies are empty rows of every Tot map (``_total_maps``).
     """
-    trimmed, blocks, dead = {}, {}, {}
-    for j, (dim, act, d) in lattices.items():
-        if j - 1 in dead:
-            d = [{i: v for i, v in col.items() if i not in dead[j - 1]} for col in d]
-        if j - 1 in lattices and any(v in (1, -1) for col in d for v in col.values()):
-            rows = IntMatrix.from_sparse(d, lattices[j - 1][0]).sparse_rows()
-            blocks[j] = unit_block(rows, dim)
-            dead[j] = {t for _, t in blocks[j]}
-            act = _cached(act, dead[j])
-        trimmed[j] = (dim, act, d)
-    return trimmed, blocks
+    blocks, lost = {}, ()
+    for j, lat in lattices.items():
+        if j - 1 in lattices:
+            rows = IntMatrix.from_sparse(lat.d, lattices[j - 1].dim).sparse_rows()
+            for r in lost:
+                rows[r] = {}
+            if any(v in (1, -1) for row in rows for v in row.values()):
+                blocks[j] = unit_block(rows, lat.dim)
+        lost = [t for _, t in blocks.get(j, ())]
+    return blocks
 
 
 def _table(window, lattices, lo, hi):
@@ -256,11 +289,10 @@ def _table(window, lattices, lo, hi):
     delta^(n-1), those taken after a content division too: the Schur
     complement of that block kills the trimmed delta^(n-1) (see
     ``chain_diagonals``).  The first map's dropped columns, the R-copies
-    of Tot^(lo-1), never meet T-copies either.
+    of Tot^(lo-1), never meet T-copies either.  ``_total_maps`` makes
+    both cuts as it writes each map.
     """
-    lattices, blocks = _unit_blocks(lattices)
-    first = {j - 1: {r for r, _ in pairs} for j, pairs in blocks.items()}
-    maps = _total_maps(window, lattices, lo, hi, first)
+    maps = _total_maps(window, lattices, lo, hi, _unit_blocks(lattices))
     diags = list(chain_diagonals(maps))
     invs = []
     for n in range(lo, hi):

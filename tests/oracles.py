@@ -18,10 +18,12 @@ sparse columns: dense row lists, with the same elimination kernels.
 ``oracle_random_free_complex`` is ``random_free_complex`` written on
 them.  The sparse code is checked against them.  ``encode_columns``
 writes the identity-basis columns that ``groupring.decode_columns``
-reads back.  ``greedy_generators`` is the cover ``resolve`` took
-before its covers were minimal, and ``oracle_generator_count`` the
-minimal number, d(M), by a dense rank over F_p.  Slow and simple on
-purpose.
+reads back.  ``oracle_total_maps`` builds the maps of a hyper table
+from whole expansions, as ``tate`` did before it read each ring
+element's action off one |G| block.  ``greedy_generators`` is the
+cover ``resolve`` took before its covers were minimal, and
+``oracle_generator_count`` the minimal number, d(M), by a dense rank
+over F_p.  Slow and simple on purpose.
 """
 
 import random
@@ -484,6 +486,67 @@ def oracle_expand(ring_matrix):
                     ]
                     out[b * n + group.index_of(prod)][c * n + h] += v
     return out
+
+
+def oracle_total_maps(window, complex_, lo, hi, blocks):
+    """Reference for ``tate._total_maps`` over a free complex C, built
+    from whole expansions: each delta^n : Tot^n -> Tot^(n+1), n in
+    [lo - 1, hi - 1], as the sparse rows (keys ascending) and the
+    source dimension, with a ring entry x of F's differentials acting
+    on C_j by ``GroupRingMatrix.scalar(group, rank C_j, x).expand()``
+    and d_j by ``complex_.expanded(j)``.  ``blocks`` maps degrees j to
+    C's unit pairs (r, t): the rows at the copies of each T_j are left
+    empty, and delta^(lo-1) drops its columns at the copies of each
+    R_j.  Every entry is collected first and written in sorted order."""
+    group = complex_.group
+    dim = {j: complex_.rank(j) * group.order for j in complex_.degrees()}
+    lost = {j: {t for _, t in pairs} for j, pairs in blocks.items()}
+    first = {j - 1: {r for r, _ in pairs} for j, pairs in blocks.items()}
+
+    def offsets(n):
+        out, off = {}, 0
+        for j in dim:
+            out[j] = off
+            off += window.rank(n + j) * dim[j]
+        return out, off
+
+    for n in range(lo - 1, hi):
+        (src, ncols), (dst, nrows) = offsets(n), offsets(n + 1)
+        sign = -1 if n % 2 == 0 else 1
+        entries = {}
+        for j in dim:
+            df = window.differential(n + j + 1)
+            for b, row in enumerate(df.entries if df is not None else []):
+                for f2, x in row.items():
+                    act = GroupRingMatrix.scalar(group, complex_.rank(j), x).expand()
+                    for t, col in enumerate(act.columns):
+                        for i, v in col.items():
+                            entries[dst[j] + f2 * dim[j] + i, src[j] + b * dim[j] + t] = sign * v
+            if j - 1 in dim:
+                d = complex_.expanded(j)
+                for b in range(window.rank(n + j)):
+                    for t, col in enumerate(d.columns):
+                        for r, v in col.items():
+                            entries[dst[j - 1] + b * dim[j - 1] + r, src[j] + b * dim[j] + t] = v
+        empty = {
+            dst[j] + b * dim[j] + t
+            for j, ts in lost.items()
+            for b in range(window.rank(n + 1 + j))
+            for t in ts
+        }
+        dropped = set()
+        if n == lo - 1:
+            dropped = {
+                src[j] + b * dim[j] + r
+                for j, rs in first.items()
+                for b in range(window.rank(n + j))
+                for r in rs
+            }
+        rows = [{} for _ in range(nrows)]
+        for (i, k), v in sorted(entries.items()):
+            if i not in empty and k not in dropped:
+                rows[i][k] = v
+        yield rows, ncols
 
 
 def encode_columns(ring_matrix):

@@ -77,7 +77,7 @@ def test_every_derived_module_is_valid(c):
         derived += [m, m.pruned(), resolution_step(m).kernel, syzygy(m, 2), syzygy(m, 3)]
         if m.acts_exactly() and m.relations.cols:
             # the lattice module is the owner of its bound act_columns
-            derived.append(_presentation_lattices(m)[1][1].__self__)
+            derived.append(_presentation_lattices(m)[1].act.__self__)
     for m in derived:
         assert validate(m) == [], m
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from oracles import oracle_local_smith_diagonal, oracle_smith_diagonal
+from oracles import oracle_local_smith_diagonal, oracle_smith_diagonal, oracle_total_maps
 from tatekit import _backend, tate
 from tatekit._backend import smith_diagonal
 from tatekit.errors import InfiniteLength, NotConcentrated
@@ -360,13 +360,19 @@ def _full_table(window, lattices, lo, hi, diagonal=smith_diagonal):
 def test_cancelled_table_matches_full_reduction(pr, ranks, seed, n):
     # _table drops the columns of delta^n cancelled by delta^{n-1}; the
     # reference reduces every delta^n whole, and reads the free complex
-    # through dense expansions
+    # through whole expansions, each degree one block
     g = ElementaryAbelianGroup(*pr)
     c = random_free_complex(g, ranks, seed)
     window = complete_resolution(g, -3 + c.lo, 3 + c.hi)
     lattices = _free_lattices(c)
-    dense = {j: (dim, act, c.expanded(j).sparse_columns())
-             for j, (dim, act, _) in lattices.items()}
+    dense = {
+        j: lat._replace(
+            block=lat.dim,
+            act=lambda x, k=c.rank(j): GroupRingMatrix.scalar(g, k, x).expand().columns,
+            d=c.expanded(j).sparse_columns(),
+        )
+        for j, lat in lattices.items()
+    }
     assert _table(window, lattices, -2, 2) == _full_table(window, dense, -2, 2)
     q = g.p * g.p
     lift = ModulePresentation(g, 1, IntMatrix([[q]]), [IntMatrix([[1 + q]])] * g.r)
@@ -495,7 +501,7 @@ def _chained(window, lattices, lo, hi):
         mp.setattr(tate, "chain_diagonals", recording)
         mp.setattr(_backend, "smith_diagonal", kernel)
         table = _table(window, lattices, lo, hi)
-    return table, seen, bool(tate._unit_blocks(lattices)[1]), sum(late)
+    return table, seen, bool(tate._unit_blocks(lattices)), sum(late)
 
 
 def _oracle_diagonal(rows, dim):
@@ -582,32 +588,42 @@ def _check_acyclic_matching(group, lattices):
     """C's unit blocks against the matching they must form: one kernel
     pass per d_j whose rows, those at T_(j-1) left out, have a +-1
     entry; rows R_j and columns T_j distinct and as many, d_j[R_j, T_j]
-    unimodular by the oracle, R_j disjoint from T_(j-1), and the trimmed
-    action and d_(j+1) empty at T_j.  Returns the number of degrees
-    where R_j met a nonempty T_(j-1) to be disjoint from."""
+    unimodular by the oracle, R_j disjoint from T_(j-1), and every Tot
+    map around C empty at the copies of T_j.  Returns the number of
+    degrees where R_j met a nonempty T_(j-1) to be disjoint from."""
     passes = []
     real = tate.unit_block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tate, "unit_block", lambda *a: passes.append(1) or real(*a))
-        trimmed, blocks = tate._unit_blocks(lattices)
+        blocks = tate._unit_blocks(lattices)
     assert len(passes) == len(blocks)
+    lost = {j: {t for _, t in pairs} for j, pairs in blocks.items()}
     assert set(blocks) == {
-        j for j, (_, _, d) in trimmed.items() if j - 1 in trimmed and _unit_entry(d)
+        j
+        for j, lat in lattices.items()
+        if j - 1 in lattices
+        and _unit_entry([{r: v for r, v in col.items() if r not in lost.get(j - 1, ())}
+                         for col in lat.d])
     }
     met = 0
     for j, pairs in blocks.items():
         rows, cols = [r for r, _ in pairs], [t for _, t in pairs]
         assert len(set(rows)) == len(set(cols)) == len(pairs) > 0
-        d = lattices[j][2]
+        d = lattices[j].d
         block = [[d[t].get(r, 0) for t in cols] for r in rows]
         assert oracle_smith_diagonal(block) == [1] * len(pairs), j
-        below = {t for _, t in blocks.get(j - 1, ())}
+        below = lost.get(j - 1, set())
         assert not below & set(rows), j
         met += bool(below)
-        act = trimmed[j][1]
-        up = trimmed[j + 1][2] if j + 1 in trimmed else []
-        for col in up + act(group.generator(1) - group.identity()):
-            assert not set(col) & set(cols), j
+    lo, hi = -1, 1
+    window = complete_resolution(group, lo - 1 + min(lattices), hi + max(lattices))
+    for n, (maps, _) in enumerate(_total_maps(window, lattices, lo, hi, blocks), lo):
+        # maps is delta^(n-1), with rows in Tot^n
+        off = 0
+        for j, lat in lattices.items():
+            for b in range(window.rank(n + j)):
+                assert not any(maps[off + b * lat.dim + t] for t in lost.get(j, ())), (n, j)
+            off += window.rank(n + j) * lat.dim
     return met
 
 
@@ -658,7 +674,7 @@ def test_trimmed_chains_pass_on_unit_rows_taken_after_a_content_division():
 
 def test_tables_with_no_unit_entry_in_c_read_their_columns_as_they_are():
     # no +-1 in any d_j: no kernel call for C, the lattices go to
-    # _total_maps as given, and no first columns are left out
+    # _total_maps as given, and no unit blocks are sent with them
     g = ElementaryAbelianGroup(2, 2)
     two = GroupRingMatrix(g, [{0: g.identity() + g.identity()}], 1, 1)
     complex_ = FreeChainComplex(g, {0: 1, 1: 1}, {1: two})
@@ -668,26 +684,27 @@ def test_tables_with_no_unit_entry_in_c_read_their_columns_as_they_are():
         (complete_resolution(g, -3, 4), _free_lattices(complex_)),
     ]
     for window, lattices in cases:
-        assert not any(d and _unit_entry(d) for _, _, d in lattices.values())
+        assert not any(lat.d and _unit_entry(lat.d) for lat in lattices.values())
         drawn = []
         real_maps = tate._total_maps
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tate, "unit_block", lambda *a: pytest.fail("reduced C"))
             mp.setattr(
                 tate, "_total_maps",
-                lambda w, lat, lo, hi, first: drawn.append((lat, first)) or real_maps(w, lat, lo, hi),
+                lambda w, lat, lo, hi, blocks: drawn.append((lat, blocks)) or real_maps(w, lat, lo, hi),
             )
             _table(window, lattices, -2, 2)
-        ((read, first),) = drawn
-        assert first == {}
+        ((read, blocks),) = drawn
+        assert blocks == {}
         assert read.keys() == lattices.keys()
-        assert all(x is y for j in lattices for x, y in zip(read[j], lattices[j]))
+        assert all(read[j] is lattices[j] for j in lattices)
 
 
 def test_free_lattice_action_is_cached_on_the_element_terms(monkeypatch):
     # an equal but distinct element, such as each -c entry of the closed
     # form, hits the entry of the first on its terms alone, with no
-    # ring-element comparison
+    # ring-element comparison; every degree reads the same |G| block,
+    # the left-regular action of the element on ZG
     g = ElementaryAbelianGroup(3, 2)
     c = random_free_complex(g, [2, 3, 2], 0)
     real = GroupRingElement.__eq__
@@ -695,14 +712,68 @@ def test_free_lattice_action_is_cached_on_the_element_terms(monkeypatch):
     monkeypatch.setattr(
         GroupRingElement, "__eq__", lambda a, b: compared.append(1) or real(a, b)
     )
-    for j, (_, act, _) in _free_lattices(c).items():
-        x, y = (g.generator(1) - g.identity() for _ in range(2))
-        assert x is not y and x.terms == y.terms
-        first = act(x)
-        compared.clear()
-        assert act(y) is first
-        assert compared == []
-        assert first == GroupRingMatrix.scalar(g, c.rank(j), x).expand().columns
+    lattices = _free_lattices(c)
+    x, y = (g.generator(1) - g.identity() for _ in range(2))
+    assert x is not y and x.terms == y.terms
+    first = lattices[c.lo].act(x)
+    compared.clear()
+    for j, lat in lattices.items():
+        assert (lat.dim, lat.block) == (c.rank(j) * g.order, g.order)
+        assert lat.act(y) is first
+    assert compared == []
+    assert first == GroupRingMatrix.scalar(g, 1, x).expand().columns
+
+
+def _check_blocks_against_expansions(c, lo, hi):
+    """Each ring element of the window, read off its |G| block at every
+    offset of C_j with the rows of T_j left out, against the columns of
+    its whole expansion on C_j without those rows; and the Tot maps of
+    the table, rows and key order, against ``oracle_total_maps``."""
+    g = c.group
+    lattices = _free_lattices(c)
+    blocks = tate._unit_blocks(lattices)
+    window = complete_resolution(g, lo - 1 + c.lo, hi + c.hi)
+    elements = {x.terms: x for d in window.diffs.values() for row in d.entries for x in row.values()}
+    for j, lat in lattices.items():
+        lost = {t for _, t in blocks.get(j, ())}
+        for x in elements.values():
+            block = lat.act(x)
+            assert len(block) == lat.block == g.order
+            copied = [
+                {off + i: v for i, v in col.items() if off + i not in lost}
+                for off in range(0, lat.dim, lat.block)
+                for col in block
+            ]
+            whole = GroupRingMatrix.scalar(g, c.rank(j), x).expand().columns
+            assert copied == [{i: v for i, v in col.items() if i not in lost} for col in whole]
+    got = [([list(row.items()) for row in rows], dim)
+           for rows, dim in _total_maps(window, lattices, lo, hi, blocks)]
+    want = [([list(row.items()) for row in rows], dim)
+            for rows, dim in oracle_total_maps(window, c, lo, hi, blocks)]
+    assert got == want
+    return bool(blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]),
+    st.sampled_from([[1, 1], [2, 1], [1, 2, 1], [2, 2, 1], [1, 3, 2]]),
+    st.integers(0, 20),
+    st.integers(-3, 1),
+)
+def test_tot_maps_from_one_block_match_whole_expansions(pr, ranks, seed, lo):
+    # a ring element acts on C_j = ZG^k as k copies of one |G| block;
+    # the maps written from it, with C's unit blocks, are the maps of
+    # whole expansions, row for row and key for key
+    c = random_free_complex(ElementaryAbelianGroup(*pr), ranks, seed)
+    _check_blocks_against_expansions(c, lo, lo + 2)
+
+
+def test_tot_maps_of_gallery_products_from_one_block_match_whole_expansions():
+    trimmed = 0
+    for p, ks in [(2, [1, 1]), (3, [1, 1]), (5, [1, 1]), (2, [2, 1]), (3, [2, 1]), (2, [2, 2, 1])]:
+        trimmed += _check_blocks_against_expansions(product_complex(p, ks), -2, 1)
+    assert trimmed
 
 
 def test_table_rejects_a_free_rank_below_the_top_degree():
