@@ -343,6 +343,11 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_negative_values(list(argv)))
+    # Exact answers print and parse back at any length, so the limit on
+    # integer digits (0 when off, absent before Python 3.10.7) is lifted.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (TatekitError, ValueError, OSError) as exc:
@@ -351,6 +356,9 @@ def main(argv=None):
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -156,7 +156,12 @@ class IntMatrix:
         return hash((self.rows, self.cols, cols))
 
     def __repr__(self):
-        return f"IntMatrix({self.data!r})"
+        try:
+            return f"IntMatrix({self.data!r})"
+        except ValueError:  # an entry past the interpreter's digit limit
+            nnz = sum(map(len, self.columns))
+            bits = max(abs(v).bit_length() for col in self.columns for v in col.values())
+            return f"IntMatrix(<{self.rows}x{self.cols}, nnz {nnz}, largest entry {bits} bits>)"
 
 
 class AbelianInvariants:

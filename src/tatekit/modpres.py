@@ -419,22 +419,48 @@ def homology_range(complex_, lo, hi):
     return {n: homology(complex_, n) for n in range(lo, hi + 1)}
 
 
+def _cycle_coordinates(cycles, targets):
+    """Coordinates in the basis ``cycles`` of ``targets``, columns in
+    the lattice it spans.  If each basis column k has a row i_k where it
+    holds v_k = +-1 and the others 0, then x_k = v_k z[i_k] for a target
+    z; else ``solve_preimage``, which gives the same unique coordinates.
+    """
+    uses = Counter(i for col in cycles.columns for i in col)
+    unit = {}
+    for k, col in enumerate(cycles.columns):
+        i = next((i for i, v in col.items() if uses[i] == 1 and abs(v) == 1), None)
+        if i is None:
+            return exactlin.solve_preimage(cycles, targets)
+        unit[i] = (k, col[i])
+    out = []
+    for z in targets.columns:
+        coords = {}
+        for i, w in z.items():
+            if i in unit:
+                k, v = unit[i]
+                coords[k] = v * w
+        out.append(coords)
+    return IntMatrix.from_sparse(out, cycles.cols)
+
+
 def _homology_data(complex_, n):
-    """Cycle basis at degree ``n`` together with the homology module."""
+    """Cycle basis at degree ``n`` together with the homology module,
+    its relations and actions the :func:`_cycle_coordinates` of the
+    boundaries, cycles as d o d = 0 (checked when a complex is built,
+    true by construction in a glue), and of g_i times the cycles, cycles
+    as the expanded d_n is G-linear."""
     _in_window(complex_, n)
     k = complex_.rank(n)
     group = complex_.group
     if k == 0:
         return IntMatrix.zeros(0, 0), zero_module(group)
     cycles = exactlin.kernel_basis(complex_.expanded(n))
-    # One solve, so one Hermite form of the cycles, for the boundaries
-    # and the r action targets side by side; the cycles are a basis, so
-    # each column's solution is the one it would get alone.
+    # One read for the boundaries and the r action targets side by side.
     boundaries = complex_.expanded(n + 1)
     targets = boundaries
     for i in range(1, group.r + 1):
         targets = targets.hstack(act_rows(group, i, cycles))
-    solved = exactlin.solve_preimage(cycles, targets)
+    solved = _cycle_coordinates(cycles, targets)
 
     def block(start, width):
         return solved.submatrix(range(solved.rows), range(start, start + width))

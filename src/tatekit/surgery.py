@@ -40,11 +40,11 @@ from .exactlin import (
     lattice_basis,
     quotient_invariants,
     solve_in_lattice,
-    solve_preimage,
 )
 from .groupring import GroupRingMatrix, decode_columns
 from .modpres import (
     FreeChainComplex,
+    _cycle_coordinates,
     _homology_data,
     homology,
     homology_module,
@@ -134,7 +134,12 @@ def _attach(complex_, k):
 
 
 def _verify_ses(complex_, cone, n, top_basis):
-    """Exactness of 0 -> H_n(C) -> H_n(D) -> Omega^{n-m}H_m(C) -> 0."""
+    """Exactness of 0 -> H_n(C) -> H_n(D) -> Omega^{n-m}H_m(C) -> 0.
+
+    alpha reads the padded C-cycles in the cone's cycle basis by
+    ``_cycle_coordinates``, once d_n(D) kills them: that basis spans
+    ker d_n(D), so this is lattice membership, and a failure is not ok.
+    """
     group = complex_.group
     zc, hc = _homology_data(complex_, n)
     zd, hd = _homology_data(cone, n)
@@ -146,10 +151,12 @@ def _verify_ses(complex_, cone, n, top_basis):
     # alpha: classes of C-cycles, zero-padded on the F-summand, inside
     # the cycle lattice of the cone.
     padded = IntMatrix.from_sparse(zc.columns, rd)
+    if not cone.expanded(n).mul(padded).is_zero():
+        return False
+    alpha = _cycle_coordinates(zd, padded)
     # beta: the F-part of each cone cycle written in the syzygy basis.
     proj = zd.submatrix(range(rc, rd), range(zd.cols))
     try:
-        alpha = solve_preimage(zd, padded)
         beta = solve_in_lattice(top_basis, proj)
         # well-defined: alpha maps relations into relations ...
         solve_in_lattice(rel_d, alpha.mul(rel_c))

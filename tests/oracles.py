@@ -23,7 +23,9 @@ from whole expansions, as ``tate`` did before it read each ring
 element's action off one |G| block.  ``greedy_generators`` is the
 cover ``resolve`` took before its covers were minimal, and
 ``oracle_generator_count`` the minimal number, d(M), by a dense rank
-over F_p.  Slow and simple on purpose.
+over F_p.  ``oracle_homology_data`` presents a homology module as
+``modpres`` did before it read cycle coordinates off unit rows, by one
+``solve_preimage`` in the cycle basis.  Slow and simple on purpose.
 """
 
 import random
@@ -31,11 +33,19 @@ from fractions import Fraction
 
 from tatekit import _elim_py
 from tatekit.errors import NoSolution, SublatticeViolation
-from tatekit.exactlin import IntMatrix, homology_invariants, lattice_basis, solve_in_lattice
+from tatekit.exactlin import (
+    IntMatrix,
+    homology_invariants,
+    kernel_basis,
+    lattice_basis,
+    solve_in_lattice,
+    solve_preimage,
+)
 from tatekit.groupring import (
     ElementaryAbelianGroup,
     GroupRingElement,
     GroupRingMatrix,
+    act_rows,
     norm_element,
 )
 from tatekit.modpres import FreeChainComplex
@@ -597,6 +607,19 @@ def oracle_homology(complex_, i):
         [d for d in oracle_smith_diagonal(d_out) if d > 1] if d_out else []
     )
     return torsion, free
+
+
+def oracle_homology_data(complex_, n):
+    """The cycle basis at degree ``n`` and the generator count,
+    relations and actions of H_n, each column solved for in the cycle
+    basis by ``solve_preimage``."""
+    group = complex_.group
+    if complex_.rank(n) == 0:
+        return IntMatrix.zeros(0, 0), 0, IntMatrix.zeros(0, 0), [IntMatrix.zeros(0, 0)] * group.r
+    cycles = kernel_basis(complex_.expanded(n))
+    relations = lattice_basis(solve_preimage(cycles, complex_.expanded(n + 1)))
+    actions = [solve_preimage(cycles, act_rows(group, i, cycles)) for i in range(1, group.r + 1)]
+    return cycles, cycles.cols, relations, actions
 
 
 def oracle_lens_complex(p, k):

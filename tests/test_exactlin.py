@@ -778,3 +778,9 @@ def test_sparse_lattice_solvers_match_dense(data):
         assert _same_outcome(got, _outcome(dense_fn, d_left, td)), sparse_fn.__name__
     got = _outcome(quotient_invariants, ts, sa)
     assert _same_outcome(got, _outcome(dense_quotient_invariants, td, da))
+
+
+def test_repr_names_the_size_of_an_entry_past_the_digit_limit(digit_limit):
+    assert repr(IntMatrix([[1, 0], [0, -2]])) == "IntMatrix([[1, 0], [0, -2]])"
+    big = IntMatrix([[0, -(2**20000)], [3, 0], [0, 0]])
+    assert repr(big) == "IntMatrix(<3x2, nnz 2, largest entry 20001 bits>)"

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from tatekit import cli
 from tatekit.errors import InvalidPresentation, ResourceLimit
-from tatekit.exactlin import AbelianInvariants
+from tatekit.exactlin import AbelianInvariants, IntMatrix
 from tatekit.formats import (
     complex_data,
+    module_data,
     parse_complex,
     parse_module,
     render_browder,
@@ -24,7 +25,7 @@ from tatekit.formats import (
 )
 from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup
-from tatekit.modpres import homology_module, trivial_module, zero_module
+from tatekit.modpres import ModulePresentation, homology_module, trivial_module, zero_module
 from tatekit.resolve import syzygy
 from tatekit.surgery import BrowderReport, dimension_rows
 
@@ -203,6 +204,30 @@ def test_parse_module_validates_the_presentation(tmp_path, capsys):
         assert captured.err == f"error: {problem}\n" and captured.out == ""
 
 
+
+
+def test_cli_prints_and_reads_back_integers_past_the_digit_limit(tmp_path, capsys, digit_limit):
+    # the syzygy of Z/(2^20000 + 1) acts by 20,001-bit entries, which
+    # the command prints, in text and as JSON, and reads back from a
+    # module file; the limit is back in place afterwards
+    g = ElementaryAbelianGroup(2, 1)
+    module = ModulePresentation(g, 1, IntMatrix([[2**20000 + 1]]))
+    want = syzygy(module, 1)
+    assert max(abs(v) for a in want.actions for col in a.columns for v in col.values()) > 2**20000
+    sys.set_int_max_str_digits(0)
+    path = tmp_path / "big.mod"
+    path.write_text(render_module(module))
+    sys.set_int_max_str_digits(digit_limit)
+    args = ["syzygy", "--p", "2", "--r", "1", "--module", str(path), "--n", "1"]
+    assert cli.main(args) == 0
+    text = capsys.readouterr().out
+    assert cli.main(args + ["--json"]) == 0
+    data = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == digit_limit
+    sys.set_int_max_str_digits(0)
+    got = parse_module(text, g)
+    assert (got.gens, got.relations, got.actions) == (want.gens, want.relations, want.actions)
+    assert json.loads(data) == module_data(want)
 
 
 def test_render_browder_failure_branch():

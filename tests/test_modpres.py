@@ -13,6 +13,8 @@ from tatekit.modpres import (
     FreeChainComplex,
     ModulePresentation,
     _Derived,
+    _cycle_coordinates,
+    _homology_data,
     dual_complex,
     free_module_presentation,
     homology,
@@ -25,7 +27,13 @@ from tatekit.modpres import (
 from tatekit.resolve import resolution_step, syzygy
 from tatekit.tate import _presentation_lattices
 
-from oracles import DenseIntMatrix, oracle_antipode_transpose, oracle_homology, tensor_complex
+from oracles import (
+    DenseIntMatrix,
+    oracle_antipode_transpose,
+    oracle_homology,
+    oracle_homology_data,
+    tensor_complex,
+)
 
 
 def two_periodic_circle(p):
@@ -225,6 +233,50 @@ def test_free_chain_complex_rejects_a_negative_rank():
             assert where in str(exc)
         else:
             raise AssertionError("expected ValueError for a negative rank")
+
+
+def test_homology_data_reads_the_coordinates_the_solve_gives(monkeypatch):
+    # cycle coordinates read off the unit rows of the cycle basis, or
+    # solved for where some cycle has none, equal the reference's
+    # solve_preimage of every column: coordinates in a basis are unique;
+    # both ways occur among the draws
+    real = exactlin.solve_preimage
+    solves = []
+    monkeypatch.setattr(exactlin, "solve_preimage", lambda *a: solves.append(1) or real(*a))
+    paths = set()
+
+    @settings(max_examples=80)
+    @given(
+        st.one_of(
+            st.builds(
+                _random_complex,
+                st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]),
+                st.sampled_from([[1, 1], [1, 2, 1], [2, 2, 1], [1, 3, 2]]),
+                st.integers(0, 20),
+            ),
+            st.sampled_from(
+                [(2, [1, 1]), (3, [1, 1]), (2, [2, 1]), (3, [2, 1]), (2, [1, 1, 1]), (2, [2, 2, 1])]
+            ).map(lambda pks: product_complex(*pks)),
+        )
+    )
+    def check(c):
+        for n in c.degrees():
+            before = len(solves)
+            cycles, module = _homology_data(c, n)
+            if cycles.cols:
+                paths.add(len(solves) > before)
+            assert (cycles, module.gens, module.relations, module.actions) == (
+                oracle_homology_data(c, n)
+            )
+            # the basis negated has its unit rows at -1
+            negated = IntMatrix.from_sparse(
+                [{i: -v for i, v in col.items()} for col in cycles.columns], cycles.rows
+            )
+            targets = c.expanded(n + 1) if c.rank(n) else IntMatrix.zeros(0, 0)
+            assert _cycle_coordinates(negated, targets) == real(negated, targets)
+
+    check()
+    assert paths == {False, True}
 
 
 def test_homology_module_carries_the_action():

@@ -9,15 +9,17 @@ from tatekit.errors import (
     FiltrationInvalid,
     GapViolation,
     InvalidPresentation,
+    NoSolution,
     NotConnected,
     NotNonnegative,
 )
-from tatekit.exactlin import IntMatrix, exponent
+from tatekit.exactlin import IntMatrix, exponent, solve_preimage
 from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup
 from tatekit.modpres import (
     FreeChainComplex,
     ModulePresentation,
+    _homology_data,
     homology,
     homology_module,
 )
@@ -415,3 +417,28 @@ def test_ses_certificate_rejects_a_wrong_syzygy_basis(c, m, n, tamper):
     assert top_basis.cols
     assert surgery._verify_ses(c, cone, n, top_basis)
     assert not surgery._verify_ses(c, cone, n, tamper(top_basis))
+
+
+@pytest.mark.parametrize(
+    "c, m, n", [(product_complex(3, [1, 1]), 1, 2), (lens_complex(2, 3), 0, 2)]
+)
+def test_ses_certificate_rejects_c_cycles_that_are_not_cycles_of_the_cone(c, m, n, monkeypatch):
+    # without its d_n, every chain of C_n is a cycle of C, but d_n(D) is
+    # d_n on C_n, so the padded cycles leave the cone's cycle lattice:
+    # the exact membership test reads not ok, as a solve for them fails
+    cone = c
+    for k in range(m, n):
+        cone, step = surgery._attach(cone, k)
+    flat = FreeChainComplex(c.group, c.ranks, {i: d for i, d in c.diffs.items() if i != n})
+    zc, zd = _homology_data(flat, n)[0], _homology_data(cone, n)[0]
+    padded = IntMatrix.from_sparse(zc.columns, zd.rows)
+    with pytest.raises(NoSolution):
+        solve_preimage(zd, padded)
+    assert surgery._verify_ses(c, cone, n, step.kernel_basis)
+    # and reads no coordinates for them, which the unit rows of the
+    # cone's cycle basis would give whether or not they are cycles
+    real = surgery._cycle_coordinates
+    read = []
+    monkeypatch.setattr(surgery, "_cycle_coordinates", lambda *a: read.append(1) or real(*a))
+    assert not surgery._verify_ses(flat, cone, n, step.kernel_basis)
+    assert not read

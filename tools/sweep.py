@@ -62,7 +62,7 @@ GENERAL = [1, 3, 2]
 TORSION = [GENERAL, 3]
 KINDS = ("browder", "pipeline", "syzygy", "tate", "hyper", "general", "torsion")
 TIMEOUT_S = 900
-REPEAT = 3
+REPEAT = 5
 
 
 def points():
