@@ -240,30 +240,30 @@ def module_data(module):
 
 
 def _aligned_rows(rows):
-    """Align ``label = invariants  [exponent e]`` rows on the two columns."""
+    """Align ``label = invariants  [tail]`` rows on the two columns."""
     if not rows:
         return "(empty range)\n"
     lw = max(len(label) for label, _, _ in rows)
     iw = max(len(str(inv)) for _, inv, _ in rows)
-    out = []
-    for label, inv, e in rows:
-        out.append(
-            f"{label.ljust(lw)} = {str(inv).ljust(iw)}"
-            f"  [exponent {format_exponent(e)}]"
-        )
+    out = [f"{label.ljust(lw)} = {str(inv).ljust(iw)}  [{tail}]" for label, inv, tail in rows]
     return "\n".join(out) + "\n"
 
 
 def render_cohomology_table(table, symbol="Ĥ"):
-    return _aligned_rows([(f"{symbol}^{i}", inv, e) for i, inv, e in table.rows()])
+    return _aligned_rows(
+        [(f"{symbol}^{i}", inv, f"exponent {format_exponent(e)}") for i, inv, e in table.rows()]
+    )
 
 
 def render_homology_table(pairs):
     """``pairs`` is a list of (degree, AbelianInvariants)."""
-    return _aligned_rows([(f"H_{i}", inv, inv.exponent()) for i, inv in pairs])
+    return _aligned_rows(
+        [(f"H_{i}", inv, f"exponent {format_exponent(inv.exponent())}") for i, inv in pairs]
+    )
 
 
-def cohomology_table_data(table):
+def _table_data(rows):
+    """The ``--json`` form of (degree, invariants, exponent) rows."""
     return {
         "rows": [
             {
@@ -271,22 +271,17 @@ def cohomology_table_data(table):
                 "invariants": invariants_data(inv),
                 "exponent": exponent_data(e),
             }
-            for i, inv, e in table.rows()
+            for i, inv, e in rows
         ]
     }
+
+
+def cohomology_table_data(table):
+    return _table_data(table.rows())
 
 
 def homology_table_data(pairs):
-    return {
-        "rows": [
-            {
-                "degree": i,
-                "invariants": invariants_data(inv),
-                "exponent": exponent_data(inv.exponent()),
-            }
-            for i, inv in pairs
-        ]
-    }
+    return _table_data((i, inv, inv.exponent()) for i, inv in pairs)
 
 
 def _ok(flag):
@@ -334,21 +329,16 @@ def certificate_data(cert):
 
 
 def render_browder(report):
-    lines = [f"group order {report.group_order}"]
-    body = [
+    rows = [
         (f"H_{j}", inv, f"Ĥ^{j + 1} exponent {format_exponent(e)}")
         for j, inv, e in report.rows
     ]
-    if body:
-        lw = max(len(label) for label, _, _ in body)
-        iw = max(len(str(inv)) for _, inv, _ in body)
-        for label, inv, tail in body:
-            lines.append(f"{label.ljust(lw)} = {str(inv).ljust(iw)}  [{tail}]")
     verdict = "DIVIDES" if report.divides else "DOES NOT DIVIDE"
-    lines.append(
-        f"product {report.product} {verdict} group order {report.group_order}"
+    return (
+        f"group order {report.group_order}\n"
+        + (_aligned_rows(rows) if rows else "")
+        + f"product {report.product} {verdict} group order {report.group_order}\n"
     )
-    return "\n".join(lines) + "\n"
 
 
 def browder_data(report):

@@ -10,18 +10,19 @@ i XOR j), so no ring product allocates |G| entries.
 
 A ``GroupRingMatrix`` keeps only its nonzero entries, one
 ``{col: element}`` dict per row, so products, duals and expansions cost
-O(nnz).  ``left_regular`` reads a ring element's left-regular action on
-ZG off the group's translation rows h -> g h, one per term g.
-``GroupRingMatrix.sparse_rows`` writes it into the sparse rows of an
-integer matrix, one |G| x |G| block per entry; ``expand`` transposes
-those into the one column form of a ring matrix, an ``IntMatrix``
-cached on the matrix whose columns callers share and only read.  A
-scalar acts on ZG^k as k copies of one |G| block, which is how ``tate``
-reads the action of its free coefficients.  The identity-basis columns
-of the expansion carry the ring data, and ``decode_columns`` reads them
-back: it turns integer vectors, such as cycles, into the group-ring
-columns that map free generators onto them.  ``act_rows`` applies a group
-generator to ZG^k as a permutation of rows.
+O(nnz).  ``GroupRingMatrix.sparse_rows`` writes each entry's
+left-regular action on ZG into the sparse rows of an integer matrix,
+one |G| x |G| block per entry, read off the group's cached translation
+rows h -> g h, one per term g; ``expand`` transposes those into the one
+column form of a ring matrix, an ``IntMatrix`` cached on the matrix
+whose columns callers share and only read.  A scalar acts on ZG^k as k
+copies of one |G| block; ``tate`` reads that block for its free
+coefficients as the element's action on the presented module ZG
+(``modpres.ModulePresentation.act_columns``).  The identity-basis
+columns of the expansion carry the ring data, and ``decode_columns``
+reads them back: it turns integer vectors, such as cycles, into the
+group-ring columns that map free generators onto them.  ``act_rows``
+applies a group generator to ZG^k as a permutation of rows.
 """
 
 from .errors import ResourceLimit
@@ -330,8 +331,9 @@ class GroupRingMatrix:
         """Fresh {col: value} rows of the left-regular expansion.
 
         Entry (i, j) becomes a |G| x |G| block; the coefficient of g
-        sits at row g h of column h for every h, so each row holds its
-        keys in ascending g.  Zero coefficients write nothing.
+        sits at row g h of column h for every h, read off the group's
+        cached translation row h -> g h, so each row holds its keys in
+        ascending g.  Zero coefficients write nothing.
         """
         n = self.group.order
         rows = [{} for _ in range(self.rows * n)]
@@ -339,8 +341,8 @@ class GroupRingMatrix:
             block = rows[i * n : (i + 1) * n]
             for j, e in entry_row.items():
                 base = j * n
-                for row, v in left_regular(e):
-                    for h, gh in enumerate(row, base):
+                for g, v in e.terms:
+                    for h, gh in enumerate(self.group._translation(g), base):
                         block[gh][h] = v
         return rows
 
@@ -370,15 +372,6 @@ class GroupRingMatrix:
 
     def __repr__(self):
         return f"GroupRingMatrix({self.group!r}, rows={self.rows}, cols={self.cols})"
-
-
-def left_regular(element):
-    """The left-regular action of ``element`` on ZG, one ``(row, coeff)``
-    pair per term g: ``row`` is the group's cached translation row
-    h -> g h, so column h of the action holds ``coeff`` at ``row[h]``.
-    The rows are shared, so callers only read them."""
-    translation = element.group._translation
-    return [(translation(g), v) for g, v in element.terms]
 
 
 def decode_columns(group, mat, row_blocks):

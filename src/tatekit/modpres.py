@@ -34,7 +34,7 @@ class ModulePresentation:
             actions = [IntMatrix.identity(gens) for _ in range(group.r)]
         self.actions = list(actions)
         self._relation_basis = None
-        self._elt_actions = {}
+        self._orbits = {}
         self._ring_actions = {}
         if not isinstance(self, _Derived):
             problems = validate(self)
@@ -61,36 +61,42 @@ class ModulePresentation:
             return exc.column
         return None
 
-    def act_element(self, index):
-        """Action matrix of the group element at ``index``: with
-        exponents e, A_r^e_r ... A_1^e_1; cached."""
-        cached = self._elt_actions.get(index)
+    def orbit(self, c):
+        """Column c of the action of each group element h, in index
+        order, as the |G| columns of an ``IntMatrix``; cached per module
+        and shared, so callers only read it.  With h = g_j h', g_j the
+        last generator in h, column h is A_j times column h', so h acts
+        by A_r^e_r ... A_1^e_1, e its exponents; one matrix-vector
+        product per element, and no |G| action matrices are built."""
+        cached = self._orbits.get(c)
         if cached is None:
-            exps = list(self.group.exponents(index))
-            if not any(exps):
-                cached = IntMatrix.identity(self.gens)
-            else:
-                # A_j^e_j ... A_1^e_1 = A_j (A_j^(e_j - 1) ... A_1^e_1),
-                # j the last generator with e_j > 0.
-                j = max(k for k, e in enumerate(exps) if e)
-                exps[j] -= 1
-                rest = self.act_element(self.group.index_of(exps))
-                cached = self.actions[j].mul(rest)
-            self._elt_actions[index] = cached
+            p, r = self.group.p, self.group.r
+            out = [{c: 1}]
+            for h in range(1, self.group.order):
+                place, j = 1, r - 1
+                while h // place % p == 0:
+                    place, j = place * p, j - 1
+                col = {}
+                for k, x in out[h - place].items():
+                    for i, v in self.actions[j].columns[k].items():
+                        col[i] = col.get(i, 0) + v * x
+                out.append({i: v for i, v in col.items() if v})
+            cached = self._orbits[c] = IntMatrix.from_sparse(out, self.gens)
         return cached
 
     def act_columns(self, element):
         """Sparse {row: value} columns of a group-ring element acting on
-        Z^gens, the sum of the ``columns`` of its element actions.
-        Cached per element and shared, so callers must not mutate them."""
+        Z^gens: column c sums the columns of ``orbit(c)`` at the
+        element's terms, each times its coefficient.  Cached per element
+        and shared, so callers must not mutate them."""
         cached = self._ring_actions.get(element.terms)
         if cached is None:
-            terms = [(a, self.act_element(idx).columns) for idx, a in element.terms]
             cached = []
-            for j in range(self.gens):
+            for c in range(self.gens):
+                orbit = self.orbit(c).columns
                 col = {}
-                for a, cols in terms:
-                    for i, v in cols[j].items():
+                for h, a in element.terms:
+                    for i, v in orbit[h].items():
                         col[i] = col.get(i, 0) + a * v
                 cached.append({i: v for i, v in col.items() if v})
             self._ring_actions[element.terms] = cached

@@ -228,24 +228,6 @@ def _nakayama_choice(module):
     return [c for c in range(module.gens) if c not in leads]
 
 
-def _orbit(module, c):
-    """Column c of the action of each element h, in index order: with
-    h = g_j h', g_j the last generator in h, A_j times the column of h',
-    the product ``act_element`` forms, taken on one vector."""
-    p, r = module.group.p, module.group.r
-    out = [{c: 1}]
-    for h in range(1, module.group.order):
-        place, j = 1, r - 1
-        while h // place % p == 0:
-            place, j = place * p, j - 1
-        col = {}
-        for k, x in out[h - place].items():
-            for i, v in module.actions[j].columns[k].items():
-                col[i] = col.get(i, 0) + v * x
-        out.append({i: v for i, v in col.items() if v})
-    return IntMatrix.from_sparse(out, module.gens)
-
-
 def resolution_step(module):
     """Cover a module by a free module on a ZG-generating subset.
 
@@ -253,7 +235,9 @@ def resolution_step(module):
     augmentation ideal, so any lift of an F_p-basis of M/(pM + IM)
     generates M_(p) (Nakayama; Benson, *Representations and Cohomology
     I*, ch. 1), and the cover starts on :func:`_nakayama_choice`: its
-    cokernel over Z is finite, of order prime to p.  The Hermite form
+    cokernel over Z is finite, of order prime to p.  Its columns are the
+    chosen generators' ``module.orbit``, cached on the module, so a
+    top-up reads them again without a second walk.  The Hermite form
     that gives the kernel reads the image too; while the cover is not
     onto over Z, it takes the e_c whose orbit leaves the smallest
     cokernel, ties to the lowest index, and tracks the image by its
@@ -263,19 +247,18 @@ def resolution_step(module):
     """
     group, k, n = module.group, module.gens, module.group.order
     chosen = _nakayama_choice(module)
-    orbit = cache(lambda c: _orbit(module, c))
 
     def cover_of(chosen):
-        return IntMatrix.from_sparse([v for c in chosen for v in orbit(c).columns], k)
+        return IntMatrix.from_sparse([v for c in chosen for v in module.orbit(c).columns], k)
 
     cover = cover_of(chosen)
     image, full = image_and_kernel(cover.hstack(module.relations))
     while not (image.cols == k and all(col[j] == 1 for j, col in enumerate(image.columns))):
         rest = [c for c in range(k) if c not in chosen]
-        size = [(cokernel_invariants(image.hstack(orbit(c))).order(), c) for c in rest]
+        size = [(cokernel_invariants(image.hstack(module.orbit(c))).order(), c) for c in rest]
         c = min(size)[1]
         chosen = sorted(chosen + [c])
-        image, full = lattice_basis(image.hstack(orbit(c))), None
+        image, full = lattice_basis(image.hstack(module.orbit(c))), None
     if full is None:
         cover = cover_of(chosen)
         full = image_and_kernel(cover.hstack(module.relations))[1]

@@ -13,9 +13,10 @@ lattice.  Every total complex is free abelian, so every table is read
 off Smith diagonals and ranks.
 
 A ring element x acts on a free C_j = ZG^k as k copies of its
-left-regular action on ZG, so delta_1 reads x off one |G| block, built
-once per table and written at each of the k offsets of C_j; a module's
-lattice is one block.
+left-regular action on ZG, so delta_1 reads x off one |G| block, the
+``act_columns`` of x on ZG presented as a module, cached on that module
+for the table and written at each of the k offsets of C_j; a module's
+lattice is one block, read off its own ``act_columns``.
 
 Ĥ*(G; C) is killed by |G| (Brown, *Cohomology of Groups*, ch. VI), so
 it has free rank 0 in every degree.  So ker delta^n is the saturation
@@ -44,8 +45,7 @@ from .exactlin import (
     solve_in_lattice,
     unit_block,
 )
-from .groupring import left_regular
-from .modpres import _Derived, _Window, homology, homology_module
+from .modpres import _Derived, _Window, free_module_presentation, homology, homology_module
 from .resolve import complete_resolution, resolution_step
 
 
@@ -124,20 +124,12 @@ def _presentation_lattices(module):
 
 def _free_lattices(complex_):
     """The nonzero degrees of a free complex as lattices.  A ring element
-    x acts on ZG^k as k copies of one |G| block, its left-regular action
-    on ZG (``groupring.left_regular``), built once per table on
-    ``x.terms`` and read by every degree.  d_j is the columns of
-    ``expand()``, shared and only read."""
+    x acts on ZG^k as k copies of one |G| block, the ``act_columns`` of x
+    on the module ZG (``free_module_presentation(group, 1)``), cached on
+    ``x.terms`` for the table and read by every degree.  d_j is the
+    columns of ``expand()``, shared and only read."""
     n = complex_.group.order
-    cache = {}
-
-    def act(x):
-        block = cache.get(x.terms)
-        if block is None:
-            pairs = left_regular(x)
-            block = cache[x.terms] = [{row[h]: v for row, v in pairs} for h in range(n)]
-        return block
-
+    act = free_module_presentation(complex_.group, 1).act_columns
     return {
         j: _Lattice(complex_.rank(j) * n, n, act, complex_.expanded(j).columns)
         for j in complex_.degrees()

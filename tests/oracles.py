@@ -23,8 +23,10 @@ from whole expansions, as ``tate`` did before it read each ring
 element's action off one |G| block.  ``greedy_generators`` is the
 cover ``resolve`` took before its covers were minimal, and
 ``oracle_generator_count`` the minimal number, d(M), by a dense rank
-over F_p.  ``oracle_homology_data`` presents a homology module as
-``modpres`` did before it read cycle coordinates off unit rows, by one
+over F_p.  ``oracle_element_action`` is a group element's action on a
+module, the dense product of its generator actions.
+``oracle_homology_data`` presents a homology module as ``modpres`` did
+before it read cycle coordinates off unit rows, by one
 ``solve_preimage`` in the cycle basis.  Slow and simple on purpose.
 """
 
@@ -445,6 +447,30 @@ def oracle_generator_count(module):
     return k - oracle_rank_mod_p(columns, k, module.group.p)
 
 
+def oracle_element_action(module, h):
+    """The action of the group element at index ``h`` on Z^gens, as the
+    dense product A_r^e_r ... A_1^e_1 of the generator actions, e the
+    exponents of h: A_1 is applied first, e_1 times.  The reference for
+    ``ModulePresentation.orbit`` and ``act_columns``, built without
+    them."""
+    n = module.gens
+    act = DenseIntMatrix.identity(n)
+    for a, e in zip(module.actions, module.group.exponents(h)):
+        gen = DenseIntMatrix(a.data, n, n)
+        for _ in range(e):
+            act = gen.mul(act)
+    return act
+
+
+def oracle_element_actions(module):
+    """The sparse columns of :func:`oracle_element_action` for every
+    group element, in index order."""
+    return [
+        oracle_element_action(module, h).sparse_columns()
+        for h in range(module.group.order)
+    ]
+
+
 def greedy_generators(module):
     """The generators a walk in index order keeps: e_c is skipped when it
     lies in the Z-span of the relations and of the G-orbits of the
@@ -452,6 +478,7 @@ def greedy_generators(module):
     their number need not be minimal.  The reference for
     ``resolve.resolution_step``, whose cover it once was."""
     k = module.gens
+    actions = oracle_element_actions(module)
     chosen = []
     span = module.relation_basis()
     for c in range(k):
@@ -461,7 +488,7 @@ def greedy_generators(module):
                 continue
             except NoSolution:
                 pass
-        orbit = [module.act_element(h).columns[c] for h in range(module.group.order)]
+        orbit = [act[c] for act in actions]
         chosen.append(c)
         span = lattice_basis(span.hstack(IntMatrix.from_sparse(orbit, k)))
     return chosen

@@ -236,6 +236,14 @@ def test_render_browder_failure_branch():
     assert "DOES NOT DIVIDE" in text
     assert "group order 8" in text
     assert "H_1" in text
+    assert text == (
+        "group order 8\n"
+        "H_1 = Z/3  [Ĥ^2 exponent 3]\n"
+        "product 3 DOES NOT DIVIDE group order 8\n"
+    )
+    # no rows: no aligned block and no "(empty range)" line
+    empty = render_browder(BrowderReport(4, [], 1, True))
+    assert empty == "group order 4\nproduct 1 DIVIDES group order 4\n"
 
 
 def test_render_row_table_pinned_example():
@@ -325,6 +333,99 @@ def test_cli_gen_homology_browder_pipeline(tmp_path, capsys):
     assert cli.main(["browder", "--in", str(path)]) == 0
     out = capsys.readouterr().out
     assert "product 4 DIVIDES group order 4" in out
+
+
+def _json_rows(rows, key="invariants"):
+    """The ``--json`` rows of a report from (degree, torsion, free rank,
+    exponent) tuples, keys in the order the report writes them."""
+    return [
+        {"degree": d, key: {"torsion": t, "free": f}, "exponent": e}
+        for d, t, f, e in rows
+    ]
+
+
+_PINNED_REPORTS = [
+    (
+        ["homology", "--in", "torus.cx", "--deg", "0..2"],
+        "H_0 = Z    [exponent inf]\n"
+        "H_1 = Z^2  [exponent inf]\n"
+        "H_2 = Z    [exponent inf]\n",
+        {"rows": _json_rows([(0, [], 1, None), (1, [], 2, None), (2, [], 1, None)])},
+    ),
+    (
+        ["tate", "--p", "2", "--r", "2", "--module", "trivial", "--deg", "-2..3"],
+        "Ĥ^-2 = Z/2 + Z/2  [exponent 2]\n"
+        "Ĥ^-1 = 0          [exponent 1]\n"
+        "Ĥ^0  = Z/4        [exponent 4]\n"
+        "Ĥ^1  = 0          [exponent 1]\n"
+        "Ĥ^2  = Z/2 + Z/2  [exponent 2]\n"
+        "Ĥ^3  = Z/2        [exponent 2]\n",
+        {
+            "rows": _json_rows(
+                [
+                    (-2, [2, 2], 0, 2),
+                    (-1, [], 0, 1),
+                    (0, [4], 0, 4),
+                    (1, [], 0, 1),
+                    (2, [2, 2], 0, 2),
+                    (3, [2], 0, 2),
+                ]
+            )
+        },
+    ),
+    (
+        ["exponents", "--p", "2", "--r", "2", "--module", "trivial", "--deg", "1..8"],
+        "H^1 = 0                            [exponent 1]\n"
+        "H^2 = Z/2 + Z/2                    [exponent 2]\n"
+        "H^3 = Z/2                          [exponent 2]\n"
+        "H^4 = Z/2 + Z/2 + Z/2              [exponent 2]\n"
+        "H^5 = Z/2 + Z/2                    [exponent 2]\n"
+        "H^6 = Z/2 + Z/2 + Z/2 + Z/2        [exponent 2]\n"
+        "H^7 = Z/2 + Z/2 + Z/2              [exponent 2]\n"
+        "H^8 = Z/2 + Z/2 + Z/2 + Z/2 + Z/2  [exponent 2]\n",
+        {
+            "rows": _json_rows(
+                [
+                    (1, [], 0, 1),
+                    (2, [2] * 2, 0, 2),
+                    (3, [2] * 1, 0, 2),
+                    (4, [2] * 3, 0, 2),
+                    (5, [2] * 2, 0, 2),
+                    (6, [2] * 4, 0, 2),
+                    (7, [2] * 3, 0, 2),
+                    (8, [2] * 5, 0, 2),
+                ]
+            )
+        },
+    ),
+    (
+        ["browder", "--in", "torus.cx"],
+        "group order 4\n"
+        "H_1 = Z^2  [Ĥ^2 exponent 2]\n"
+        "H_2 = Z    [Ĥ^3 exponent 2]\n"
+        "product 4 DIVIDES group order 4\n",
+        {
+            "group_order": 4,
+            "rows": _json_rows([(1, [], 2, 2), (2, [], 1, 2)], key="homology"),
+            "product": 4,
+            "divides": True,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, text, data", _PINNED_REPORTS, ids=[args[0] for args, _, _ in _PINNED_REPORTS]
+)
+def test_cli_reports_pinned_text_and_json(tmp_path, capsys, args, text, data):
+    # the README's homology and tate examples, an exponents report and a
+    # browder report, byte for byte, plain and --json
+    torus = _gen(tmp_path, capsys, ["product", "--p", "2", "--ks", "1,1"], "torus.cx")
+    args = [str(torus) if a == "torus.cx" else a for a in args]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == text
+    assert cli.main(args + ["--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
 
 
 def test_cli_browder_json(tmp_path, capsys):

@@ -30,6 +30,8 @@ from tatekit.tate import _presentation_lattices
 from oracles import (
     DenseIntMatrix,
     oracle_antipode_transpose,
+    oracle_element_action,
+    oracle_element_actions,
     oracle_homology,
     oracle_homology_data,
     tensor_complex,
@@ -290,33 +292,53 @@ def test_homology_module_carries_the_action():
     assert m.actions[0] != IntMatrix.identity(m.gens)
 
 
-@settings(max_examples=20)
-@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3)]), st.integers(0, 30))
-def test_act_columns_is_the_sum_of_element_actions(pr, seed):
-    # the reference multiplies the generator actions as dense matrices,
-    # A_r^e_r ... A_1^e_1, without going through act_element; random
-    # matrices as actions do not commute, so the composition order shows,
-    # and they are no valid presentation, so they skip the check
-    g = ElementaryAbelianGroup(*pr)
-    c = random_free_complex(g, [1, 2, 1], seed)
-    rng = random.Random(seed)
+def _loose_module(g, rng):
+    """Random 3 x 3 actions: they do not commute, so the composition
+    order shows, and they are no valid presentation, so they skip the
+    check."""
     actions = [
         IntMatrix([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
         for _ in range(g.r)
     ]
-    loose = _Derived(g, 3, actions=actions)
-    for m in (homology_module(c, 1), free_module_presentation(g, 2), loose):
+    return _Derived(g, 3, actions=actions)
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3)]), st.integers(0, 30))
+def test_act_columns_is_the_sum_of_element_actions(pr, seed):
+    # the reference multiplies the generator actions as dense matrices,
+    # A_r^e_r ... A_1^e_1, without going through orbit
+    g = ElementaryAbelianGroup(*pr)
+    c = random_free_complex(g, [1, 2, 1], seed)
+    rng = random.Random(seed)
+    for m in (homology_module(c, 1), free_module_presentation(g, 2), _loose_module(g, rng)):
         coeffs = [rng.randint(-2, 2) for _ in range(g.order)]
         want = DenseIntMatrix.zeros(m.gens, m.gens)
-        gens = [DenseIntMatrix(a.data, m.gens, m.gens) for a in m.actions]
         for idx, a in enumerate(coeffs):
-            act = DenseIntMatrix.identity(m.gens)
-            for gen, e in zip(gens, g.exponents(idx)):
-                for _ in range(e):
-                    act = gen.mul(act)
-            want = want.add(act.scale(a))
+            want = want.add(oracle_element_action(m, idx).scale(a))
         got = m.act_columns(GroupRingElement(g, dict(enumerate(coeffs))))
         assert got == want.sparse_columns()
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]), st.integers(0, 30))
+def test_orbit_columns_are_the_element_actions(pr, seed):
+    # column h of orbit(c) is column c of the dense product for element
+    # h, on homology modules, their syzygies, free modules and a loose
+    # module whose actions do not commute; and a ring element acts on
+    # the module ZG as its left-regular expansion
+    g = ElementaryAbelianGroup(*pr)
+    c = random_free_complex(g, [1, 2, 1], seed)
+    rng = random.Random(seed)
+    h1 = homology_module(c, 1)
+    modules = [h1, syzygy(h1, 1), free_module_presentation(g, 2), _loose_module(g, rng)]
+    for m in modules:
+        want = oracle_element_actions(m)
+        for col in range(m.gens):
+            assert m.orbit(col).columns == [act[col] for act in want], (m, col)
+    x = GroupRingElement(g, {h: rng.randint(-2, 2) for h in range(g.order)})
+    ring = GroupRingMatrix.scalar(g, 1, x).expand().columns
+    assert free_module_presentation(g, 1).act_columns(x) == ring
 
 
 def test_pruned_browder_modules_of_a_three_sphere_product():

@@ -40,6 +40,7 @@ from tatekit.tate import tate_cohomology_range
 from oracles import (
     greedy_generators,
     oracle_antipode_transpose,
+    oracle_element_actions,
     oracle_generator_count,
     oracle_product_complex,
 )
@@ -231,7 +232,8 @@ def _all_generators_kernel(module):
     """
     group = module.group
     k, n = module.gens, group.order
-    columns = [module.act_element(h).columns[c] for c in range(k) for h in range(n)]
+    actions = oracle_element_actions(module)
+    columns = [actions[h][c] for c in range(k) for h in range(n)]
     cover = IntMatrix.from_sparse(columns, k)
     full = kernel_basis(cover.hstack(module.relations))
     basis = lattice_basis(full.submatrix(range(k * n), range(full.cols)))
@@ -291,9 +293,10 @@ def test_resolution_step_of_free_module_is_free():
 
 def _cover_of(module, generators):
     """The cover on these generators, its columns read off
-    ``act_element``: group element h applied to each generator."""
-    n = module.group.order
-    cols = [module.act_element(h).columns[c] for c in generators for h in range(n)]
+    ``oracle_element_action``: group element h applied to each
+    generator."""
+    actions = oracle_element_actions(module)
+    cols = [act[c] for c in generators for act in actions]
     return IntMatrix.from_sparse(cols, module.gens)
 
 
@@ -333,7 +336,7 @@ def _modules(draw):
 def test_cover_is_minimal_mod_p_and_onto_over_z(m):
     # at least d(M) = dim_Fp M/(pM + IM) generators, by Nakayama, at most
     # the greedy walk's, and onto over Z; the cover's columns are the
-    # orbits act_element gives
+    # orbits the dense products of the generator actions give
     step = resolution_step(m)
     assert step.cover == _cover_of(m, step.generators)
     assert oracle_generator_count(m) <= step.rank <= len(greedy_generators(m))
