@@ -224,6 +224,26 @@ def zero_module(group):
     return _Derived(group, 0)
 
 
+class _Free(_Derived):
+    """ZG^k on the basis e_(j|G| + h), group element h in copy j: a ring
+    element x sends e_(j|G| + c) to the sum of a e_(j|G| + hc) over its
+    terms (h, a), hc read off the group's cached translation row of h,
+    so its ``act_columns`` walks no orbit."""
+
+    def act_columns(self, element):
+        cached = self._ring_actions.get(element.terms)
+        if cached is None:
+            n = self.group.order
+            shifts = [(self.group._translation(h), a) for h, a in element.terms]
+            cached = [
+                {base + row[c]: a for row, a in shifts}
+                for base in range(0, self.gens, n)
+                for c in range(n)
+            ]
+            self._ring_actions[element.terms] = cached
+        return cached
+
+
 def free_module_presentation(group, k):
     """ZG^k as a presented module: regular permutation actions, no relations."""
     if k < 0:
@@ -231,7 +251,7 @@ def free_module_presentation(group, k):
     gens = k * group.order
     ident = IntMatrix.identity(gens)
     actions = [act_rows(group, i, ident) for i in range(1, group.r + 1)]
-    return _Derived(group, gens, IntMatrix.zeros(gens, 0), actions)
+    return _Free(group, gens, IntMatrix.zeros(gens, 0), actions)
 
 
 def validate(module):
@@ -425,18 +445,20 @@ def homology_range(complex_, lo, hi):
     return {n: homology(complex_, n) for n in range(lo, hi + 1)}
 
 
-def _cycle_coordinates(cycles, targets):
-    """Coordinates in the basis ``cycles`` of ``targets``, columns in
-    the lattice it spans.  If each basis column k has a row i_k where it
-    holds v_k = +-1 and the others 0, then x_k = v_k z[i_k] for a target
-    z; else ``solve_preimage``, which gives the same unique coordinates.
+def _unit_coordinates(basis, targets):
+    """Coordinates in ``basis`` of ``targets``, columns in the lattice
+    it spans, read off private unit rows, or None.  If each basis column
+    k has a row i_k where it holds v_k = +-1 and the others 0, then
+    x_k = v_k z[i_k] for a target z: the columns are then independent,
+    so these are the unique coordinates a solve gives.  None when some
+    column has no such row, as a zero column or dependent columns do.
     """
-    uses = Counter(i for col in cycles.columns for i in col)
+    uses = Counter(i for col in basis.columns for i in col)
     unit = {}
-    for k, col in enumerate(cycles.columns):
+    for k, col in enumerate(basis.columns):
         i = next((i for i, v in col.items() if uses[i] == 1 and abs(v) == 1), None)
         if i is None:
-            return exactlin.solve_preimage(cycles, targets)
+            return None
         unit[i] = (k, col[i])
     out = []
     for z in targets.columns:
@@ -446,7 +468,17 @@ def _cycle_coordinates(cycles, targets):
                 k, v = unit[i]
                 coords[k] = v * w
         out.append(coords)
-    return IntMatrix.from_sparse(out, cycles.cols)
+    return IntMatrix.from_sparse(out, basis.cols)
+
+
+def _cycle_coordinates(cycles, targets):
+    """Coordinates in the basis ``cycles`` of ``targets``, columns in
+    the lattice it spans: :func:`_unit_coordinates`, else
+    ``solve_preimage``, which gives the same unique coordinates."""
+    coords = _unit_coordinates(cycles, targets)
+    if coords is None:
+        return exactlin.solve_preimage(cycles, targets)
+    return coords
 
 
 def _homology_data(complex_, n):

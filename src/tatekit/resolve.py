@@ -49,7 +49,7 @@ from .groupring import (
     full_norm,
     norm_element,
 )
-from .modpres import FreeChainComplex, _Derived, _Window, homology
+from .modpres import FreeChainComplex, _Derived, _unit_coordinates, _Window, homology
 
 
 @cache
@@ -190,7 +190,10 @@ class ResolutionStep:
     ``j * |G| + h`` is group element ``h`` applied to generator
     ``generators[j]``.  ``kernel`` is the kernel of the cover as a
     presented module (Z-free, so with an empty relation matrix) and
-    ``kernel_basis`` its lattice basis inside Z^(rank * |G|).
+    ``kernel_basis`` a basis of its lattice inside Z^(rank * |G|), the
+    module's generators: the projection of the tagged Hermite's kernel
+    basis, or, where that cannot be read without a solve, its echelon
+    ``lattice_basis`` (see :func:`resolution_step`).
     """
 
     __slots__ = ("rank", "generators", "cover", "kernel", "kernel_basis")
@@ -244,6 +247,17 @@ def resolution_step(module):
     echelon basis alone; one more Hermite form then gives the kernel of
     the final cover.  So its kernel is the syzygy of M up to free
     summands (Schanuel's lemma), which Tate cohomology cannot see.
+
+    The syzygy lattice is the projection of ker [cover | relations] onto
+    the cover's coordinates, spanned by the projected kernel basis; when
+    the relations are independent the projection is injective on that
+    kernel, so the projected columns are a basis.  It is the kernel of a
+    G-map, so G-stable, and the actions are the coordinates of g_i times
+    the basis, read off its private unit rows by
+    ``modpres._unit_coordinates`` with no second Hermite.  Where some
+    column has no private +-1 row (always so for dependent columns, or
+    a zero one) the basis is the echelon ``lattice_basis`` of the
+    projection and the actions are solved in it.
     """
     group, k, n = module.group, module.gens, module.group.order
     chosen = _nakayama_choice(module)
@@ -263,9 +277,19 @@ def resolution_step(module):
         cover = cover_of(chosen)
         full = image_and_kernel(cover.hstack(module.relations))[1]
     s = len(chosen)
-    basis = lattice_basis(full.submatrix(range(s * n), range(full.cols)))
+    basis = full.submatrix(range(s * n), range(full.cols))
     gens = range(1, group.r + 1)
-    actions = [solve_in_lattice(basis, act_rows(group, i, basis)) for i in gens]
+    # One read for the r action targets side by side.
+    targets = act_rows(group, 1, basis)
+    for i in gens[1:]:
+        targets = targets.hstack(act_rows(group, i, basis))
+    solved = _unit_coordinates(basis, targets)
+    if solved is None:
+        basis = lattice_basis(basis)
+        actions = [solve_in_lattice(basis, act_rows(group, i, basis)) for i in gens]
+    else:
+        w = basis.cols
+        actions = [solved.submatrix(range(w), range(i * w, i * w + w)) for i in range(group.r)]
     kernel = _Derived(group, basis.cols, IntMatrix.zeros(basis.cols, 0), actions)
     return ResolutionStep(s, chosen, cover, kernel, basis)
 

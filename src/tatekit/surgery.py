@@ -139,6 +139,9 @@ def _verify_ses(complex_, cone, n, top_basis):
     alpha reads the padded C-cycles in the cone's cycle basis by
     ``_cycle_coordinates``, once d_n(D) kills them: that basis spans
     ker d_n(D), so this is lattice membership, and a failure is not ok.
+    ``top_basis`` is any basis of the syzygy lattice, such as the last
+    step's ``kernel_basis``; beta is solved in its echelon
+    ``lattice_basis``, so membership there is exact too.
     """
     group = complex_.group
     zc, hc = _homology_data(complex_, n)
@@ -157,7 +160,7 @@ def _verify_ses(complex_, cone, n, top_basis):
     # beta: the F-part of each cone cycle written in the syzygy basis.
     proj = zd.submatrix(range(rc, rd), range(zd.cols))
     try:
-        beta = solve_in_lattice(top_basis, proj)
+        beta = solve_in_lattice(lattice_basis(top_basis), proj)
         # well-defined: alpha maps relations into relations ...
         solve_in_lattice(rel_d, alpha.mul(rel_c))
     except NoSolution:

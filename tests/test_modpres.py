@@ -341,6 +341,22 @@ def test_orbit_columns_are_the_element_actions(pr, seed):
     assert free_module_presentation(g, 1).act_columns(x) == ring
 
 
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_free_module_acts_by_translation_without_orbits(p, r, k):
+    # a ring element acts on ZG^k as its left-regular expansion, one
+    # block per copy, read off the group's translation rows: no orbit
+    # is built, for dense elements, a single term and zero alike
+    g = ElementaryAbelianGroup(p, r)
+    rng = random.Random(p * 100 + r * 10 + k)
+    f = free_module_presentation(g, k)
+    dense = {h: rng.randint(-2, 2) for h in range(g.order)}
+    single = {rng.randrange(g.order): rng.choice([-3, 1, 2])}
+    for x in (GroupRingElement(g, dense), GroupRingElement(g, single), g.zero()):
+        assert f.act_columns(x) == GroupRingMatrix.scalar(g, k, x).expand().columns
+    assert not f._orbits
+
+
 def test_pruned_browder_modules_of_a_three_sphere_product():
     # generators/relations of H_1..H_7 before and after the Tietze moves
     c = product_complex(2, [2, 2, 1])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tatekit import _backend, groupring, resolve
+from tatekit import _backend, exactlin, groupring, resolve
 from tatekit._backend import smith_diagonal
 from tatekit.errors import WindowViolation
 from tatekit.exactlin import (
@@ -343,6 +343,76 @@ def test_cover_is_minimal_mod_p_and_onto_over_z(m):
     assert cokernel_invariants(step.cover.hstack(m.relations)).is_trivial()
     image = step.cover.mul(step.kernel_basis)
     assert m.in_relation_span(image) is None
+
+
+def _reference_syzygy_lattice(module, step):
+    """The echelon basis of the syzygy lattice as the parent step built
+    it: the projection of ker [cover | relations] onto the cover's
+    coordinates, through a second Hermite form."""
+    full = kernel_basis(step.cover.hstack(module.relations))
+    rows = step.rank * module.group.order
+    return lattice_basis(full.submatrix(range(rows), range(full.cols)))
+
+
+def test_kernel_actions_read_off_unit_rows_are_the_solved_ones(monkeypatch):
+    # on every step of two-step chains from modules, their syzygies and
+    # homology modules of random and product complexes: the kernel basis
+    # spans the reference syzygy lattice, its columns are independent,
+    # and it intertwines the kernel's actions with the regular ones
+    # exactly; both the unit read and the echelon fallback occur
+    real = resolve._unit_coordinates
+    reads = []
+    monkeypatch.setattr(resolve, "_unit_coordinates", lambda *a: reads.append(real(*a)) or reads[-1])
+    paths = set()
+
+    @settings(max_examples=60)
+    @given(_modules())
+    def check(m):
+        for _ in range(2):
+            del reads[:]
+            step = resolution_step(m)
+            paths.add(reads[-1] is None)
+            basis, g = step.kernel_basis, m.group
+            for i in range(1, g.r + 1):
+                assert basis.mul(step.kernel.actions[i - 1]) == groupring.act_rows(g, i, basis)
+            ref = _reference_syzygy_lattice(m, step)
+            echelon = lattice_basis(basis)
+            assert echelon.cols == ref.cols
+            solve_in_lattice(echelon, ref)
+            solve_in_lattice(ref, basis)
+            assert exactlin.rank(basis) == basis.cols == step.kernel.gens
+            m = step.kernel
+
+    check()
+    assert paths == {False, True}
+
+
+@pytest.mark.parametrize(
+    "p, r, dependent, independent",
+    [
+        (2, 1, [[2, 4]], [[2]]),
+        (2, 2, [[2, 0, 2, 4], [0, 2, 2, 0]], [[2, 0], [0, 2]]),
+    ],
+)
+def test_dependent_relations_take_the_echelon_fallback(p, r, dependent, independent, monkeypatch):
+    # a relation dependent on the others gives ker [cover | relations]
+    # vectors that project to zero or dependent columns, which hold no
+    # private unit rows: the step solves in the echelon basis instead,
+    # has no zero column, and its kernel has the Tate table of the
+    # kernel of the same module presented on independent relations
+    g = ElementaryAbelianGroup(p, r)
+    real = resolve._unit_coordinates
+    reads = []
+    monkeypatch.setattr(resolve, "_unit_coordinates", lambda *a: reads.append(real(*a)) or reads[-1])
+    m = ModulePresentation(g, len(dependent), IntMatrix(dependent))
+    step = resolution_step(m)
+    assert reads == [None]
+    assert all(step.kernel_basis.columns)
+    assert step.kernel_basis == lattice_basis(step.kernel_basis)
+    assert step.kernel_basis == _reference_syzygy_lattice(m, step)
+    other = resolution_step(ModulePresentation(g, len(independent), IntMatrix(independent)))
+    want = tate_cohomology_range(g, other.kernel, -1, 2)
+    assert tate_cohomology_range(g, step.kernel, -1, 2) == want
 
 
 def test_a_cover_not_onto_over_z_is_topped_up():

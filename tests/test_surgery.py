@@ -13,7 +13,7 @@ from tatekit.errors import (
     NotConnected,
     NotNonnegative,
 )
-from tatekit.exactlin import IntMatrix, exponent, solve_preimage
+from tatekit.exactlin import IntMatrix, exponent, lattice_basis, solve_preimage
 from tatekit.gallery import lens_complex, product_complex, random_free_complex
 from tatekit.groupring import ElementaryAbelianGroup
 from tatekit.modpres import (
@@ -402,21 +402,31 @@ def _last_dropped(basis):
 
 @pytest.mark.parametrize("tamper", [_scaled, _last_dropped])
 @pytest.mark.parametrize(
-    "c, m, n", [(product_complex(3, [1, 1]), 1, 2), (lens_complex(2, 3), 0, 2)]
+    "c, m, n",
+    [
+        (product_complex(3, [1, 1]), 1, 2),
+        (lens_complex(2, 3), 0, 2),
+        (product_complex(2, [1, 1]), 2, 3),
+        (lens_complex(3, 2), 0, 1),
+    ],
 )
 def test_ses_certificate_rejects_a_wrong_syzygy_basis(c, m, n, tamper):
     # the exact sequence 0 -> H_n(C) -> H_n(D) -> Omega^(n-m) H_m(C) -> 0
     # holds with the kernel lattice of the last attach step, on the cone
-    # that glue returns, and fails with a proper sublattice of it or one
-    # lattice vector short
+    # that glue returns, given by the step's basis or its echelon form
+    # (the two differ in the last two cases, where the step reads its
+    # actions off unit rows), and fails with a proper sublattice of it
+    # or one lattice vector short
     cone = c
     for k in range(m, n):
         cone, step = surgery._attach(cone, k)
     assert cone.diffs == glue(c, m, n)[0].diffs
-    top_basis = step.kernel_basis
-    assert top_basis.cols
-    assert surgery._verify_ses(c, cone, n, top_basis)
-    assert not surgery._verify_ses(c, cone, n, tamper(top_basis))
+    assert step.kernel_basis.cols
+    read = (c.group.p, m, n) in {(2, 2, 3), (3, 0, 1)}
+    assert (step.kernel_basis != lattice_basis(step.kernel_basis)) == read
+    for top_basis in (step.kernel_basis, lattice_basis(step.kernel_basis)):
+        assert surgery._verify_ses(c, cone, n, top_basis)
+        assert not surgery._verify_ses(c, cone, n, tamper(top_basis))
 
 
 @pytest.mark.parametrize(
